@@ -15,12 +15,12 @@ import numpy as np
 
 from urcd.measures import EmpiricalMeasure, make_empirical
 from urcd.neural import (
+    FitConfig,
     Mlp,
     activation_fns,
-    adam_step,
     backprop,
+    fit_epochs,
     forward_cache,
-    init_adam,
     init_mlp,
     mlp_forward,
     n_params,
@@ -28,23 +28,7 @@ from urcd.neural import (
 )
 
 VARIANCE_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Shared settings for the gradient-trained baselines."""
-
-    hidden_dims: tuple = (64, 64)
-    activation: str = "relu"
-    epochs: int = 500
-    batch_size: int | None = None
-    learning_rate: float = 1e-2
-    seed: int = 0
-    em_iters: int = 50
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.learning_rate <= 0 or self.em_iters < 1:
-            raise ValueError("epochs, learning_rate and em_iters must be positive")
+EM_ITERS = 50      # EM iterations per MDN target decomposition
 
 
 @dataclass(frozen=True)
@@ -139,17 +123,12 @@ def sample_gmm(gmm: GaussianMixture, n_samples: int,
 
 def _fit_squared_error(net: Mlp, X, Y, cfg: FitConfig, rng):
     """Adam on mean squared error; returns the trained network."""
-    n = X.shape[0]
-    state = init_adam(net, learning_rate=cfg.learning_rate)
-    batch = cfg.batch_size if cfg.batch_size is not None else n
-    batch = min(batch, n)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n) if batch < n else np.arange(n)
-        for start in range(0, n, batch):
-            sel = order[start:start + batch]
-            out, pre, post = forward_cache(net, X[sel])
-            grads = backprop(net, pre, post, 2.0 * (out - Y[sel]) / sel.size)
-            net, state = adam_step(net, state, grads)
+    def loss_grad(nets, rows):
+        out, pre, post = forward_cache(nets[0], X[rows])
+        return (backprop(nets[0], pre, post, 2.0 * (out - Y[rows]) / rows.size),)
+
+    for (net,) in fit_epochs((net,), loss_grad, X.shape[0], cfg, rng):
+        pass
     return net
 
 
@@ -235,7 +214,7 @@ def mdn_fit(data, n_components: int, cfg: FitConfig) -> MdnModel:
         # measures receive identical mixture decompositions
         content_seed = (cfg.seed * 1_000_003 + zlib.crc32(measure.atoms.tobytes())) % 2**32
         gmm = em_fit_gmm(measure.atoms, min(K, measure.n_atoms),
-                         iters=cfg.em_iters, seed=content_seed)
+                         iters=EM_ITERS, seed=content_seed)
         if gmm.n_components < K:      # pad tiny targets by repeating components
             reps = [gmm.weights, gmm.means, gmm.log_stds]
             while reps[0].size < K:
@@ -248,43 +227,33 @@ def mdn_fit(data, n_components: int, cfg: FitConfig) -> MdnModel:
     hidden = cfg.hidden_dims if cfg.hidden_dims else (max(8, 2 * d_in),)
     trunk = init_mlp([d_in, *hidden], activation=cfg.activation, rng=rng)
     head = init_mlp([hidden[-1], K + 2 * K * D], activation="identity", rng=rng)
-    t_state = init_adam(trunk, learning_rate=cfg.learning_rate)
-    h_state = init_adam(head, learning_rate=cfg.learning_rate)
 
-    n = X.shape[0]
-    batch = cfg.batch_size if cfg.batch_size is not None else n
-    batch = min(batch, n)
-    model = MdnModel(trunk=trunk, head=head, n_components=K, out_dim=D)
+    def loss_grad(nets, rows):
+        model = MdnModel(*nets, n_components=K, out_dim=D)
+        feats, dfeats, pre, post = _mdn_features(model, X[rows])
+        out, h_pre, h_post = forward_cache(model.head, feats)
 
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n) if batch < n else np.arange(n)
-        for start in range(0, n, batch):
-            sel = order[start:start + batch]
-            feats, dfeats, pre, post = _mdn_features(model, X[sel])
-            out, h_pre, h_post = forward_cache(model.head, feats)
+        d_out = np.zeros_like(out)
+        for row, i in enumerate(rows):
+            o = out[row]
+            logits, means, log_stds = (o[:K], o[K:K + K * D].reshape(K, D),
+                                       o[K + K * D:].reshape(K, D))
+            t = targets[i]
+            perm = _greedy_mean_match(means, t.means)
+            tw, tm, ts = t.weights[perm], t.means[perm], t.log_stds[perm]
+            p = softmax(logits)
+            d_out[row, :K] = p - tw
+            d_out[row, K:K + K * D] = 2.0 * (means - tm).ravel()
+            d_out[row, K + K * D:] = 2.0 * (log_stds - ts).ravel()
+        d_out /= rows.size
 
-            d_out = np.zeros_like(out)
-            for row, i in enumerate(sel):
-                o = out[row]
-                logits, means, log_stds = (o[:K], o[K:K + K * D].reshape(K, D),
-                                           o[K + K * D:].reshape(K, D))
-                t = targets[i]
-                perm = _greedy_mean_match(means, t.means)
-                tw, tm, ts = t.weights[perm], t.means[perm], t.log_stds[perm]
-                p = softmax(logits)
-                d_out[row, :K] = p - tw
-                d_out[row, K:K + K * D] = 2.0 * (means - tm).ravel()
-                d_out[row, K + K * D:] = 2.0 * (log_stds - ts).ravel()
-            d_out /= sel.size
+        d_feats = (d_out @ model.head.weights[0].T) * dfeats
+        return (backprop(model.trunk, pre, post, d_feats),
+                backprop(model.head, h_pre, h_post, d_out))
 
-            h_grads = backprop(model.head, h_pre, h_post, d_out)
-            d_feats = (d_out @ model.head.weights[0].T) * dfeats
-            t_grads = backprop(model.trunk, pre, post, d_feats)
-            new_head, h_state = adam_step(model.head, h_state, h_grads)
-            new_trunk, t_state = adam_step(model.trunk, t_state, t_grads)
-            model = MdnModel(trunk=new_trunk, head=new_head,
-                             n_components=K, out_dim=D)
-    return model
+    for nets in fit_epochs((trunk, head), loss_grad, X.shape[0], cfg, rng):
+        pass
+    return MdnModel(*nets, n_components=K, out_dim=D)
 
 
 def mdn_predict_measure(model: MdnModel, x, n_samples: int,

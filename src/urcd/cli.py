@@ -60,19 +60,33 @@ def _read_config(path) -> dict:
 
 
 def _pick(args, cfg: dict, key: str, default, cast=str):
-    """Flag value, else config-file value, else the built-in default."""
-    flag_val = getattr(args, key, None)
-    if flag_val is not None:
-        return flag_val
-    if key in cfg:
-        raw = cfg[key]
-        try:
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key}: {exc}") from exc
-    return default
+    """Flag value, else config-file value, else the built-in default.
+
+    Text (an untyped flag or any config-file value) goes through `cast`."""
+    raw = getattr(args, key, None)
+    if raw is None:
+        raw = cfg.get(key)
+    if not isinstance(raw, str):
+        return default if raw is None else raw
+    try:
+        if cast is bool:
+            return raw.lower() in ("1", "true", "yes", "on")
+        return cast(raw)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key}: {exc}") from exc
+
+
+def _given(args, cfg: dict, keys: dict) -> dict:
+    """Keyword arguments for the keys set by flag or config file.
+
+    keys maps a flag / config key to (field name, cast).  Unset keys are
+    left out, so the dataclass supplies its own default."""
+    given = {}
+    for key, (name, cast) in keys.items():
+        value = _pick(args, cfg, key, None, cast)
+        if value is not None:
+            given[name] = value
+    return given
 
 
 def _hidden(text) -> tuple:
@@ -82,37 +96,46 @@ def _hidden(text) -> tuple:
         raise ConfigError(f"bad hidden-layer list {text!r}") from exc
 
 
+# flag / config key -> (dataclass field, cast from text)
+_GEN_KEYS = {
+    "size": ("size", int), "samples": ("S", int), "seed": ("seed", int),
+    "base_depth": ("base_depth", int), "base_width": ("base_width", int),
+    "dropout_rate": ("dropout_rate", float),
+    "elm_width": ("elm_width", int), "elm_depth": ("elm_depth", int),
+    "elm_lambda": ("elm_lambda", float), "elm_m": ("elm_M", float),
+    "sde_drift": ("sde_drift", str), "sde_diffusion": ("sde_diffusion", str),
+    "drift_a0": ("drift_a0", float), "drift_a1": ("drift_a1", float),
+    "diffusion_b0": ("diffusion_b0", float),
+    "diffusion_b1": ("diffusion_b1", float),
+    "n_steps": ("n_steps", int), "t_max": ("t_max", float),
+    "x_max": ("x_max", float),
+}
+# keys the train and experiment commands share
+_SHARED_KEYS = {
+    "hidden": ("hidden_dims", _hidden), "epochs": ("epochs", int),
+    "batch_size": ("batch_size", int), "learning_rate": ("learning_rate", float),
+    "n_centers": ("n_centers", int),
+}
+_TRAIN_KEYS = {
+    **_SHARED_KEYS, "activation": ("activation", str), "seed": ("seed", int),
+    "strategy": ("center_strategy", str),
+}
+_EXPERIMENT_KEYS = {
+    **_SHARED_KEYS, "mdn_components": ("mdn_components", int),
+    "n_test": ("n_test", int), "bootstrap_b": ("bootstrap_b", int),
+    "timings": ("timings", bool),
+}
+
+
 def _gen_config(args, cfg) -> GeneratorConfig:
     task = _pick(args, cfg, "task", None)
     if task is None:
         raise ConfigError("a task is required (--task)")
     task = task.replace("-", "_")
     d = _pick(args, cfg, "d", 11 if task == "elm" else 1, int)
-    dim_out_default = d if task == "sde" else 1
-    return GeneratorConfig(
-        task=task,
-        d=d,
-        D=_pick(args, cfg, "dim_out", dim_out_default, int),
-        size=_pick(args, cfg, "size", 100, int),
-        S=_pick(args, cfg, "samples", 1000, int),
-        seed=_pick(args, cfg, "seed", 0, int),
-        base_depth=_pick(args, cfg, "base_depth", 1, int),
-        base_width=_pick(args, cfg, "base_width", 100, int),
-        dropout_rate=_pick(args, cfg, "dropout_rate", 0.1, float),
-        elm_width=_pick(args, cfg, "elm_width", 32, int),
-        elm_depth=_pick(args, cfg, "elm_depth", 1, int),
-        elm_lambda=_pick(args, cfg, "elm_lambda", 1e-3, float),
-        elm_M=_pick(args, cfg, "elm_m", 1.0, float),
-        sde_drift=_pick(args, cfg, "sde_drift", "ou"),
-        sde_diffusion=_pick(args, cfg, "sde_diffusion", "constant"),
-        drift_a0=_pick(args, cfg, "drift_a0", 0.0, float),
-        drift_a1=_pick(args, cfg, "drift_a1", -1.0, float),
-        diffusion_b0=_pick(args, cfg, "diffusion_b0", 1.0, float),
-        diffusion_b1=_pick(args, cfg, "diffusion_b1", 0.0, float),
-        n_steps=_pick(args, cfg, "n_steps", 200, int),
-        t_max=_pick(args, cfg, "t_max", 1.0, float),
-        x_max=_pick(args, cfg, "x_max", 1.0, float),
-    )
+    D = _pick(args, cfg, "dim_out", d if task == "sde" else 1, int)
+    return GeneratorConfig(task=task, d=d, D=D,
+                           **_given(args, cfg, _GEN_KEYS))
 
 
 def _add_gen_flags(p):
@@ -217,19 +240,10 @@ def _cmd_gen(args, cfg) -> int:
 
 
 def _cmd_train(args, cfg) -> int:
-    n_centers = _pick(args, cfg, "n_centers", None, int)
-    if n_centers is None:
+    given = _given(args, cfg, _TRAIN_KEYS)
+    if "n_centers" not in given:
         raise ConfigError("the atom count is required (--n)")
-    train_cfg = TrainConfig(
-        n_centers=n_centers,
-        hidden_dims=_hidden(_pick(args, cfg, "hidden", "64,64")),
-        activation=_pick(args, cfg, "activation", "relu"),
-        epochs=_pick(args, cfg, "epochs", 500, int),
-        batch_size=_pick(args, cfg, "batch_size", None, int),
-        learning_rate=_pick(args, cfg, "learning_rate", 1e-2, float),
-        seed=_pick(args, cfg, "seed", 0, int),
-        center_strategy=_pick(args, cfg, "strategy", "greedy_medoids"),
-    )
+    train_cfg = TrainConfig(**given)
     data = load_dataset(args.data)
     model, log = train_dnm(data, train_cfg)
     save_dnm(model, args.out)
@@ -264,17 +278,7 @@ def _cmd_experiment(args, cfg) -> int:
     gen_cfg = _gen_config(args, cfg)
     models = _pick(args, cfg, "models", "dnm,mdn,dgn,mean,oracle")
     model_list = [m.strip() for m in models.split(",") if m.strip()]
-    harness = HarnessConfig(
-        n_centers=_pick(args, cfg, "n_centers", 10, int),
-        mdn_components=_pick(args, cfg, "mdn_components", 3, int),
-        hidden_dims=_hidden(_pick(args, cfg, "hidden", "64,64")),
-        epochs=_pick(args, cfg, "epochs", 500, int),
-        batch_size=_pick(args, cfg, "batch_size", None, int),
-        learning_rate=_pick(args, cfg, "learning_rate", 1e-2, float),
-        n_test=_pick(args, cfg, "n_test", 100, int),
-        bootstrap_b=_pick(args, cfg, "bootstrap_b", 1000, int),
-        timings=bool(_pick(args, cfg, "timings", False, bool)),
-    )
+    harness = HarnessConfig(**_given(args, cfg, _EXPERIMENT_KEYS))
     report = run_experiment(gen_cfg, model_list, gen_cfg.seed, harness)
     fmt = _pick(args, cfg, "format", "csv")
     emit_report(report, fmt, args.report)

@@ -38,7 +38,7 @@ from urcd.baselines import (
 from urcd.datagen import GeneratorConfig, generate
 from urcd.dnm import dnm_predict
 from urcd.measures import w1_cost
-from urcd.neural import n_params
+from urcd.neural import NetConfig, n_params
 from urcd.training import Dataset, TrainConfig, build_dataset, train_dnm
 
 KNOWN_MODELS = ("oracle", "dnm", "const", "mdn", "dgn", "mean")
@@ -50,17 +50,15 @@ _STREAM_PRED = 350377
 _STREAM_BOOT = 499979
 
 
-@dataclass(frozen=True)
-class HarnessConfig:
-    """Defaults for the experiment driver; every field is overridable."""
+@dataclass(frozen=True, kw_only=True)
+class HarnessConfig(NetConfig):
+    """Defaults for the experiment driver; every field is overridable.
+
+    The network and optimiser fields come from NetConfig and are passed on
+    to every trained model."""
 
     n_centers: int = 10
     mdn_components: int = 3
-    hidden_dims: tuple = (64, 64)
-    activation: str = "relu"
-    epochs: int = 500
-    batch_size: int | None = None
-    learning_rate: float = 1e-2
     n_test: int = 100
     test_radius: float = 0.1
     bootstrap_b: int = 1000
@@ -159,16 +157,6 @@ def _bootstrap_means(x: np.ndarray, n_boot: int, seed) -> np.ndarray:
     return x[idx].mean(axis=1)
 
 
-def bca_z0(samples, n_boot: int = 1000, seed: int = 0) -> float:
-    """Bias-correction constant: normal quantile of the bootstrap CDF at
-    the point estimate.  Near 0 for symmetric data."""
-    x = np.asarray(samples, dtype=float)
-    boot = _bootstrap_means(x, n_boot, seed)
-    p0 = np.clip((boot < x.mean()).mean(),
-                 1.0 / (n_boot + 1), n_boot / (n_boot + 1.0))
-    return float(norm.ppf(p0))
-
-
 def bca_interval(samples, level: float = 0.95, n_boot: int = 1000,
                  seed: int = 0):
     """Bias-corrected and accelerated bootstrap interval for the mean.
@@ -225,38 +213,36 @@ def _pred_seed(seed: int, x: np.ndarray) -> int:
 def _ball_test_inputs(data: Dataset, sampler, n_samples: int, n_test: int,
                       radius: float, seed: int) -> Dataset:
     """Extend a train-only dataset with test points drawn uniformly from
-    closed balls around randomly chosen training inputs."""
+    closed balls around randomly chosen training inputs.
+
+    Each test target is drawn under the reference seed of its index, so it
+    is the very measure ``oracle_references`` would draw for that point."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_TEST)))
     train_inputs = data.train_inputs()
     d = train_inputs.shape[1]
     entries = list(data.entries)
     test_idx = []
-    for j in range(n_test):
+    for _ in range(n_test):
         center = train_inputs[rng.integers(train_inputs.shape[0])]
         direction = rng.standard_normal(d)
         direction /= max(np.linalg.norm(direction), 1e-300)
         offset = radius * rng.random() ** (1.0 / d) * direction
         x = center + offset
-        target = mc_oracle(sampler, x, n_samples,
-                           np.random.SeedSequence((seed, _STREAM_TEST, j)))
         test_idx.append(len(entries))
-        entries.append((x, target))
+        entries.append((x, mc_oracle(sampler, x, n_samples,
+                                     _ref_seed(seed, len(entries)))))
     return build_dataset(entries, train_idx=data.train_idx, test_idx=test_idx)
 
 
 def _train_model(name: str, data: Dataset, gen_cfg: GeneratorConfig,
                  h: HarnessConfig, seed: int):
     """Returns (predictor, parameter count)."""
-    fit_cfg = FitConfig(hidden_dims=h.hidden_dims, activation=h.activation,
-                        epochs=h.epochs, batch_size=h.batch_size,
-                        learning_rate=h.learning_rate, seed=seed)
+    shared = {f.name: getattr(h, f.name) for f in dataclasses.fields(NetConfig)}
+    fit_cfg = FitConfig(**shared, seed=seed)
     if name in ("dnm", "const"):
         n_centers = h.n_centers if name == "dnm" else 1
-        cfg = TrainConfig(n_centers=n_centers, hidden_dims=h.hidden_dims,
-                          activation=h.activation, epochs=h.epochs,
-                          batch_size=h.batch_size,
-                          learning_rate=h.learning_rate, seed=seed)
-        model, _ = train_dnm(data, cfg)
+        model, _ = train_dnm(data, TrainConfig(**shared, seed=seed,
+                                               n_centers=n_centers))
         return (lambda x: dnm_predict(model, x)), n_params(model.classifier)
     if name == "mdn":
         model = mdn_fit(data, h.mdn_components, fit_cfg)
@@ -302,11 +288,11 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
     except Exception as exc:
         raise RuntimeError(f"[generate] {exc}") from exc
 
+    references = oracle_references(data, sampler, gen_cfg.S, seed)
     if not data.test_idx:
         data = _ball_test_inputs(data, sampler, gen_cfg.S, h.n_test,
                                  h.test_radius, seed)
-
-    references = oracle_references(data, sampler, gen_cfg.S, seed)
+        references += [target for _, target in data.test_entries()]
 
     # oracle timing baseline: one prediction pass over the test split
     oracle_test_time = 1.0

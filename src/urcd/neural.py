@@ -2,8 +2,10 @@
 
 Networks are plain dataclasses over numpy arrays.  The forward map applies
 the activation componentwise after every affine layer except the last one.
-``forward_cache``/``backprop`` expose the reverse-mode core so other modules
-can train the same networks under their own losses.
+``forward_cache``/``backprop`` expose the reverse-mode core, and
+``fit_epochs`` is the one minibatch-Adam loop, so other modules train the
+same networks under their own losses.  ``NetConfig``/``FitConfig`` declare
+the training settings they share.
 
 Everything is deterministic: initialization is seeded, and gradient /
 optimizer updates are pure functions returning fresh objects.
@@ -11,7 +13,6 @@ optimizer updates are pure functions returning fresh objects.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,6 +62,30 @@ class OptimizerState:
     beta1: float
     beta2: float
     eps: float
+
+
+@dataclass(frozen=True, kw_only=True)
+class NetConfig:
+    """Network shape and minibatch-Adam settings shared by every trainer."""
+
+    hidden_dims: tuple = (64, 64)
+    activation: str = "relu"
+    epochs: int = 500
+    batch_size: int | None = None      # None = full batch
+    learning_rate: float = 1e-2
+
+    def __post_init__(self):
+        if self.epochs < 1 or self.learning_rate <= 0:
+            raise ValueError("epochs and learning_rate must be positive")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be positive when given")
+
+
+@dataclass(frozen=True, kw_only=True)
+class FitConfig(NetConfig):
+    """Settings for one seeded fit."""
+
+    seed: int = 0
 
 
 def activation_fns(name: str):
@@ -209,6 +234,27 @@ def adam_step(net: Mlp, state: OptimizerState, grads: Grads):
     return new_net, new_state
 
 
+def fit_epochs(nets, loss_grad, n: int, cfg: NetConfig, rng):
+    """Minibatch Adam over n training rows; yields the networks after each epoch.
+
+    loss_grad(nets, rows) returns one Grads per network for the index array
+    rows.  Each network keeps its own Adam state.  Rows are reshuffled every
+    epoch only when a batch is smaller than n.
+    """
+    nets = tuple(nets)
+    states = [init_adam(net, learning_rate=cfg.learning_rate) for net in nets]
+    batch = min(cfg.batch_size or n, n)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n) if batch < n else np.arange(n)
+        for start in range(0, n, batch):
+            grads = loss_grad(nets, order[start:start + batch])
+            stepped = [adam_step(net, state, g)
+                       for net, state, g in zip(nets, states, grads)]
+            nets = tuple(net for net, _ in stepped)
+            states = [state for _, state in stepped]
+        yield nets
+
+
 def grad_check(net: Mlp, batch, h: float = 1e-5) -> float:
     """Max relative error of analytic vs central-difference gradients."""
     if len(batch) == 0:
@@ -274,13 +320,3 @@ def mlp_from_dict(data: dict) -> Mlp:
         biases=tuple(np.array(b, dtype=float) for b in data["biases"]),
         activation=data["activation"],
     )
-
-
-def save_mlp(net: Mlp, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(mlp_to_dict(net), fh)
-
-
-def load_mlp(path) -> Mlp:
-    with open(path) as fh:
-        return mlp_from_dict(json.load(fh))

@@ -24,10 +24,10 @@ import numpy as np
 from urcd.dnm import DnmModel, identity_feature_map
 from urcd.measures import make_empirical
 from urcd.neural import (
-    adam_step,
+    FitConfig,
     cross_entropy_grad,
+    fit_epochs,
     forward_batch,
-    init_adam,
     init_mlp,
 )
 
@@ -86,24 +86,15 @@ def build_dataset(entries, train_idx=None, test_idx=None) -> Dataset:
                    test_idx=tuple(test_idx or ()))
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+@dataclass(frozen=True, kw_only=True)
+class TrainConfig(FitConfig):
     n_centers: int
-    hidden_dims: tuple = (64, 64)
-    activation: str = "relu"
-    epochs: int = 500
-    batch_size: int | None = None      # None = full batch
-    learning_rate: float = 1e-2
-    seed: int = 0
     center_strategy: str = "greedy_medoids"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n_centers < 1:
             raise ValueError("n_centers must be >= 1")
-        if self.epochs < 1 or self.learning_rate <= 0:
-            raise ValueError("epochs and learning_rate must be positive")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be positive when given")
         if self.center_strategy not in ("greedy_medoids", "exhaustive"):
             raise ValueError(f"unknown center strategy {self.center_strategy!r}")
 
@@ -120,8 +111,7 @@ def _medoid_objective(dist: np.ndarray, subset) -> float:
     return float(dist[:, list(subset)].min(axis=1).sum())
 
 
-def select_centers(train, n_centers: int, strategy: str = "greedy_medoids",
-                   rng=None):
+def select_centers(train, n_centers: int, strategy: str = "greedy_medoids"):
     """Choose distinct training indices whose points cover the inputs.
 
     The covering objective is sum_x min_n ||x - c_n||.  "exhaustive"
@@ -185,7 +175,7 @@ def train_dnm(data: Dataset, cfg: TrainConfig):
         raise ValueError("n_centers must be smaller than the training set")
     rng = np.random.default_rng(cfg.seed)
 
-    centers = select_centers(inputs, cfg.n_centers, cfg.center_strategy, rng)
+    centers = select_centers(inputs, cfg.n_centers, cfg.center_strategy)
     train = data.train_entries()
     atoms = tuple(train[c][1] for c in centers)
     labels = assign_labels(inputs, centers)
@@ -193,22 +183,14 @@ def train_dnm(data: Dataset, cfg: TrainConfig):
     d = data.input_dim
     net = init_mlp([d, *cfg.hidden_dims, cfg.n_centers],
                    activation=cfg.activation, rng=rng)
-    state = init_adam(net, learning_rate=cfg.learning_rate)
-
-    n = inputs.shape[0]
-    batch = cfg.batch_size if cfg.batch_size is not None else n
-    batch = min(batch, n)
     full = list(zip(inputs, labels))
 
+    def loss_grad(nets, rows):
+        return (cross_entropy_grad(nets[0], [full[i] for i in rows])[1],)
+
     losses = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n) if batch < n else np.arange(n)
-        for start in range(0, n, batch):
-            sel = order[start:start + batch]
-            _, grads = cross_entropy_grad(net, [full[i] for i in sel])
-            net, state = adam_step(net, state, grads)
-        loss, _ = cross_entropy_grad(net, full)
-        losses.append(loss)
+    for (net,) in fit_epochs((net,), loss_grad, len(full), cfg, rng):
+        losses.append(cross_entropy_grad(net, full)[0])
 
     predictions = forward_batch(net, inputs).argmax(axis=1)
     accuracy = float((predictions == labels.argmax(axis=1)).mean())

@@ -85,6 +85,12 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
                  "--size", "8", "--samples", "5", "--out", str(out)]) == 2
     assert main(["--config", str(tmp_path / "missing.cfg"), "rates",
                  "--neps", "--eps", "1"]) == 2
+    # settings the shared training config rejects
+    experiment = ["experiment", "--task", "heteroscedastic", "--size", "8",
+                  "--samples", "6", "--models", "mean", "--n-test", "2",
+                  "--bootstrap", "200", "--report", str(tmp_path / "r.csv")]
+    assert main(experiment + ["--epochs", "0"]) == 2
+    assert main(experiment + ["--lr", "0"]) == 2
     assert "error" in capsys.readouterr().err
 
 

@@ -9,7 +9,6 @@ from urcd.harness import (
     HarnessConfig,
     Metrics,
     bca_interval,
-    bca_z0,
     emit_report,
     eval_model,
     oracle_references,
@@ -85,12 +84,6 @@ def test_eval_worst_split_dominates_each_average():
 def test_bca_constant_samples():
     lo, hi = bca_interval(np.full(20, 3.5))
     assert lo == hi == 3.5
-
-
-def test_bca_symmetric_bias_correction_small():
-    rng = np.random.default_rng(3)
-    x = rng.uniform(-1, 1, size=10_000)
-    assert abs(bca_z0(x, n_boot=1000, seed=0)) < 0.1
 
 
 def test_bca_coverage_on_gaussian_means():
@@ -221,4 +214,19 @@ def test_golden_mini_report(tmp_path):
     path = tmp_path / "mini.csv"
     emit_report(report, "csv", path)
     golden = pathlib.Path(__file__).parent / "data" / "golden_mini_report.csv"
+    assert path.read_bytes() == golden.read_bytes()
+
+
+def test_golden_minibatch_report(tmp_path):
+    """MDN, DGN and the minibatch shuffle, which the mini golden skips."""
+    import pathlib
+
+    gen = GeneratorConfig(task="heteroscedastic", d=2, size=30, S=40, seed=5)
+    h = HarnessConfig(hidden_dims=(8,), epochs=30, batch_size=16, n_test=10,
+                      bootstrap_b=200)
+    report = run_experiment(gen, ["dnm", "const", "mdn", "dgn", "mean"],
+                            seed=5, harness=h)
+    path = tmp_path / "minibatch.csv"
+    emit_report(report, "csv", path)
+    golden = pathlib.Path(__file__).parent / "data" / "golden_minibatch_report.csv"
     assert path.read_bytes() == golden.read_bytes()
