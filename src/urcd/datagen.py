@@ -23,6 +23,10 @@ from urcd.training import Dataset, build_dataset
 
 TASKS = ("heteroscedastic", "mc_dropout", "elm", "sde")
 
+# Samplers draw their uniforms in blocks of about this many doubles; the
+# block size bounds the temporaries and leaves the stream unchanged.
+_BLOCK_DOUBLES = 2 ** 16
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -64,6 +68,8 @@ class GeneratorConfig:
             raise ValueError("dropout_rate must lie in [0, 1)")
         if self.elm_lambda <= 0:
             raise ValueError("ridge penalty must be positive")
+        if self.task == "elm" and (self.elm_width < 1 or self.elm_depth < 1):
+            raise ValueError("elm_width and elm_depth must be positive")
         if self.task == "heteroscedastic" and self.D != 1:
             raise ValueError("the heteroscedastic task is scalar-valued (D = 1)")
         if self.n_steps < 1 or self.t_max <= 0 or self.x_max <= 0:
@@ -97,6 +103,19 @@ def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
     return np.random.default_rng(int(seed))
+
+
+def _blocks(size: int, doubles_per_draw: int):
+    """(start, count) runs covering draws 0..size-1, each of about
+    _BLOCK_DOUBLES doubles of per-draw work."""
+    step = max(1, _BLOCK_DOUBLES // max(1, doubles_per_draw))
+    for start in range(0, size, step):
+        yield start, min(step, size - start)
+
+
+def _split_columns(u: np.ndarray, widths) -> list:
+    """Consecutive column blocks of u with the given widths."""
+    return np.split(u, np.cumsum(widths)[:-1], axis=1)
 
 
 def _build(cfg: GeneratorConfig, inputs, sampler, train_all: bool = True) -> Dataset:
@@ -167,7 +186,14 @@ def gen_heteroscedastic(cfg: GeneratorConfig):
 
 @dataclass(frozen=True)
 class DropoutSampler:
-    """Bernoulli masks on every weight matrix of a fixed linear chain."""
+    """Bernoulli masks on every weight matrix of a fixed linear chain.
+
+    Stream contract: draw s consumes one uniform per weight entry, layer by
+    layer in weight order (each layer's entries in C order), before draw
+    s + 1 starts.  An entry is kept when its uniform is >= rate.  So a block
+    of m draws is one ``rng.random((m, sum of weight sizes))`` whose rows
+    are the draws, and blocking leaves every output bit unchanged.
+    """
 
     net: Mlp
     rate: float
@@ -175,13 +201,15 @@ class DropoutSampler:
     def draw(self, x, size, seed):
         rng = _rng(seed)
         x = np.asarray(x, dtype=float)
+        weights, biases = self.net.weights, self.net.biases
+        widths = [w.size for w in weights]
         out = np.empty((size, self.net.layer_dims[-1]))
-        for s in range(size):
-            h = x
-            for w, b in zip(self.net.weights, self.net.biases):
-                mask = rng.random(size=w.shape) >= self.rate
-                h = h @ (w * mask) + b
-            out[s] = h
+        for start, m in _blocks(size, sum(widths)):
+            keep = rng.random((m, sum(widths))) >= self.rate
+            h = np.broadcast_to(x, (m, 1, x.size))
+            for w, b, k in zip(weights, biases, _split_columns(keep, widths)):
+                h = h @ (w * k.reshape(m, *w.shape)) + b
+            out[start:start + m] = h[:, 0]
         return out
 
     def __call__(self, x, seed):
@@ -215,11 +243,13 @@ def gen_mc_dropout(cfg: GeneratorConfig):
 # ---------------------------------------------------------------------------
 
 def ridge_solve(X: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (X^T X + lam I) w = X^T Y; lam > 0 keeps the system regular."""
+    """Solve (X^T X + lam I) w = X^T Y; lam > 0 keeps the system regular.
+
+    X may be a stack of designs (..., n, W); each gets its own solution."""
     if lam <= 0:
         raise ValueError("ridge penalty must be positive")
-    W = X.shape[1]
-    return np.linalg.solve(X.T @ X + lam * np.eye(W), X.T @ Y)
+    Xt = np.swapaxes(X, -1, -2)
+    return np.linalg.solve(Xt @ X + lam * np.eye(X.shape[-1]), Xt @ Y)
 
 
 @dataclass(frozen=True)
@@ -229,6 +259,14 @@ class ElmSampler:
     Each draw resamples the hidden parameters theta (uniform on [-M, M],
     then sparsified by a Bernoulli mask), rebuilds the feature design of
     the training inputs, and evaluates the resulting ridge solution at x.
+
+    Stream contract: draw s consumes, layer by layer, the weight uniforms,
+    the weight mask, the bias uniforms and the bias mask (each in C order)
+    before draw s + 1 starts.  A uniform is ``-M + 2M * U`` as
+    ``Generator.uniform`` computes it; a parameter is kept when its mask
+    double is >= sparsity.  So a block of draws is one ``rng.random`` call
+    whose rows are the draws, and blocking leaves every output bit
+    unchanged.
     """
 
     train_X: np.ndarray          # (n_train, d)
@@ -239,21 +277,12 @@ class ElmSampler:
     M: float
     sparsity: float
 
-    def draw_theta(self, rng):
-        dims = [self.train_X.shape[1]] + [self.width] * self.depth
-        params = []
-        for a, b in zip(dims[:-1], dims[1:]):
-            w = rng.uniform(-self.M, self.M, size=(a, b))
-            w *= rng.random(size=w.shape) >= self.sparsity
-            bias = rng.uniform(-self.M, self.M, size=b)
-            bias *= rng.random(size=b) >= self.sparsity
-            params.append((w, bias))
-        return params
-
     def features(self, theta, X):
+        """Hidden features of the rows of X; a theta whose weights carry a
+        leading draw axis gives one feature matrix per draw."""
         h = np.atleast_2d(X)
         for w, b in theta:
-            h = np.maximum(h @ w + b, 0.0)
+            h = np.maximum(h @ w + b[..., None, :], 0.0)
         return h
 
     def predict(self, theta, X):
@@ -264,9 +293,23 @@ class ElmSampler:
     def draw(self, x, size, seed):
         rng = _rng(seed)
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        dims = [self.train_X.shape[1]] + [self.width] * self.depth
+        shapes = list(zip(dims[:-1], dims[1:]))
+        widths = [n for a, b in shapes for n in (a * b, a * b, b, b)]
+        # per draw: its uniforms, one design matrix and one Gram matrix
+        work = sum(widths) + self.width * (self.train_X.shape[0] + self.width)
+        low, high = -self.M, self.M
         out = np.empty((size, self.train_Y.shape[1]))
-        for s in range(size):
-            out[s] = self.predict(self.draw_theta(rng), x)[0]
+        for start, m in _blocks(size, work):
+            parts = iter(_split_columns(rng.random((m, sum(widths))), widths))
+            theta = []
+            for a, b in shapes:
+                w = (low + (high - low) * next(parts)).reshape(m, a, b)
+                w *= next(parts).reshape(m, a, b) >= self.sparsity
+                bias = low + (high - low) * next(parts)
+                bias *= next(parts) >= self.sparsity
+                theta.append((w, bias))
+            out[start:start + m] = self.predict(theta, x)[:, 0]
         return out
 
     def __call__(self, x, seed):
@@ -355,10 +398,18 @@ class SdeSampler:
             return np.full_like(y, self.b0)
         return self.b0 + self.b1 * y
 
+    def project(self, tx):
+        """Nearest input in the sampler's domain: times before 0 become 0."""
+        tx = np.array(tx, dtype=float)
+        tx[0] = max(tx[0], 0.0)
+        return tx
+
     def draw(self, tx, size, seed):
         rng = _rng(seed)
         tx = np.asarray(tx, dtype=float).ravel()
         t, x0 = float(tx[0]), tx[1:]
+        if t < 0.0:
+            raise ValueError(f"time {t!r} lies before the start time 0")
         y = np.tile(x0, (size, 1))
         if t == 0.0 or self.n_steps == 0:
             return y

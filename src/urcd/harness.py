@@ -65,6 +65,17 @@ class HarnessConfig(NetConfig):
     level: float = 0.95
     timings: bool = False
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_centers < 1 or self.mdn_components < 1:
+            raise ValueError("n_centers and mdn_components must be >= 1")
+        if self.n_test < 0 or self.test_radius < 0:
+            raise ValueError("n_test and test_radius must be >= 0")
+        if self.bootstrap_b < 100:
+            raise ValueError("bootstrap_b must be at least 100")
+        if not 0.0 < self.level < 1.0:
+            raise ValueError("level must lie in (0, 1)")
+
 
 @dataclass(frozen=True)
 class Metrics:
@@ -216,7 +227,10 @@ def _ball_test_inputs(data: Dataset, sampler, n_samples: int, n_test: int,
     closed balls around randomly chosen training inputs.
 
     Each test target is drawn under the reference seed of its index, so it
-    is the very measure ``oracle_references`` would draw for that point."""
+    is the very measure ``oracle_references`` would draw for that point.
+    A sampler with a ``project`` method moves each point into its input
+    domain first."""
+    project = getattr(sampler, "project", None)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_TEST)))
     train_inputs = data.train_inputs()
     d = train_inputs.shape[1]
@@ -228,6 +242,8 @@ def _ball_test_inputs(data: Dataset, sampler, n_samples: int, n_test: int,
         direction /= max(np.linalg.norm(direction), 1e-300)
         offset = radius * rng.random() ** (1.0 / d) * direction
         x = center + offset
+        if project is not None:
+            x = project(x)
         test_idx.append(len(entries))
         entries.append((x, mc_oracle(sampler, x, n_samples,
                                      _ref_seed(seed, len(entries)))))
@@ -260,6 +276,14 @@ def _train_model(name: str, data: Dataset, gen_cfg: GeneratorConfig,
     raise ValueError(f"unknown model {name!r}")
 
 
+def _split_interval(samples, h: HarnessConfig, seed):
+    """BCa interval for a split's mean.  A one-point split (``n_test`` = 1)
+    has nothing to resample, so its interval is the point itself."""
+    if len(samples) == 1:
+        return samples[0], samples[0]
+    return bca_interval(samples, h.level, h.bootstrap_b, seed)
+
+
 def _check_hull(predict, data: Dataset):
     """Spot check: mixture predictions must carry simplex weights."""
     for i in list(data.train_idx)[:3]:
@@ -288,11 +312,14 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
     except Exception as exc:
         raise RuntimeError(f"[generate] {exc}") from exc
 
-    references = oracle_references(data, sampler, gen_cfg.S, seed)
-    if not data.test_idx:
-        data = _ball_test_inputs(data, sampler, gen_cfg.S, h.n_test,
-                                 h.test_radius, seed)
-        references += [target for _, target in data.test_entries()]
+    try:
+        references = oracle_references(data, sampler, gen_cfg.S, seed)
+        if not data.test_idx:
+            data = _ball_test_inputs(data, sampler, gen_cfg.S, h.n_test,
+                                     h.test_radius, seed)
+            references += [target for _, target in data.test_entries()]
+    except (ValueError, ArithmeticError) as exc:
+        raise RuntimeError(f"[reference] {exc}") from exc
 
     # oracle timing baseline: one prediction pass over the test split
     oracle_test_time = 1.0
@@ -334,10 +361,10 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
         w1_point, w1_samples = result.worst_w1()
         m_point, m_samples = result.worst_m()
         boot_seed = (seed, _STREAM_BOOT, models.index(name))
-        w1_lo, w1_hi = bca_interval(w1_samples, h.level, h.bootstrap_b,
-                                    np.random.SeedSequence(boot_seed).generate_state(1)[0])
-        m_lo, m_hi = bca_interval(m_samples, h.level, h.bootstrap_b,
-                                  np.random.SeedSequence(boot_seed).generate_state(2)[1])
+        w1_lo, w1_hi = _split_interval(
+            w1_samples, h, np.random.SeedSequence(boot_seed).generate_state(1)[0])
+        m_lo, m_hi = _split_interval(
+            m_samples, h, np.random.SeedSequence(boot_seed).generate_state(2)[1])
         rows.append((name, Metrics(
             w1=w1_point, w1_lo=min(w1_lo, w1_point), w1_hi=max(w1_hi, w1_point),
             m=m_point, m_lo=min(m_lo, m_point), m_hi=max(m_hi, m_point),

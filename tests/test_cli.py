@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from urcd import harness
 from urcd.cli import main
-from urcd.harness import parse_report_csv
+from urcd.harness import HarnessConfig, parse_report_csv
 
 
 def test_rates_neps(capsys):
@@ -91,7 +92,49 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
                   "--bootstrap", "200", "--report", str(tmp_path / "r.csv")]
     assert main(experiment + ["--epochs", "0"]) == 2
     assert main(experiment + ["--lr", "0"]) == 2
+    # the experiment's own settings, rejected before anything runs
+    assert main(experiment + ["--n-centers", "0"]) == 2
+    assert main(experiment + ["--mdn-components", "0", "--models", "mdn"]) == 2
+    assert main(experiment + ["--bootstrap", "50"]) == 2
+    assert main(experiment + ["--n-test", "-1"]) == 2
     assert "error" in capsys.readouterr().err
+    for bad in ({"level": 0.0}, {"level": 1.0}, {"test_radius": -0.1}):
+        with pytest.raises(ValueError):
+            HarnessConfig(**bad)
+
+
+@pytest.mark.parametrize("n_test", ["0", "1"])
+def test_experiment_accepts_tiny_test_split(tmp_path, n_test):
+    report = tmp_path / "r.csv"
+    assert main(["experiment", "--task", "heteroscedastic", "--size", "8",
+                 "--samples", "6", "--models", "mean", "--epochs", "5",
+                 "--hidden", "4", "--bootstrap", "100", "--n-test", n_test,
+                 "--report", str(report)]) == 0
+    assert report.exists()
+
+
+def test_sde_ball_test_points_stay_in_the_time_domain(tmp_path, capsys):
+    # the ball around a t = 0 grid point reaches t < 0 at this seed; the
+    # test points are drawn before any model is trained
+    report = tmp_path / "r.csv"
+    assert main(["experiment", "--task", "sde", "--size", "100",
+                 "--samples", "50", "--seed", "5", "--report", str(report),
+                 "--models", "dnm", "--epochs", "5", "--hidden", "4",
+                 "--n-centers", "2", "--bootstrap", "100"]) == 0
+    assert dict(parse_report_csv(report))["dnm"].w1 > 0.0
+
+
+def test_numeric_failure_in_reference_draws_exits_3(tmp_path, capsys,
+                                                    monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr(harness, "oracle_references", broken)
+    assert main(["experiment", "--task", "heteroscedastic", "--size", "8",
+                 "--samples", "6", "--models", "mean", "--epochs", "5",
+                 "--bootstrap", "100", "--report",
+                 str(tmp_path / "r.csv")]) == 3
+    assert "[reference] math domain error" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_runtime_failure(tmp_path, capsys):

@@ -29,6 +29,10 @@ def test_config_validation():
         GeneratorConfig(task="heteroscedastic", D=2)
     with pytest.raises(ValueError):
         GeneratorConfig(task="elm", elm_lambda=0.0)
+    with pytest.raises(ValueError):
+        GeneratorConfig(task="elm", d=11, elm_depth=0)
+    with pytest.raises(ValueError):
+        GeneratorConfig(task="elm", d=11, elm_width=0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +188,18 @@ def test_sde_ou_moments_match_closed_form():
     tol = 5 / math.sqrt(s) + 10 / n_steps
     assert abs(pts.mean() - mean_exact) < tol
     assert abs(pts.var() - var_exact) < tol
+
+
+def test_sde_domain_starts_at_time_zero():
+    sampler = SdeSampler(drift="ou", diffusion="constant", a0=0.0, a1=-1.0,
+                         b0=1.0, b1=0.0, n_steps=10, dim=1)
+    tx = np.array([-0.05, 0.4])
+    assert np.array_equal(sampler.project(tx), [0.0, 0.4])
+    assert tx[0] == -0.05                      # the input is not modified
+    assert np.array_equal(sampler.project([0.3, 0.4]), [0.3, 0.4])
+    assert np.all(sampler.draw(sampler.project(tx), 3, seed=1) == 0.4)
+    with pytest.raises(ValueError, match="before the start time"):
+        sampler.draw(tx, 3, seed=1)
 
 
 def test_sde_rejects_non_catalog_coefficients():
