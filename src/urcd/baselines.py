@@ -170,28 +170,52 @@ def mdn_predict_params(model: MdnModel, x) -> GaussianMixture:
                            log_stds=o[K + K * D:].reshape(K, D))
 
 
-def _greedy_mean_match(pred_means, targ_means):
-    """Permutation aligning target components to the closest predicted ones.
+def _greedy_match(pred_means, targ_means):
+    """Per-row permutations aligning target components to predicted ones.
 
-    Repeatedly pairs the globally closest unmatched (predicted, target)
-    means; returns perm with perm[k] = index of the target component that
-    predicted component k should regress to.
+    pred_means, targ_means : (B, K, D).  In each row, repeatedly pairs the
+    globally closest unmatched (predicted, target) means; returns perm
+    (B, K) with perm[b, k] = index of the target component that predicted
+    component k of row b should regress to.  Each of the K rounds takes,
+    in every row, the first pair in ``np.argsort`` order (default kind, so
+    ties break as a row-by-row sort breaks them) whose two components are
+    both still unmatched.
     """
-    K = pred_means.shape[0]
-    d = np.linalg.norm(pred_means[:, None, :] - targ_means[None, :, :], axis=2)
-    perm = np.full(K, -1)
-    used_p, used_t = set(), set()
-    flat = np.argsort(d, axis=None)
-    for f in flat:
-        i, j = divmod(int(f), K)
-        if i in used_p or j in used_t:
-            continue
-        perm[i] = j
-        used_p.add(i)
-        used_t.add(j)
-        if len(used_p) == K:
-            break
+    B, K, _ = pred_means.shape
+    d = np.linalg.norm(pred_means[:, :, None, :] - targ_means[:, None, :, :],
+                       axis=-1)
+    pi, tj = np.divmod(np.argsort(d.reshape(B, K * K), axis=-1), K)
+    free = np.ones((B, K * K), dtype=bool)    # sorted pairs still open
+    perm = np.empty((B, K), dtype=int)
+    rows = np.arange(B)
+    for _ in range(K):
+        first = free.argmax(axis=1)
+        i, j = pi[rows, first], tj[rows, first]
+        perm[rows, i] = j
+        free &= (pi != i[:, None]) & (tj != j[:, None])
     return perm
+
+
+def _mdn_output_grad(out, t_weights, t_means, t_log_stds):
+    """Gradient of the MDN loss, averaged over the rows, w.r.t. the head output.
+
+    out : (B, K + 2KD) head outputs; the targets of the same rows are
+    t_weights (B, K), t_means and t_log_stds (B, K, D).  Target components
+    are first re-ordered to match the predicted means.
+    """
+    B, K, D = t_means.shape
+    means = out[:, K:K + K * D].reshape(B, K, D)
+    log_stds = out[:, K + K * D:].reshape(B, K, D)
+    perm = _greedy_match(means, t_means)
+    tw = np.take_along_axis(t_weights, perm, axis=1)
+    tm = np.take_along_axis(t_means, perm[:, :, None], axis=1)
+    ts = np.take_along_axis(t_log_stds, perm[:, :, None], axis=1)
+    d_out = np.empty_like(out)
+    d_out[:, :K] = softmax(out[:, :K]) - tw
+    d_out[:, K:K + K * D] = 2.0 * (means - tm).reshape(B, K * D)
+    d_out[:, K + K * D:] = 2.0 * (log_stds - ts).reshape(B, K * D)
+    d_out /= B
+    return d_out
 
 
 def mdn_fit(data, n_components: int, cfg: FitConfig) -> MdnModel:
@@ -199,7 +223,8 @@ def mdn_fit(data, n_components: int, cfg: FitConfig) -> MdnModel:
 
     Squared error on means and log-stds, cross-entropy on the weights,
     with target components greedily re-ordered each step to match the
-    currently predicted means.  Deterministic per seed.
+    currently predicted means (``_greedy_match``, a whole minibatch at
+    once).  Deterministic per seed.
     """
     rng = np.random.default_rng(cfg.seed)
     train = data.train_entries()
@@ -223,6 +248,9 @@ def mdn_fit(data, n_components: int, cfg: FitConfig) -> MdnModel:
                 reps[2] = np.vstack([reps[2], reps[2][-1]])
             gmm = GaussianMixture(weights=reps[0], means=reps[1], log_stds=reps[2])
         targets.append(gmm)
+    t_weights = np.array([t.weights for t in targets])     # (N, K)
+    t_means = np.array([t.means for t in targets])         # (N, K, D)
+    t_log_stds = np.array([t.log_stds for t in targets])   # (N, K, D)
 
     hidden = cfg.hidden_dims if cfg.hidden_dims else (max(8, 2 * d_in),)
     trunk = init_mlp([d_in, *hidden], activation=cfg.activation, rng=rng)
@@ -232,21 +260,8 @@ def mdn_fit(data, n_components: int, cfg: FitConfig) -> MdnModel:
         model = MdnModel(*nets, n_components=K, out_dim=D)
         feats, dfeats, pre, post = _mdn_features(model, X[rows])
         out, h_pre, h_post = forward_cache(model.head, feats)
-
-        d_out = np.zeros_like(out)
-        for row, i in enumerate(rows):
-            o = out[row]
-            logits, means, log_stds = (o[:K], o[K:K + K * D].reshape(K, D),
-                                       o[K + K * D:].reshape(K, D))
-            t = targets[i]
-            perm = _greedy_mean_match(means, t.means)
-            tw, tm, ts = t.weights[perm], t.means[perm], t.log_stds[perm]
-            p = softmax(logits)
-            d_out[row, :K] = p - tw
-            d_out[row, K:K + K * D] = 2.0 * (means - tm).ravel()
-            d_out[row, K + K * D:] = 2.0 * (log_stds - ts).ravel()
-        d_out /= rows.size
-
+        d_out = _mdn_output_grad(out, t_weights[rows], t_means[rows],
+                                 t_log_stds[rows])
         d_feats = (d_out @ model.head.weights[0].T) * dfeats
         return (backprop(model.trunk, pre, post, d_feats),
                 backprop(model.head, h_pre, h_post, d_out))

@@ -4,8 +4,10 @@ Networks are plain dataclasses over numpy arrays.  The forward map applies
 the activation componentwise after every affine layer except the last one.
 ``forward_cache``/``backprop`` expose the reverse-mode core, and
 ``fit_epochs`` is the one minibatch-Adam loop, so other modules train the
-same networks under their own losses.  ``NetConfig``/``FitConfig`` declare
-the training settings they share.
+same networks under their own losses.  ``adam_step`` updates all weights
+and biases of a network as one flat vector (weights, then biases), so a
+step costs a handful of numpy operations whatever the depth.
+``NetConfig``/``FitConfig`` declare the training settings they share.
 
 Everything is deterministic: initialization is seeded, and gradient /
 optimizer updates are pure functions returning fresh objects.
@@ -53,11 +55,11 @@ class Grads:
 
 @dataclass(frozen=True)
 class OptimizerState:
+    """Adam moments of one network, flat in ``adam_step``'s parameter order."""
+
     step: int
-    m_weights: tuple
-    m_biases: tuple
-    v_weights: tuple
-    v_biases: tuple
+    m: np.ndarray
+    v: np.ndarray
     learning_rate: float
     beta1: float
     beta2: float
@@ -198,40 +200,45 @@ def cross_entropy_grad(net: Mlp, batch):
 
 def init_adam(net: Mlp, learning_rate: float = 1e-2, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> OptimizerState:
-    zeros_w = tuple(np.zeros_like(w) for w in net.weights)
-    zeros_b = tuple(np.zeros_like(b) for b in net.biases)
-    return OptimizerState(step=0, m_weights=zeros_w, m_biases=zeros_b,
-                          v_weights=zeros_w, v_biases=zeros_b,
-                          learning_rate=learning_rate, beta1=beta1,
-                          beta2=beta2, eps=eps)
+    zeros = np.zeros(n_params(net))
+    return OptimizerState(step=0, m=zeros, v=zeros, learning_rate=learning_rate,
+                          beta1=beta1, beta2=beta2, eps=eps)
 
 
 def adam_step(net: Mlp, state: OptimizerState, grads: Grads):
-    """One bias-corrected Adam update; returns (new net, new state)."""
-    for w, g in zip(net.weights, grads.weights):
-        if w.shape != g.shape:
-            raise ValueError("gradient shapes do not match the network")
+    """One bias-corrected Adam update; returns (new net, new state).
+
+    Parameters and gradients are flattened into one vector each (weights,
+    then biases) and updated elementwise; the new network's arrays are views
+    of the new vector.  Inputs are not modified.
+    """
+    params = (*net.weights, *net.biases)
+    gparams = (*grads.weights, *grads.biases)
+    if (len(grads.weights) != len(net.weights)
+            or [np.shape(a) for a in gparams] != [a.shape for a in params]):
+        raise ValueError("gradient shapes do not match the network")
+    p = np.concatenate([a.ravel() for a in params])
+    g = np.concatenate([np.asarray(a).ravel() for a in gparams])
+    if state.m.shape != p.shape or state.v.shape != p.shape:
+        raise ValueError("optimizer state does not match the network")
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
+    m = b1 * state.m + (1 - b1) * g
+    v = b2 * state.v + (1 - b2) * g * g
+    mhat = m / (1 - b1 ** t)
+    vhat = v / (1 - b2 ** t)
+    p = p - state.learning_rate * mhat / (np.sqrt(vhat) + state.eps)
 
-    def upd(params, grads_, ms, vs):
-        new_p, new_m, new_v = [], [], []
-        for p, g, m, v in zip(params, grads_, ms, vs):
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
-            mhat = m / (1 - b1 ** t)
-            vhat = v / (1 - b2 ** t)
-            new_p.append(p - state.learning_rate * mhat / (np.sqrt(vhat) + state.eps))
-            new_m.append(m)
-            new_v.append(v)
-        return tuple(new_p), tuple(new_m), tuple(new_v)
-
-    w, mw, vw = upd(net.weights, grads.weights, state.m_weights, state.v_weights)
-    b, mb, vb = upd(net.biases, grads.biases, state.m_biases, state.v_biases)
-    new_net = replace(net, weights=w, biases=b)
-    new_state = replace(state, step=t, m_weights=mw, v_weights=vw,
-                        m_biases=mb, v_biases=vb)
-    return new_net, new_state
+    views, start = [], 0
+    for a in params:
+        views.append(p[start:start + a.size].reshape(a.shape))
+        start += a.size
+    layers = len(net.weights)
+    new_net = Mlp(layer_dims=net.layer_dims, weights=tuple(views[:layers]),
+                  biases=tuple(views[layers:]), activation=net.activation)
+    return new_net, OptimizerState(step=t, m=m, v=v,
+                                   learning_rate=state.learning_rate,
+                                   beta1=b1, beta2=b2, eps=state.eps)
 
 
 def fit_epochs(nets, loss_grad, n: int, cfg: NetConfig, rng):

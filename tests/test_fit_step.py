@@ -1,0 +1,173 @@
+"""Bit-level contract of one training step.
+
+``adam_step`` updates a network as one flat vector, and ``mdn_fit`` matches
+the targets of a whole minibatch at once.  The property tests compare both
+with the per-layer Adam update and the per-row greedy matching they
+replaced, which are kept below as the reference, with ``np.array_equal``.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from urcd.baselines import _greedy_match, _mdn_output_grad
+from urcd.neural import Grads, Mlp, adam_step, init_adam, softmax
+
+# ---------------------------------------------------------------------------
+# reference: per-layer Adam
+# ---------------------------------------------------------------------------
+
+
+def _adam_per_layer(params, grads, ms, vs, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    new_p, new_m, new_v = [], [], []
+    for p, g, m, v in zip(params, grads, ms, vs):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        mhat = m / (1 - b1 ** t)
+        vhat = v / (1 - b2 ** t)
+        new_p.append(p - lr * mhat / (np.sqrt(vhat) + eps))
+        new_m.append(m)
+        new_v.append(v)
+    return new_p, new_m, new_v
+
+
+@st.composite
+def _net_and_grads(draw):
+    dims = draw(st.lists(st.integers(1, 7), min_size=2, max_size=5))
+    steps = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    lr = draw(st.sampled_from([1e-3, 1e-2, 0.3]))
+    rng = np.random.default_rng(seed)
+    net = Mlp(layer_dims=tuple(dims),
+              weights=tuple(rng.normal(size=(a, b))
+                            for a, b in zip(dims[:-1], dims[1:])),
+              biases=tuple(rng.normal(size=b) for b in dims[1:]),
+              activation="tanh")
+    # gradients over many scales, with exact zeros mixed in
+    grads = [Grads(weights=tuple(rng.normal(size=w.shape) * 10.0 ** rng.integers(-8, 4)
+                                 * (rng.random(w.shape) < 0.8)
+                                 for w in net.weights),
+                   biases=tuple(rng.normal(size=b.shape) * 10.0 ** rng.integers(-8, 4)
+                                for b in net.biases))
+             for _ in range(steps)]
+    return net, grads, lr
+
+
+@given(_net_and_grads())
+def test_flat_adam_matches_per_layer_update(case):
+    net, grads, lr = case
+    state = init_adam(net, learning_rate=lr)
+    params = [*net.weights, *net.biases]
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for t, g in enumerate(grads, 1):
+        net, state = adam_step(net, state, g)
+        params, ms, vs = _adam_per_layer(params, [*g.weights, *g.biases],
+                                         ms, vs, t, lr)
+        assert state.step == t
+        assert len(net.weights) == len(net.biases) == len(net.layer_dims) - 1
+        for got, want in zip((*net.weights, *net.biases), params):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert np.array_equal(state.m, np.concatenate([m.ravel() for m in ms]))
+        assert np.array_equal(state.v, np.concatenate([v.ravel() for v in vs]))
+
+
+@given(_net_and_grads())
+def test_adam_step_leaves_its_inputs_alone(case):
+    net, grads, lr = case
+    state = init_adam(net, learning_rate=lr)
+    for g in grads:
+        before = [a.copy() for a in (*net.weights, *net.biases, state.m, state.v,
+                                     *g.weights, *g.biases)]
+        new_net, new_state = adam_step(net, state, g)
+        # a further step on the result must not write through to it either
+        adam_step(new_net, new_state, g)
+        after = (*net.weights, *net.biases, state.m, state.v, *g.weights, *g.biases)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert state.step == new_state.step - 1
+        net, state = new_net, new_state
+
+
+# ---------------------------------------------------------------------------
+# reference: per-row greedy matching and MDN output gradient
+# ---------------------------------------------------------------------------
+
+
+def _greedy_mean_match(pred_means, targ_means):
+    K = pred_means.shape[0]
+    d = np.linalg.norm(pred_means[:, None, :] - targ_means[None, :, :], axis=2)
+    perm = np.full(K, -1)
+    used_p, used_t = set(), set()
+    flat = np.argsort(d, axis=None)
+    for f in flat:
+        i, j = divmod(int(f), K)
+        if i in used_p or j in used_t:
+            continue
+        perm[i] = j
+        used_p.add(i)
+        used_t.add(j)
+        if len(used_p) == K:
+            break
+    return perm
+
+
+def _mdn_output_grad_per_row(out, t_weights, t_means, t_log_stds):
+    B, K, D = t_means.shape
+    d_out = np.zeros_like(out)
+    for row in range(B):
+        o = out[row]
+        logits, means, log_stds = (o[:K], o[K:K + K * D].reshape(K, D),
+                                   o[K + K * D:].reshape(K, D))
+        perm = _greedy_mean_match(means, t_means[row])
+        tw = t_weights[row][perm]
+        tm, ts = t_means[row][perm], t_log_stds[row][perm]
+        p = softmax(logits)
+        d_out[row, :K] = p - tw
+        d_out[row, K:K + K * D] = 2.0 * (means - tm).ravel()
+        d_out[row, K + K * D:] = 2.0 * (log_stds - ts).ravel()
+    d_out /= B
+    return d_out
+
+
+# a coarse grid makes equal means and exactly tied distances common
+_GRID = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+_REAL = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def _means(draw):
+    B, K, D = draw(st.integers(1, 20)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    elements = draw(st.sampled_from([_GRID, _REAL]))
+    pred = draw(arrays(np.float64, (B, K, D), elements=elements))
+    targ = draw(arrays(np.float64, (B, K, D), elements=elements))
+    # duplicated components, as padded targets and collapsed predictions have
+    dup_t, dup_p = draw(st.integers(0, K - 1)), draw(st.integers(0, K - 1))
+    targ[:, dup_t:] = targ[:, dup_t:dup_t + 1]
+    pred[:, dup_p:] = pred[:, dup_p:dup_p + 1]
+    return pred, targ
+
+
+@given(_means())
+def test_batched_matching_matches_per_row_loop(case):
+    pred, targ = case
+    perm = _greedy_match(pred, targ)
+    assert perm.shape == pred.shape[:2]
+    for row in range(pred.shape[0]):
+        assert np.array_equal(perm[row], _greedy_mean_match(pred[row], targ[row]))
+
+
+@given(_means(), st.integers(0, 2**32 - 1))
+def test_batched_mdn_output_grad_matches_per_row_loop(case, seed):
+    pred, targ = case
+    B, K, D = pred.shape
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=5.0, size=(B, K))
+    log_stds = rng.normal(size=(B, K * D))
+    out = np.hstack([logits, pred.reshape(B, K * D), log_stds])
+    t_weights = rng.dirichlet(np.ones(K), size=B)
+    t_log_stds = rng.normal(size=(B, K, D))
+    got = _mdn_output_grad(out, t_weights, targ, t_log_stds)
+    assert np.array_equal(got, _mdn_output_grad_per_row(out, t_weights, targ,
+                                                         t_log_stds))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from urcd.neural import (
+    Grads,
     Mlp,
     adam_step,
     cross_entropy_grad,
@@ -186,9 +187,21 @@ def test_adam_shape_mismatch():
     rng = np.random.default_rng(9)
     net = init_mlp([2, 3], rng=rng)
     _, grads = cross_entropy_grad(net, _random_batch(rng, 2, 2, 3))
-    bad = type(grads)(weights=(np.zeros((5, 5)),), biases=grads.biases)
+    deep = init_mlp([2, 4, 3], rng=rng)
+    _, deep_grads = cross_entropy_grad(deep, _random_batch(rng, 2, 2, 3))
+    cases = [
+        (net, Grads(weights=(np.zeros((5, 5)),), biases=grads.biases)),
+        # a (1,) bias gradient would broadcast over the (3,) bias
+        (net, Grads(weights=grads.weights, biases=(np.zeros(1),))),
+        # a one-layer gradient for a two-layer network
+        (deep, Grads(weights=deep_grads.weights[:1], biases=deep_grads.biases[:1])),
+        (deep, Grads(weights=deep_grads.weights, biases=deep_grads.biases[:1])),
+    ]
+    for target, bad in cases:
+        with pytest.raises(ValueError):
+            adam_step(target, init_adam(target), bad)
     with pytest.raises(ValueError):
-        adam_step(net, init_adam(net), bad)
+        adam_step(deep, init_adam(net), deep_grads)
 
 
 def test_loss_decreases_on_separable_problem():
