@@ -5,16 +5,21 @@ Subcommands: gen (write a dataset), train (fit a mixture model), eval
 (full benchmark run emitting a metrics table), rates (closed-form atom
 counts).
 
-Every flag can also be supplied through ``--config FILE`` holding flat
-``key = value`` lines (keys match the long flag names without dashes);
-explicit flags win.  Exit codes: 0 success, 2 configuration error, 3
-runtime failure.
+Each setting is declared once, as a row of its command's table: its flag
+spellings, its config key (the flag's dest), the keyword it fills and its
+cast from text.  Every such setting can also be supplied through ``--config
+FILE`` holding flat ``key = value`` lines; the key is the long flag name
+without dashes, except for n_centers (``--n``), batch_size (``--batch``),
+learning_rate (``--lr``) and bootstrap_b (``--bootstrap``).  Explicit flags
+win, and a key that no command reads is an error.  Exit codes: 0 success, 2
+configuration error, 3 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,15 +36,91 @@ from urcd.harness import (
     CSV_HEADER,
     HarnessConfig,
     emit_report,
+    eval_model,
     metrics_csv_row,
     run_experiment,
 )
-from urcd.measures import w1_cost
 from urcd.training import TrainConfig, load_dataset, save_dataset, train_dnm
 
 
 class ConfigError(Exception):
     pass
+
+
+class Setting(NamedTuple):
+    """A setting that a flag or a config-file key can supply."""
+
+    flags: tuple        # option strings
+    key: str            # config key and argparse dest
+    name: str           # the config field or keyword it fills
+    cast: object        # from text; argparse casts int and float flags itself
+    extra: dict         # further add_argument keywords (choices, help)
+
+
+def _row(flags: str, name: str, cast=str, key=None, **extra) -> Setting:
+    flags = tuple(flags.split())
+    return Setting(flags, key or flags[0][2:].replace("-", "_"), name, cast,
+                   extra)
+
+
+def _hidden(text) -> tuple:
+    try:
+        return tuple(int(t) for t in str(text).split(",") if t.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad hidden-layer list {text!r}") from exc
+
+
+# rows that more than one table holds
+_D, _DIM_OUT, _SEED = (_row("--d", "d", int), _row("--dim-out", "D", int),
+                       _row("--seed", "seed", int))
+# generator settings, read by gen and experiment
+_GEN = (
+    _row("--task", "task", lambda t: t.replace("-", "_"),
+         choices=("heteroscedastic", "mc-dropout", "mc_dropout", "elm", "sde")),
+    _D, _DIM_OUT, _row("--size", "size", int), _row("--samples -S", "S", int),
+    _SEED, _row("--base-depth", "base_depth", int),
+    _row("--base-width", "base_width", int),
+    _row("--dropout-rate", "dropout_rate", float),
+    _row("--elm-width", "elm_width", int), _row("--elm-depth", "elm_depth", int),
+    _row("--elm-lambda", "elm_lambda", float),
+    _row("--elm-m", "elm_M", float),
+    _row("--sde-drift", "sde_drift"), _row("--sde-diffusion", "sde_diffusion"),
+    _row("--drift-a0", "drift_a0", float), _row("--drift-a1", "drift_a1", float),
+    _row("--diffusion-b0", "diffusion_b0", float),
+    _row("--diffusion-b1", "diffusion_b1", float),
+    _row("--n-steps", "n_steps", int), _row("--t-max", "t_max", float),
+    _row("--x-max", "x_max", float),
+)
+# network settings, read by train and experiment
+_NET = (
+    _row("--hidden", "hidden_dims", _hidden), _row("--epochs", "epochs", int),
+    _row("--batch", "batch_size", int, key="batch_size"),
+    _row("--lr", "learning_rate", float, key="learning_rate"),
+)
+_TRAIN = (
+    _row("--n", "n_centers", int, key="n_centers"), *_NET,
+    _row("--activation", "activation"), _SEED,
+    _row("--strategy", "center_strategy",
+         choices=("greedy_medoids", "exhaustive")),
+)
+# the experiment's own settings; it reads the generator settings too
+_EXPERIMENT = (
+    _row("--models", "models",
+         help="comma list: dnm,const,mdn,dgn,mean,oracle"),
+    _row("--format", "format", choices=("csv", "json")),
+    _row("--n-centers", "n_centers", int),
+    _row("--mdn-components", "mdn_components", int), *_NET,
+    _row("--n-test", "n_test", int),
+    _row("--bootstrap", "bootstrap_b", int, key="bootstrap_b"),
+    _row("--timings", "timings", bool,
+         help="fill in wall-clock timing columns "
+              "(makes reports non-reproducible)"),
+)
+_RATES = (
+    _D, _row("--hoelder-a", "A", float), _row("--hoelder-alpha", "alpha", float),
+    _row("--hoelder-b", "B", float), _row("--hoelder-beta", "beta", float),
+    _row("--diam", "diam", float), _DIM_OUT, _row("--radius", "M", float),
+)
 
 
 def _read_config(path) -> dict:
@@ -53,180 +134,53 @@ def _read_config(path) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, val = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = val.strip()
+                key = key.strip().replace("-", "_")
+                if key not in _KNOWN_KEYS:
+                    raise ConfigError(f"{path}:{lineno}: unknown config key "
+                                      f"{key!r}")
+                values[key] = val.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return values
 
 
-def _pick(args, cfg: dict, key: str, default, cast=str):
-    """Flag value, else config-file value, else the built-in default.
+def _given(args, cfg: dict, table) -> dict:
+    """{name: value} for the settings of the table set by flag or config file.
 
-    Text (an untyped flag or any config-file value) goes through `cast`."""
-    raw = getattr(args, key, None)
-    if raw is None:
-        raw = cfg.get(key)
-    if not isinstance(raw, str):
-        return default if raw is None else raw
-    try:
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}: {exc}") from exc
-
-
-def _given(args, cfg: dict, keys: dict) -> dict:
-    """Keyword arguments for the keys set by flag or config file.
-
-    keys maps a flag / config key to (field name, cast).  Unset keys are
-    left out, so the dataclass supplies its own default."""
+    A flag wins over the config file; text (an untyped flag or any
+    config-file value) goes through the row's cast, and the row's choices
+    bind config-file values as argparse binds flags.  Unset settings are
+    left out, so the config object supplies its own default."""
     given = {}
-    for key, (name, cast) in keys.items():
-        value = _pick(args, cfg, key, None, cast)
-        if value is not None:
-            given[name] = value
+    for s in table:
+        raw = getattr(args, s.key)
+        if raw is None:
+            raw = cfg.get(s.key)
+            choices = s.extra.get("choices")
+            if raw is not None and choices and raw not in choices:
+                raise ConfigError(f"config key {s.key}: {raw!r} is not one of "
+                                  f"{choices}")
+        if isinstance(raw, str):
+            try:
+                if s.cast is bool:
+                    raw = raw.lower() in ("1", "true", "yes", "on")
+                else:
+                    raw = s.cast(raw)
+            except ValueError as exc:
+                raise ConfigError(f"config key {s.key}: {exc}") from exc
+        if raw is not None:
+            given[s.name] = raw
     return given
 
 
-def _hidden(text) -> tuple:
-    try:
-        return tuple(int(t) for t in str(text).split(",") if t.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad hidden-layer list {text!r}") from exc
-
-
-# flag / config key -> (dataclass field, cast from text)
-_GEN_KEYS = {
-    "size": ("size", int), "samples": ("S", int), "seed": ("seed", int),
-    "base_depth": ("base_depth", int), "base_width": ("base_width", int),
-    "dropout_rate": ("dropout_rate", float),
-    "elm_width": ("elm_width", int), "elm_depth": ("elm_depth", int),
-    "elm_lambda": ("elm_lambda", float), "elm_m": ("elm_M", float),
-    "sde_drift": ("sde_drift", str), "sde_diffusion": ("sde_diffusion", str),
-    "drift_a0": ("drift_a0", float), "drift_a1": ("drift_a1", float),
-    "diffusion_b0": ("diffusion_b0", float),
-    "diffusion_b1": ("diffusion_b1", float),
-    "n_steps": ("n_steps", int), "t_max": ("t_max", float),
-    "x_max": ("x_max", float),
-}
-# keys the train and experiment commands share
-_SHARED_KEYS = {
-    "hidden": ("hidden_dims", _hidden), "epochs": ("epochs", int),
-    "batch_size": ("batch_size", int), "learning_rate": ("learning_rate", float),
-    "n_centers": ("n_centers", int),
-}
-_TRAIN_KEYS = {
-    **_SHARED_KEYS, "activation": ("activation", str), "seed": ("seed", int),
-    "strategy": ("center_strategy", str),
-}
-_EXPERIMENT_KEYS = {
-    **_SHARED_KEYS, "mdn_components": ("mdn_components", int),
-    "n_test": ("n_test", int), "bootstrap_b": ("bootstrap_b", int),
-    "timings": ("timings", bool),
-}
-
-
 def _gen_config(args, cfg) -> GeneratorConfig:
-    task = _pick(args, cfg, "task", None)
+    given = _given(args, cfg, _GEN)
+    task = given.get("task")
     if task is None:
         raise ConfigError("a task is required (--task)")
-    task = task.replace("-", "_")
-    d = _pick(args, cfg, "d", 11 if task == "elm" else 1, int)
-    D = _pick(args, cfg, "dim_out", d if task == "sde" else 1, int)
-    return GeneratorConfig(task=task, d=d, D=D,
-                           **_given(args, cfg, _GEN_KEYS))
-
-
-def _add_gen_flags(p):
-    p.add_argument("--task", choices=("heteroscedastic", "mc-dropout", "mc_dropout",
-                                      "elm", "sde"))
-    p.add_argument("--d", type=int)
-    p.add_argument("--dim-out", dest="dim_out", type=int)
-    p.add_argument("--size", type=int)
-    p.add_argument("--samples", "-S", dest="samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--base-depth", dest="base_depth", type=int)
-    p.add_argument("--base-width", dest="base_width", type=int)
-    p.add_argument("--dropout-rate", dest="dropout_rate", type=float)
-    p.add_argument("--elm-width", dest="elm_width", type=int)
-    p.add_argument("--elm-depth", dest="elm_depth", type=int)
-    p.add_argument("--elm-lambda", dest="elm_lambda", type=float)
-    p.add_argument("--elm-m", dest="elm_m", type=float)
-    p.add_argument("--sde-drift", dest="sde_drift")
-    p.add_argument("--sde-diffusion", dest="sde_diffusion")
-    p.add_argument("--drift-a0", dest="drift_a0", type=float)
-    p.add_argument("--drift-a1", dest="drift_a1", type=float)
-    p.add_argument("--diffusion-b0", dest="diffusion_b0", type=float)
-    p.add_argument("--diffusion-b1", dest="diffusion_b1", type=float)
-    p.add_argument("--n-steps", dest="n_steps", type=int)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--x-max", dest="x_max", type=float)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="urcd",
-        description="Measure-valued regression models and benchmarks.")
-    parser.add_argument("--config", help="flat key = value defaults file")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("gen", help="generate a dataset file")
-    _add_gen_flags(p_gen)
-    p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--describe", action="store_true",
-                       help="print the generator parameterization")
-
-    p_train = sub.add_parser("train", help="train a mixture model")
-    p_train.add_argument("--data", required=True)
-    p_train.add_argument("--n", dest="n_centers", type=int)
-    p_train.add_argument("--out", required=True)
-    p_train.add_argument("--hidden")
-    p_train.add_argument("--activation")
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--batch", dest="batch_size", type=int)
-    p_train.add_argument("--lr", dest="learning_rate", type=float)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--strategy",
-                         choices=("greedy_medoids", "exhaustive"))
-
-    p_eval = sub.add_parser("eval", help="score a model against a dataset")
-    p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--data", required=True)
-
-    p_exp = sub.add_parser("experiment", help="run a full benchmark")
-    _add_gen_flags(p_exp)
-    p_exp.add_argument("--models", help="comma list: dnm,const,mdn,dgn,mean,oracle")
-    p_exp.add_argument("--report", required=True)
-    p_exp.add_argument("--format", choices=("csv", "json"))
-    p_exp.add_argument("--n-centers", dest="n_centers", type=int)
-    p_exp.add_argument("--mdn-components", dest="mdn_components", type=int)
-    p_exp.add_argument("--hidden")
-    p_exp.add_argument("--epochs", type=int)
-    p_exp.add_argument("--batch", dest="batch_size", type=int)
-    p_exp.add_argument("--lr", dest="learning_rate", type=float)
-    p_exp.add_argument("--n-test", dest="n_test", type=int)
-    p_exp.add_argument("--bootstrap", dest="bootstrap_b", type=int)
-    p_exp.add_argument("--timings", action="store_true", default=None,
-                       help="fill in wall-clock timing columns "
-                            "(makes reports non-reproducible)")
-
-    p_rates = sub.add_parser("rates", help="closed-form model-size counts")
-    mode = p_rates.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--neps", action="store_true",
-                      help="atom count for a Hoelder target")
-    mode.add_argument("--nq", action="store_true",
-                      help="quantizer atom count on a bounded support")
-    p_rates.add_argument("--eps", type=float, required=True)
-    p_rates.add_argument("--d", type=int)
-    p_rates.add_argument("--hoelder-a", dest="hoelder_a", type=float)
-    p_rates.add_argument("--hoelder-alpha", dest="hoelder_alpha", type=float)
-    p_rates.add_argument("--hoelder-b", dest="hoelder_b", type=float)
-    p_rates.add_argument("--hoelder-beta", dest="hoelder_beta", type=float)
-    p_rates.add_argument("--diam", type=float)
-    p_rates.add_argument("--dim-out", dest="dim_out", type=int)
-    p_rates.add_argument("--radius", type=float)
-    return parser
+    d = given.setdefault("d", 11 if task == "elm" else 1)
+    given.setdefault("D", d if task == "sde" else 1)
+    return GeneratorConfig(**given)
 
 
 def _cmd_gen(args, cfg) -> int:
@@ -240,7 +194,7 @@ def _cmd_gen(args, cfg) -> int:
 
 
 def _cmd_train(args, cfg) -> int:
-    given = _given(args, cfg, _TRAIN_KEYS)
+    given = _given(args, cfg, _TRAIN)
     if "n_centers" not in given:
         raise ConfigError("the atom count is required (--n)")
     train_cfg = TrainConfig(**given)
@@ -256,31 +210,27 @@ def _cmd_train(args, cfg) -> int:
 def _cmd_eval(args, cfg) -> int:
     model = load_dnm(args.model)
     data = load_dataset(args.data)
+    res = eval_model(lambda x: dnm_predict(model, x), data, sampler=None,
+                     n_samples=0,
+                     references=[target for _, target in data.entries])
     print("split,points,W1,M")
-    worst_w1 = worst_m = 0.0
-    for split, idx in (("train", data.train_idx), ("test", data.test_idx)):
-        if not idx:
-            continue
-        w1s, ms = [], []
-        for i in idx:
-            x, target = data.entries[i]
-            pred = dnm_predict(model, x)
-            w1s.append(w1_cost(pred, target))
-            ms.append(float(np.linalg.norm(pred.mean() - target.mean())))
-        w1_avg, m_avg = float(np.mean(w1s)), float(np.mean(ms))
-        worst_w1, worst_m = max(worst_w1, w1_avg), max(worst_m, m_avg)
-        print(f"{split},{len(idx)},{w1_avg!r},{m_avg!r}")
-    print(f"worst,,{worst_w1!r},{worst_m!r}")
+    for split, w1s, ms in (("train", res.train_w1, res.train_m),
+                           ("test", res.test_w1, res.test_m)):
+        if w1s:
+            print(f"{split},{len(w1s)},{float(np.mean(w1s))!r},"
+                  f"{float(np.mean(ms))!r}")
+    print(f"worst,,{res.worst_w1()[0]!r},{res.worst_m()[0]!r}")
     return 0
 
 
 def _cmd_experiment(args, cfg) -> int:
     gen_cfg = _gen_config(args, cfg)
-    models = _pick(args, cfg, "models", "dnm,mdn,dgn,mean,oracle")
+    given = _given(args, cfg, _EXPERIMENT)
+    models = given.pop("models", "dnm,mdn,dgn,mean,oracle")
+    fmt = given.pop("format", "csv")
     model_list = [m.strip() for m in models.split(",") if m.strip()]
-    harness = HarnessConfig(**_given(args, cfg, _EXPERIMENT_KEYS))
-    report = run_experiment(gen_cfg, model_list, gen_cfg.seed, harness)
-    fmt = _pick(args, cfg, "format", "csv")
+    report = run_experiment(gen_cfg, model_list, gen_cfg.seed,
+                            HarnessConfig(**given))
     emit_report(report, fmt, args.report)
     print(CSV_HEADER)
     for name, metrics in report.rows:
@@ -290,31 +240,59 @@ def _cmd_experiment(args, cfg) -> int:
 
 
 def _cmd_rates(args, cfg) -> int:
+    given = {"A": 1.0, "alpha": 1.0, "B": 1.0, "beta": 1.0, "diam": 1.0,
+             "d": 1, "D": 1, "M": 1.0, **_given(args, cfg, _RATES)}
+    D, M = given.pop("D"), given.pop("M")
     if args.neps:
-        params = RateParams(
-            A=_pick(args, cfg, "hoelder_a", 1.0, float),
-            alpha=_pick(args, cfg, "hoelder_alpha", 1.0, float),
-            B=_pick(args, cfg, "hoelder_b", 1.0, float),
-            beta=_pick(args, cfg, "hoelder_beta", 1.0, float),
-            diam=_pick(args, cfg, "diam", 1.0, float),
-            d=_pick(args, cfg, "d", 1, int),
-        )
-        print(n_epsilon(params, args.eps))
-        return 0
-    count = n_quantizer(args.eps,
-                        _pick(args, cfg, "dim_out", 1, int),
-                        _pick(args, cfg, "radius", 1.0, float))
-    print(count)
+        print(n_epsilon(RateParams(**given), args.eps))
+    else:
+        print(n_quantizer(args.eps, D, M))
     return 0
 
 
+# command: (run, help, settings a flag or the config file can supply)
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "experiment": _cmd_experiment,
-    "rates": _cmd_rates,
+    "gen": (_cmd_gen, "generate a dataset file", _GEN),
+    "train": (_cmd_train, "train a mixture model", _TRAIN),
+    "eval": (_cmd_eval, "score a model against a dataset", ()),
+    "experiment": (_cmd_experiment, "run a full benchmark",
+                   _GEN + _EXPERIMENT),
+    "rates": (_cmd_rates, "closed-form model-size counts", _RATES),
 }
+_KNOWN_KEYS = {s.key for _, _, table in _COMMANDS.values() for s in table}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="urcd",
+        description="Measure-valued regression models and benchmarks.")
+    parser.add_argument("--config", help="flat key = value defaults file")
+    sub = parser.add_subparsers(dest="command", required=True)
+    cmd = {}
+    for name, (_, help_text, table) in _COMMANDS.items():
+        cmd[name] = sub.add_parser(name, help=help_text)
+        for s in table:
+            if s.cast is bool:
+                kind = {"action": "store_true", "default": None}
+            else:
+                kind = {"type": s.cast if s.cast in (int, float) else None}
+            cmd[name].add_argument(*s.flags, dest=s.key, **kind, **s.extra)
+
+    cmd["gen"].add_argument("--out", required=True)
+    cmd["gen"].add_argument("--describe", action="store_true",
+                            help="print the generator parameterization")
+    for name, flags in (("train", ("--data", "--out")),
+                        ("eval", ("--model", "--data")),
+                        ("experiment", ("--report",))):
+        for flag in flags:
+            cmd[name].add_argument(flag, required=True)
+    mode = cmd["rates"].add_mutually_exclusive_group(required=True)
+    mode.add_argument("--neps", action="store_true",
+                      help="atom count for a Hoelder target")
+    mode.add_argument("--nq", action="store_true",
+                      help="quantizer atom count on a bounded support")
+    cmd["rates"].add_argument("--eps", type=float, required=True)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -322,7 +300,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _read_config(args.config) if args.config else {}
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command][0](args, cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

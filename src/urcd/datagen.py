@@ -22,6 +22,9 @@ from urcd.neural import Mlp, mlp_forward
 from urcd.training import Dataset, build_dataset
 
 TASKS = ("heteroscedastic", "mc_dropout", "elm", "sde")
+# the SDE task's coefficient catalog
+_DRIFTS = ("zero", "constant", "linear", "ou")
+_DIFFUSIONS = ("constant", "linear")
 
 # Samplers draw their uniforms in blocks of about this many doubles; the
 # block size bounds the temporaries and leaves the stream unchanged.
@@ -72,6 +75,14 @@ class GeneratorConfig:
             raise ValueError("elm_width and elm_depth must be positive")
         if self.task == "heteroscedastic" and self.D != 1:
             raise ValueError("the heteroscedastic task is scalar-valued (D = 1)")
+        if self.task == "elm" and (self.d != 11 or self.D != 1):
+            raise ValueError("the elm task is fixed at d=11, D=1")
+        if self.task == "sde" and self.D != self.d:
+            raise ValueError("the SDE state dimension is D = d")
+        if self.task == "sde" and (self.sde_drift not in _DRIFTS
+                                   or self.sde_diffusion not in _DIFFUSIONS):
+            raise ValueError(f"coefficients must come from the catalog "
+                             f"{_DRIFTS} x {_DIFFUSIONS}")
         if self.n_steps < 1 or self.t_max <= 0 or self.x_max <= 0:
             raise ValueError("SDE grid parameters must be positive")
 
@@ -118,14 +129,14 @@ def _split_columns(u: np.ndarray, widths) -> list:
     return np.split(u, np.cumsum(widths)[:-1], axis=1)
 
 
-def _build(cfg: GeneratorConfig, inputs, sampler, train_all: bool = True) -> Dataset:
-    entries = []
-    for i, x in enumerate(inputs):
-        pts = sampler.draw(x, cfg.S, entry_seed(cfg.seed, i))
-        entries.append((x, make_empirical(pts)))
-    if train_all:
-        return build_dataset(entries, train_idx=range(len(entries)), test_idx=())
-    return build_dataset(entries)
+def _build(cfg: GeneratorConfig, inputs, sampler, n_train=None) -> Dataset:
+    """Entry i draws under entry_seed(cfg.seed, i); the first n_train
+    entries (all by default) train and the rest test."""
+    entries = [(x, make_empirical(sampler.draw(x, cfg.S, entry_seed(cfg.seed, i))))
+               for i, x in enumerate(inputs)]
+    n_train = len(entries) if n_train is None else n_train
+    return build_dataset(entries, train_idx=range(n_train),
+                         test_idx=range(n_train, len(entries)))
 
 
 def generate(cfg: GeneratorConfig):
@@ -154,9 +165,6 @@ class HeteroscedasticSampler:
         if scale == 0.0:
             return np.full((size, 1), loc)
         return loc + rng.laplace(0.0, scale, size=(size, 1))
-
-    def __call__(self, x, seed):
-        return self.draw(x, 1, seed)[0]
 
 
 def gen_heteroscedastic(cfg: GeneratorConfig):
@@ -211,9 +219,6 @@ class DropoutSampler:
                 h = h @ (w * k.reshape(m, *w.shape)) + b
             out[start:start + m] = h[:, 0]
         return out
-
-    def __call__(self, x, seed):
-        return self.draw(x, 1, seed)[0]
 
 
 def gen_mc_dropout(cfg: GeneratorConfig):
@@ -312,9 +317,6 @@ class ElmSampler:
             out[start:start + m] = self.predict(theta, x)[:, 0]
         return out
 
-    def __call__(self, x, seed):
-        return self.draw(x, 1, seed)[0]
-
 
 def _synthetic_return_series(rng, rows: int, n_series: int = 12,
                              rho: float = 0.1, scale: float = 0.01) -> np.ndarray:
@@ -342,30 +344,17 @@ def gen_elm(cfg: GeneratorConfig):
     panel = _synthetic_return_series(rng, rows)
     inputs = panel[:-1, :11]
     targets = panel[1:, 11:12]
-    if cfg.d != 11 or cfg.D != 1:
-        raise ValueError("the elm task is fixed at d=11, D=1")
-
     cut = max(2, int(0.8 * cfg.size))
     sampler = ElmSampler(train_X=inputs[:cut], train_Y=targets[:cut],
                          width=cfg.elm_width, depth=cfg.elm_depth,
                          lam=cfg.elm_lambda, M=cfg.elm_M,
                          sparsity=cfg.elm_sparsity)
-    entries = []
-    for i, x in enumerate(inputs):
-        pts = sampler.draw(x, cfg.S, entry_seed(cfg.seed, i))
-        entries.append((x, make_empirical(pts)))
-    data = build_dataset(entries, train_idx=range(cut),
-                         test_idx=range(cut, cfg.size))
-    return data, sampler
+    return _build(cfg, inputs, sampler, n_train=cut), sampler
 
 
 # ---------------------------------------------------------------------------
 # SDE marginal laws via Euler-Maruyama
 # ---------------------------------------------------------------------------
-
-_DRIFTS = ("zero", "constant", "linear", "ou")
-_DIFFUSIONS = ("constant", "linear")
-
 
 @dataclass(frozen=True)
 class SdeSampler:
@@ -420,9 +409,6 @@ class SdeSampler:
             y = y + self._mu(y) * dt + self._sigma(y) * sqdt * noise
         return y
 
-    def __call__(self, tx, seed):
-        return self.draw(tx, 1, seed)[0]
-
 
 def _grid(cfg: GeneratorConfig) -> np.ndarray:
     """Regular lattice over [0, t_max] x [-x_max, x_max]^d, truncated to size."""
@@ -439,11 +425,6 @@ def gen_sde_marginals(cfg: GeneratorConfig):
     """Empirical marginal laws of a diffusion over a (t, x) grid."""
     if cfg.task != "sde":
         raise ValueError("config task mismatch")
-    if cfg.sde_drift not in _DRIFTS or cfg.sde_diffusion not in _DIFFUSIONS:
-        raise ValueError(
-            f"coefficients must come from the catalog {_DRIFTS} x {_DIFFUSIONS}")
-    if cfg.D != cfg.d:
-        raise ValueError("the SDE state dimension is D = d")
     sampler = SdeSampler(drift=cfg.sde_drift, diffusion=cfg.sde_diffusion,
                          a0=cfg.drift_a0, a1=cfg.drift_a1,
                          b0=cfg.diffusion_b0, b1=cfg.diffusion_b1,

@@ -206,24 +206,21 @@ def train_dnm(data: Dataset, cfg: TrainConfig):
 # dataset files
 # ---------------------------------------------------------------------------
 
-def save_dataset(data: Dataset, path, split_path=None) -> None:
+def save_dataset(data: Dataset, path) -> None:
     """Write entries as JSON lines, and the split as a companion index file."""
     with open(path, "w") as fh:
         for x, measure in data.entries:
             rec = {"x": x.tolist(), "samples": measure.atoms.tolist()}
             fh.write(json.dumps(rec) + "\n")
-    if split_path is None:
-        split_path = str(path) + ".split.json"
-    with open(split_path, "w") as fh:
+    with open(str(path) + ".split.json", "w") as fh:
         json.dump({"train": list(data.train_idx), "test": list(data.test_idx)}, fh)
 
 
-def load_dataset(path, split_path=None, eighty_twenty: bool = False) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read a JSON-lines dataset file.
 
-    The split comes from `split_path` when given, else from the default
-    companion file when it exists, else from the deterministic 80/20
-    head/tail rule (which `eighty_twenty=True` forces).
+    The split comes from the companion file when it exists, else from the
+    deterministic 80/20 head/tail rule.
     """
     import os
 
@@ -240,10 +237,8 @@ def load_dataset(path, split_path=None, eighty_twenty: bool = False) -> Dataset:
     if not entries:
         raise ValueError(f"no records in {path}")
 
-    default_split = str(path) + ".split.json"
-    if not eighty_twenty and split_path is None and os.path.exists(default_split):
-        split_path = default_split
-    if not eighty_twenty and split_path is not None:
+    split_path = str(path) + ".split.json"
+    if os.path.exists(split_path):
         with open(split_path) as fh:
             split = json.load(fh)
         return build_dataset(entries, split["train"], split["test"])

@@ -6,6 +6,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see every line, or
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import time
 import numpy as np
 from scipy.optimize import linprog
 
+import urcd
 from urcd.datagen import GeneratorConfig, SdeSampler
 from urcd.dnm import (
     RateParams,
@@ -269,12 +271,16 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
             "--size", "10", "--samples", "12", "--seed", "9",
             "--models", "dnm,mean,oracle", "--epochs", "20", "--hidden", "6",
             "--n-centers", "2", "--n-test", "4", "--bootstrap", "200"]
+    # the subprocess imports the same urcd package as this test
+    src = os.path.dirname(os.path.dirname(urcd.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     reports = []
     for run in ("a", "b"):
         path = tmp_path / f"report_{run}.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "urcd.cli"] + args + ["--report", str(path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         reports.append(path.read_bytes())
     ok = reports[0] == reports[1]

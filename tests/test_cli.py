@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from urcd import harness
+from urcd import cli, harness
 from urcd.cli import main
 from urcd.harness import HarnessConfig, parse_report_csv
 
@@ -97,10 +97,59 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert main(experiment + ["--mdn-components", "0", "--models", "mdn"]) == 2
     assert main(experiment + ["--bootstrap", "50"]) == 2
     assert main(experiment + ["--n-test", "-1"]) == 2
+    # generator settings a task does not support, by gen and by experiment
+    for bad in (["--task", "elm", "--d", "5"], ["--task", "elm", "--dim-out", "2"],
+                ["--task", "sde", "--d", "1", "--dim-out", "2"],
+                ["--task", "sde", "--sde-drift", "foo"],
+                ["--task", "sde", "--sde-diffusion", "foo"]):
+        assert main(experiment + bad) == 2
+        assert main(["gen", "--size", "8", "--samples", "5",
+                     "--out", str(out)] + bad) == 2
     assert "error" in capsys.readouterr().err
     for bad in ({"level": 0.0}, {"level": 1.0}, {"test_radius": -0.1}):
         with pytest.raises(ValueError):
             HarnessConfig(**bad)
+
+
+@pytest.mark.parametrize("line", ["batch = 0", "lr = -1", "n = 2",
+                                  "bootstrap = 50", "epocs = 0", "S = 5",
+                                  "elm_sparsity = 0.5"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("task = heteroscedastic\nsize = 8\n" + line + "\n")
+    report = tmp_path / "r.csv"
+    assert main(["--config", str(cfg), "experiment", "--samples", "6",
+                 "--models", "mean", "--epochs", "5", "--hidden", "4",
+                 "--bootstrap", "100", "--report", str(report)]) == 2
+    key = line.split(" =")[0]
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_config_value_outside_choices_exits_2_before_running(
+        tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_experiment", unreachable)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("task = heteroscedastic\nformat = xml\n")
+    assert main(["--config", str(cfg), "experiment",
+                 "--report", str(tmp_path / "r.xml")]) == 2
+    assert "config key format: 'xml'" in capsys.readouterr().err
+
+
+def test_config_file_shared_by_gen_and_experiment(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("task = heteroscedastic\nsize = 8\nsamples = 6\n"
+                   "n_centers = 2\nbatch_size = 4\nlearning_rate = 0.01\n"
+                   "epochs = 5\nhidden = 4\nbootstrap_b = 100\nmodels = mean\n")
+    out = tmp_path / "d.jsonl"
+    assert main(["--config", str(cfg), "gen", "--out", str(out)]) == 0
+    report = tmp_path / "r.csv"
+    assert main(["--config", str(cfg), "experiment",
+                 "--report", str(report)]) == 0
+    assert [name for name, _ in parse_report_csv(report)] == ["oracle", "mean"]
 
 
 @pytest.mark.parametrize("n_test", ["0", "1"])

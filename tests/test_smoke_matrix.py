@@ -3,8 +3,9 @@
 Every combination of a generator task, one model and D in {1, 2} runs a
 tiny ``urcd experiment``: minibatches smaller than the training set (so the
 shuffle is on), few epochs, small samples.  A combination the tasks support
-must finish with a finite report row for every model it ran; the others must
-fail with exit code 2 or 3 and a message that names the output dimension.
+must finish with a finite report row for every model it ran; the others are
+configuration errors: exit code 2 and a message that names the output
+dimension.
 """
 
 import math
@@ -37,8 +38,8 @@ def test_experiment_finishes_or_fails_clearly(task, D, model, tmp_path, capsys):
     code = main(argv)
     err = capsys.readouterr().err
     if (task, D) in UNSUPPORTED:
-        assert code in (2, 3)
-        assert err.startswith(("error: ", "failed: ")) and "D" in err
+        assert code == 2
+        assert err.startswith("error: ") and "D" in err
         assert not report.exists()
         return
     assert code == 0, err

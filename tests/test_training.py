@@ -252,8 +252,9 @@ def test_dataset_default_split_is_80_20(tmp_path):
     rng = np.random.default_rng(10)
     data = _toy_dataset(rng, n=10)
     path = tmp_path / "data.jsonl"
-    save_dataset(data, path, split_path=tmp_path / "elsewhere.json")
-    loaded = load_dataset(path)          # no companion file at default location
+    save_dataset(data, path)
+    (tmp_path / "data.jsonl.split.json").unlink()
+    loaded = load_dataset(path)          # no companion file
     assert loaded.train_idx == tuple(range(8))
     assert loaded.test_idx == (8, 9)
 
