@@ -380,16 +380,8 @@ def mean_dnn_predict_measure(model: MeanDnnModel, x) -> EmpiricalMeasure:
 def mc_oracle(sampler, x, n_samples: int, seed: int) -> EmpiricalMeasure:
     """Uniform empirical measure on fresh i.i.d. draws from the true law.
 
-    `sampler` is either an object with a vectorized
-    ``draw(x, size, seed) -> (size, D)`` method, or a plain callable
-    ``sampler(x, seed) -> point`` invoked once per draw with derived seeds.
+    `sampler` has a vectorized ``draw(x, size, seed) -> (size, D)`` method.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if hasattr(sampler, "draw"):
-        pts = np.asarray(sampler.draw(x, n_samples, seed), dtype=float)
-    else:
-        seeds = np.random.SeedSequence(seed).generate_state(n_samples)
-        pts = np.array([np.atleast_1d(np.asarray(sampler(x, int(s)), dtype=float))
-                        for s in seeds])
-    return make_empirical(pts)
+    return make_empirical(np.asarray(sampler.draw(x, n_samples, seed), dtype=float))

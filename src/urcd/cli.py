@@ -210,9 +210,8 @@ def _cmd_train(args, cfg) -> int:
 def _cmd_eval(args, cfg) -> int:
     model = load_dnm(args.model)
     data = load_dataset(args.data)
-    res = eval_model(lambda x: dnm_predict(model, x), data, sampler=None,
-                     n_samples=0,
-                     references=[target for _, target in data.entries])
+    res = eval_model(lambda x: dnm_predict(model, x), data,
+                     [target for _, target in data.entries])
     print("split,points,W1,M")
     for split, w1s, ms in (("train", res.train_w1, res.train_m),
                            ("test", res.test_w1, res.test_m)):

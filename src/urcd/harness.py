@@ -134,15 +134,13 @@ def oracle_references(data: Dataset, sampler, n_samples: int, seed: int):
             for i, (x, _) in enumerate(data.entries)]
 
 
-def eval_model(predict, data: Dataset, sampler, n_samples: int,
-               seed: int = 0, references=None) -> EvalResult:
-    """Score a predictor against fresh oracle measures on both splits.
+def eval_model(predict, data: Dataset, references) -> EvalResult:
+    """Score a predictor against reference measures on both splits.
 
-    predict : input point -> EmpiricalMeasure.  References may be passed
-    in so several models share the same oracle draws.
+    predict    : input point -> EmpiricalMeasure
+    references : one measure per dataset entry (``oracle_references``), so
+                 several models share the same oracle draws
     """
-    if references is None:
-        references = oracle_references(data, sampler, n_samples, seed)
     per_split = {"train": ([], []), "test": ([], [])}
     for split, idx_list in (("train", data.train_idx), ("test", data.test_idx)):
         w1s, ms = per_split[split]
@@ -353,8 +351,7 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
                 for i in data.test_idx:
                     predict(data.entries[i][0])
                 test_time = time.perf_counter() - t0
-            result = eval_model(predict, data, sampler, gen_cfg.S,
-                                seed=seed, references=references)
+            result = eval_model(predict, data, references)
         except Exception as exc:
             raise RuntimeError(f"[eval:{name}] {exc}") from exc
 

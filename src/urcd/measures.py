@@ -7,6 +7,13 @@ graph), the fast 1-D closed form, an entropically regularized approximation,
 and the mixture / integration / sampling operations everything else in the
 package is built on.
 
+The exact solver is a transportation simplex whose basis is kept as a
+rooted spanning tree between pivots, in the manner of the network simplex
+(Bonneel et al. 2011): a pivot finds its cycle by walking up to a common
+ancestor and recomputes the potentials of the one subtree it re-hangs, not
+of the whole tree.  Its pivot count, degenerate pivots and whether the
+anti-cycling rule fired come back on the ``TransportPlan``.
+
 All functions here are pure: they never mutate their inputs and are safe to
 call concurrently.
 """
@@ -56,10 +63,18 @@ class TransportPlan:
     coupling : (k, m) matrix; row sums = source weights, column sums =
                target weights
     cost     : sum_ij coupling_ij * ||a_i - b_j||
+
+    What the solver did, as data:
+    pivots            : simplex pivots made
+    degenerate_pivots : pivots that moved no mass (theta = 0)
+    bland             : whether the anti-cycling rule took over
     """
 
     coupling: np.ndarray
     cost: float
+    pivots: int = 0
+    degenerate_pivots: int = 0
+    bland: bool = False
 
 
 def check_simplex(weights, tol: float = CONSTRUCTION_TOL) -> np.ndarray:
@@ -141,15 +156,14 @@ def _distance_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _northwest_corner(a, b):
-    """Initial basic feasible solution; returns (basis cells, flows)."""
+    """Initial basic feasible solution: flows keyed by basis cell, in the
+    order the cells enter the basis."""
     k, m = a.size, b.size
-    ra, rb = a.copy(), b.copy()
-    basis = []
+    ra, rb = a.tolist(), b.tolist()
     flow = {}
     i = j = 0
     while True:
         t = min(ra[i], rb[j])
-        basis.append((i, j))
         flow[(i, j)] = t
         ra[i] -= t
         rb[j] -= t
@@ -162,72 +176,78 @@ def _northwest_corner(a, b):
             j += 1
         else:
             i += 1
-    return basis, flow
+    return flow
 
 
-def _tree_path(adj, start, goal):
-    """Edges of the unique tree path from node `start` to node `goal`."""
-    parent = {start: (None, None)}
-    stack = [start]
+def _hang(top, nbrs, parent, depth, pot, c, k):
+    """Set parent, depth and potential below node `top`, whose own are set.
+
+    A child y of x gets ``pot[y] = cost(x, y) - pot[x]``: every potential
+    is computed along its path from the root."""
+    stack = [top]
     while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for nbr, cell in adj[node]:
-            if nbr not in parent:
-                parent[nbr] = (node, cell)
-                stack.append(nbr)
-    path = []
-    node = goal
-    while parent[node][0] is not None:
-        prev, cell = parent[node]
-        path.append(cell)
-        node = prev
-    path.reverse()
-    return path
+        x = stack.pop()
+        px = parent[x]
+        for y in nbrs[x]:
+            if y != px:
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                pot[y] = (c[x][y - k] if x < k else c[y][x - k]) - pot[x]
+                stack.append(y)
 
 
 def _solve_transport(a, b, cost):
     """Minimize <F, cost> over couplings of marginals a, b.
 
-    Transportation simplex with a Dantzig entering rule and a Bland
-    fallback once the objective stalls (degenerate pivots cannot cycle
-    under Bland's rule).  Supplies/demands must be strictly positive.
+    Returns ``(F, pivots, degenerate_pivots, bland)``.  Transportation
+    simplex with a Dantzig entering rule (first argmin of the reduced-cost
+    matrix) and a Bland fallback once the objective has not fallen by more
+    than `tol` for 100 pivots (degenerate pivots cannot cycle under Bland's
+    rule).  Supplies/demands must be strictly positive.
+
+    Nodes 0..k-1 are the sources and k..k+m-1 the sinks; the basis cells
+    are the edges of a spanning tree rooted at source 0, kept between
+    pivots as a parent, a depth and a neighbour set per node.  The
+    potentials (duals) hang off the root: ``pot[0] = 0`` and a child gets
+    ``cost - pot[parent]``.  A pivot walks from the entering cell's sink
+    and source up to their common ancestor, which lists the cycle's tree
+    path from sink to source; every other cell, starting at the sink's,
+    loses flow, and the first of them with the least flow leaves.  Removing it cuts one subtree off the tree; that
+    subtree is re-hung from the entering cell's endpoint inside it, and
+    only its parents, depths and potentials are recomputed.  Every
+    potential is thus the same expression along the same root path as a
+    full dual pass from the root computes, so the duals, the reduced costs,
+    the pivots and the flows are bit for bit those of recomputing every
+    potential on every pivot.  The stall test reads the objective's fall
+    as -theta * reduced cost; a re-sum of the objective gives the same up
+    to rounding of order (k + m) * eps * max cost, far below `tol`.
     """
     k, m = cost.shape
-    basis, flow = _northwest_corner(a, b)
+    flow = _northwest_corner(a, b)
+    c = cost.tolist()
+    nbrs = [set() for _ in range(k + m)]
+    for i, j in flow:
+        nbrs[i].add(k + j)
+        nbrs[k + j].add(i)
+    parent = [-1] * (k + m)
+    depth = [0] * (k + m)
+    pot = [0.0] * (k + m)
+    _hang(0, nbrs, parent, depth, pot, c, k)
 
-    adj: dict[int, list] = {node: [] for node in range(k + m)}
-    for (i, j) in basis:
-        adj[i].append((k + j, (i, j)))
-        adj[k + j].append((i, (i, j)))
+    def up_cell(x):
+        return (x, parent[x] - k) if x < k else (parent[x], x - k)
 
     tol = 1e-12 * (1.0 + float(cost.max(initial=0.0)))
-    u = np.zeros(k)
-    v = np.zeros(m)
     bland = False
     stall = 0
-    prev_obj = np.inf
+    pivots = degenerate = 0
     max_iters = 50 * (k + m) ** 2 + 1000
 
+    reduced = np.empty_like(cost)     # priced in place: no k*m allocation per pivot
     for _ in range(max_iters):
-        # duals from the basis tree, rooted at source node 0
-        seen = np.zeros(k + m, dtype=bool)
-        seen[0] = True
-        u[0] = 0.0
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            for nbr, (i, j) in adj[node]:
-                if not seen[nbr]:
-                    if nbr >= k:
-                        v[j] = cost[i, j] - u[i]
-                    else:
-                        u[i] = cost[i, j] - v[j]
-                    seen[nbr] = True
-                    stack.append(nbr)
-
-        reduced = cost - u[:, None] - v[None, :]
+        duals = np.array(pot)
+        np.subtract(cost, duals[:k, None], out=reduced)
+        reduced -= duals[None, k:]
         if bland:
             viol = np.argwhere(reduced < -tol)
             if viol.size == 0:
@@ -240,34 +260,49 @@ def _solve_transport(a, b, cost):
                 break
 
         # unique cycle: entering cell plus the tree path sink -> source
-        path = _tree_path(adj, k + ej, ei)
-        minus = path[0::2]
-        theta = min(flow[c] for c in minus)
-        leave = next(c for c in minus if flow[c] == theta)
+        x, y = k + ej, ei
+        sink_side, source_side = [], []
+        while x != y:
+            if depth[x] >= depth[y]:
+                sink_side.append(up_cell(x))
+                x = parent[x]
+            else:
+                source_side.append(up_cell(y))
+                y = parent[y]
+        path = sink_side + source_side[::-1]
+        theta = min(flow[cell] for cell in path[0::2])
+        out = next(t for t in range(0, len(path), 2) if flow[path[t]] == theta)
+        leave = path[out]
 
         sign = -1.0
-        for c in path:
-            flow[c] += sign * theta
+        for cell in path:
+            flow[cell] += sign * theta
             sign = -sign
         flow[(ei, ej)] = theta
-
-        basis.remove(leave)
-        basis.append((ei, ej))
-        li, lj = leave
-        adj[li] = [e for e in adj[li] if e[1] != leave]
-        adj[k + lj] = [e for e in adj[k + lj] if e[1] != leave]
-        adj[ei].append((k + ej, (ei, ej)))
-        adj[k + ej].append((ei, (ei, ej)))
         del flow[leave]
 
-        obj = sum(flow[c] * cost[c] for c in basis)
-        if obj < prev_obj - tol:
+        li, lj = leave
+        nbrs[li].discard(k + lj)
+        nbrs[k + lj].discard(li)
+        nbrs[ei].add(k + ej)
+        nbrs[k + ej].add(ei)
+        # the cut-off subtree holds the entering endpoint on the leaving side
+        top, below = (k + ej, ei) if out < len(sink_side) else (ei, k + ej)
+        parent[top] = below
+        depth[top] = depth[below] + 1
+        pot[top] = c[ei][ej] - pot[below]
+        _hang(top, nbrs, parent, depth, pot, c, k)
+
+        pivots += 1
+        if theta == 0.0:
+            degenerate += 1
+        # the objective falls by -theta * reduced; the first pivot never stalls
+        if pivots == 1 or theta * reduced[ei, ej] < -tol:
             stall = 0
         else:
             stall += 1
             if stall > 100:
                 bland = True
-        prev_obj = obj
     else:
         raise RuntimeError("transport solver failed to converge (internal bug)")
 
@@ -275,7 +310,7 @@ def _solve_transport(a, b, cost):
     for (i, j), val in flow.items():
         if val > 0.0:
             F[i, j] = val
-    return F
+    return F, pivots, degenerate, bland
 
 
 def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportPlan:
@@ -292,7 +327,7 @@ def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportPlan:
     ib = np.flatnonzero(nu.weights > 0.0)
     a = mu.weights[ia] / mu.weights[ia].sum()
     b = nu.weights[ib] / nu.weights[ib].sum()
-    sub = _solve_transport(a, b, cost[np.ix_(ia, ib)])
+    sub, pivots, degenerate, bland = _solve_transport(a, b, cost[np.ix_(ia, ib)])
 
     coupling = np.zeros((mu.n_atoms, nu.n_atoms))
     coupling[np.ix_(ia, ib)] = sub
@@ -302,7 +337,8 @@ def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportPlan:
     col_err = np.abs(coupling.sum(axis=0) - nu.weights).max()
     if max(row_err, col_err) > FEASIBILITY_TOL:
         raise RuntimeError("transport solver returned infeasible plan (internal bug)")
-    return TransportPlan(coupling=coupling, cost=total)
+    return TransportPlan(coupling=coupling, cost=total, pivots=pivots,
+                         degenerate_pivots=degenerate, bland=bland)
 
 
 def w1_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:

@@ -12,7 +12,6 @@ import sys
 import time
 
 import numpy as np
-from scipy.optimize import linprog
 
 import urcd
 from urcd.datagen import GeneratorConfig, SdeSampler
@@ -33,6 +32,8 @@ from urcd.measures import (
 from urcd.neural import forward_cache, grad_check, init_mlp
 from urcd.training import TrainConfig, build_dataset, train_dnm
 
+from lp_oracle import lp_oracle
+
 
 def _report(criterion: str, ok: bool, detail: str):
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
@@ -45,25 +46,6 @@ def _random_measure(rng, max_atoms=8, dim=2):
     return make_empirical(rng.uniform(-2, 2, size=(k, dim)), w / w.sum())
 
 
-def _lp_oracle(mu, nu):
-    k, m = mu.n_atoms, nu.n_atoms
-    cost = np.linalg.norm(mu.atoms[:, None, :] - nu.atoms[None, :, :], axis=2)
-    rows = []
-    for i in range(k):
-        r = np.zeros((k, m))
-        r[i, :] = 1.0
-        rows.append(r.ravel())
-    for j in range(m):
-        c = np.zeros((k, m))
-        c[:, j] = 1.0
-        rows.append(c.ravel())
-    res = linprog(cost.ravel(), A_eq=np.array(rows),
-                  b_eq=np.concatenate([mu.weights, nu.weights]),
-                  bounds=(0, None), method="highs")
-    assert res.status == 0
-    return res.fun
-
-
 def test_criterion_1_transport_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(1001)
@@ -72,7 +54,7 @@ def test_criterion_1_transport_oracle_equivalence():
         dim = int(rng.integers(1, 4))
         mu = _random_measure(rng, dim=dim)
         nu = _random_measure(rng, dim=dim)
-        worst_lp = max(worst_lp, abs(w1_exact(mu, nu).cost - _lp_oracle(mu, nu)))
+        worst_lp = max(worst_lp, abs(w1_exact(mu, nu).cost - lp_oracle(mu, nu)))
     worst_1d = 0.0
     for _ in range(200):
         mu = _random_measure(rng, dim=1)

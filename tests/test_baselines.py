@@ -207,8 +207,13 @@ class _NormalSampler:
         return np.random.default_rng(seed).normal(size=(size, 1))
 
 
+class _ConstantSampler:
+    def draw(self, x, size, seed):
+        return np.full((size, 1), 3.0)
+
+
 def test_mc_oracle_constant_sampler():
-    m = mc_oracle(lambda x, seed: np.array([3.0]), np.zeros(1), 5, seed=0)
+    m = mc_oracle(_ConstantSampler(), np.zeros(1), 5, seed=0)
     assert m.n_atoms == 5
     assert np.all(m.atoms == 3.0)
     assert np.allclose(m.weights, 0.2)
@@ -228,16 +233,7 @@ def test_mc_oracle_deterministic():
     s = _NormalSampler()
     a = mc_oracle(s, np.zeros(1), 100, seed=9)
     b = mc_oracle(s, np.zeros(1), 100, seed=9)
+    assert a.n_atoms == 100
     assert np.array_equal(a.atoms, b.atoms)
     with pytest.raises(ValueError):
         mc_oracle(s, np.zeros(1), 0, seed=0)
-
-
-def test_mc_oracle_accepts_plain_callable():
-    def sampler(x, seed):
-        return np.random.default_rng(seed).normal(size=1)
-
-    a = mc_oracle(sampler, np.zeros(1), 12, seed=4)
-    b = mc_oracle(sampler, np.zeros(1), 12, seed=4)
-    assert a.n_atoms == 12
-    assert np.array_equal(a.atoms, b.atoms)

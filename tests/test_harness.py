@@ -47,8 +47,7 @@ def test_eval_model_perfect_predictor_scores_zero():
     refs = oracle_references(data, sampler, 10, seed=1)
     keyed = {data.entries[i][0].tobytes(): refs[i]
              for i in range(len(data.entries))}
-    result = eval_model(lambda x: keyed[np.asarray(x).tobytes()], data,
-                        sampler, 10, seed=1, references=refs)
+    result = eval_model(lambda x: keyed[np.asarray(x).tobytes()], data, refs)
     assert max(result.train_w1) < 1e-12
     assert max(result.test_w1) < 1e-12
     assert max(result.train_m + result.test_m) < 1e-12
@@ -59,9 +58,8 @@ def test_eval_model_dirac_at_mean():
     # zeroes M but pays the transport cost of 1 to the spread
     rng = np.random.default_rng(1)
     data = _mini_dataset(rng)
-    sampler = _FixedPairSampler()
-    result = eval_model(lambda x: make_empirical([(1.0,)]), data, sampler,
-                        10, seed=2)
+    refs = oracle_references(data, _FixedPairSampler(), 10, seed=2)
+    result = eval_model(lambda x: make_empirical([(1.0,)]), data, refs)
     assert np.allclose(result.train_w1, 1.0)
     assert np.allclose(result.train_m, 0.0, atol=1e-12)
 
@@ -230,3 +228,31 @@ def test_golden_minibatch_report(tmp_path):
     emit_report(report, "csv", path)
     golden = pathlib.Path(__file__).parent / "data" / "golden_minibatch_report.csv"
     assert path.read_bytes() == golden.read_bytes()
+
+
+def _d2_report_bytes(tmp_path):
+    gen = GeneratorConfig(task="mc_dropout", d=2, D=2, size=12, S=20,
+                          base_width=5, seed=5)
+    h = HarnessConfig(n_centers=5, n_test=12, epochs=50)
+    report = run_experiment(gen, ["dnm", "const", "mean"], seed=5, harness=h)
+    path = tmp_path / "d2.csv"
+    emit_report(report, "csv", path)
+    return path.read_bytes()
+
+
+def test_golden_d2_report(tmp_path):
+    """D=2, so every W1 in it goes through the exact transport solver."""
+    import pathlib
+
+    golden = pathlib.Path(__file__).parent / "data" / "golden_d2_report.csv"
+    assert _d2_report_bytes(tmp_path) == golden.read_bytes()
+
+
+if __name__ == "__main__":
+    import pathlib
+    import tempfile
+
+    out = pathlib.Path(__file__).parent / "data" / "golden_d2_report.csv"
+    with tempfile.TemporaryDirectory() as tmp:
+        out.write_bytes(_d2_report_bytes(pathlib.Path(tmp)))
+    print(f"wrote {out}")

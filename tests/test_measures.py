@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from urcd.measures import (
     integrate,
@@ -13,25 +12,7 @@ from urcd.measures import (
     w1_sinkhorn,
 )
 
-
-def lp_oracle(mu, nu):
-    """Independent dense-LP solve of the coupling problem (scipy HiGHS)."""
-    k, m = mu.n_atoms, nu.n_atoms
-    cost = np.linalg.norm(mu.atoms[:, None, :] - nu.atoms[None, :, :], axis=2)
-    A_eq = []
-    for i in range(k):
-        row = np.zeros((k, m))
-        row[i, :] = 1.0
-        A_eq.append(row.ravel())
-    for j in range(m):
-        col = np.zeros((k, m))
-        col[:, j] = 1.0
-        A_eq.append(col.ravel())
-    b_eq = np.concatenate([mu.weights, nu.weights])
-    res = linprog(cost.ravel(), A_eq=np.array(A_eq), b_eq=b_eq,
-                  bounds=(0, None), method="highs")
-    assert res.status == 0
-    return res.fun
+from lp_oracle import lp_oracle
 
 
 def random_measure(rng, max_atoms=8, dim=2):
