@@ -237,3 +237,20 @@ def test_mc_oracle_deterministic():
     assert np.array_equal(a.atoms, b.atoms)
     with pytest.raises(ValueError):
         mc_oracle(s, np.zeros(1), 0, seed=0)
+
+
+def test_mc_oracle_accepts_plain_callable():
+    # A per-draw callable ``sampler(x, seed) -> point`` is used through a
+    # draw object that gives each draw its own derived seed.
+    def sampler(x, seed):
+        return np.random.default_rng(seed).normal(size=1)
+
+    class _PerDraw:
+        def draw(self, x, size, seed):
+            seeds = np.random.SeedSequence(seed).generate_state(size)
+            return np.array([sampler(x, int(s)) for s in seeds])
+
+    a = mc_oracle(_PerDraw(), np.zeros(1), 12, seed=4)
+    b = mc_oracle(_PerDraw(), np.zeros(1), 12, seed=4)
+    assert a.n_atoms == 12
+    assert np.array_equal(a.atoms, b.atoms)
