@@ -23,7 +23,7 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from urcd.baselines import (
     FitConfig,
@@ -190,7 +190,7 @@ def bca_interval(samples, level: float = 0.95, n_boot: int = 1000,
     theta = x.mean()
 
     p0 = np.clip((boot < theta).mean(), 1.0 / (n_boot + 1), n_boot / (n_boot + 1.0))
-    z0 = norm.ppf(p0)
+    z0 = ndtri(p0)
 
     jack = (x.sum() - x) / (n - 1)
     centered = jack.mean() - jack
@@ -202,10 +202,10 @@ def bca_interval(samples, level: float = 0.95, n_boot: int = 1000,
         scale = 1.0 - accel * shift
         if scale <= 0:
             return 1.0 if shift > 0 else 0.0
-        return float(norm.cdf(z0 + shift / scale))
+        return float(ndtr(z0 + shift / scale))
 
-    alpha_lo = endpoint(norm.ppf((1.0 - level) / 2.0))
-    alpha_hi = endpoint(norm.ppf((1.0 + level) / 2.0))
+    alpha_lo = endpoint(ndtri((1.0 - level) / 2.0))
+    alpha_hi = endpoint(ndtri((1.0 + level) / 2.0))
     return float(np.quantile(boot, alpha_lo)), float(np.quantile(boot, alpha_hi))
 
 

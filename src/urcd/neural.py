@@ -4,7 +4,10 @@ Networks are plain dataclasses over numpy arrays.  The forward map applies
 the activation componentwise after every affine layer except the last one.
 ``forward_cache``/``backprop`` expose the reverse-mode core, and
 ``fit_epochs`` is the one minibatch-Adam loop, so other modules train the
-same networks under their own losses.  ``adam_step`` updates all weights
+same networks under their own losses.  ``cross_entropy_grad`` takes a batch
+as an input array and a one-hot label array, so a trainer builds both once
+per fit and passes row slices; ``mean_nll`` is its loss expression, for a
+loss that needs no gradient.  ``adam_step`` updates all weights
 and biases of a network as one flat vector (weights, then biases), so a
 step costs a handful of numpy operations whatever the depth.
 ``NetConfig``/``FitConfig`` declare the training settings they share.
@@ -178,24 +181,29 @@ def softmax(v) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy_grad(net: Mlp, batch):
+def mean_nll(p: np.ndarray, Y: np.ndarray) -> float:
+    """Mean negative log-likelihood of one-hot labels Y under probabilities p."""
+    return float(-(Y * np.log(np.clip(p, 1e-300, None))).sum() / Y.shape[0])
+
+
+def cross_entropy_grad(net: Mlp, X, Y):
     """Mean negative log-likelihood of softmax outputs, with its gradient.
 
-    batch : sequence of (x, one_hot_label) pairs; labels must have length
-    equal to the network output dimension.
+    X : (n, d_in) inputs; Y : (n, d_out) one-hot labels, whose length must
+    equal the network output dimension.  Returns (loss, Grads).
     """
-    if len(batch) == 0:
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    X = np.array([np.asarray(x, dtype=float) for x, _ in batch])
-    Y = np.array([np.asarray(y, dtype=float) for _, y in batch])
-    if Y.shape[1] != net.layer_dims[-1]:
+    if Y.ndim != 2 or Y.shape[1] != net.layer_dims[-1]:
         raise ValueError("label length does not match the network output dimension")
+    if Y.shape[0] != X.shape[0]:
+        raise ValueError("inputs and labels must have the same number of rows")
     logits, pre, post = forward_cache(net, X)
     p = softmax(logits)
-    n = X.shape[0]
-    loss = float(-(Y * np.log(np.clip(p, 1e-300, None))).sum() / n)
-    grads = backprop(net, pre, post, (p - Y) / n)
-    return loss, grads
+    grads = backprop(net, pre, post, (p - Y) / X.shape[0])
+    return mean_nll(p, Y), grads
 
 
 def init_adam(net: Mlp, learning_rate: float = 1e-2, beta1: float = 0.9,
@@ -266,11 +274,13 @@ def grad_check(net: Mlp, batch, h: float = 1e-5) -> float:
     """Max relative error of analytic vs central-difference gradients."""
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    _, grads = cross_entropy_grad(net, batch)
+    X = np.array([np.asarray(x, dtype=float) for x, _ in batch])
+    Y = np.array([np.asarray(y, dtype=float) for _, y in batch])
+    _, grads = cross_entropy_grad(net, X, Y)
 
     def loss_with(weights, biases):
         probe = replace(net, weights=weights, biases=biases)
-        loss, _ = cross_entropy_grad(probe, batch)
+        loss, _ = cross_entropy_grad(probe, X, Y)
         return loss
 
     worst = 0.0

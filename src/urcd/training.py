@@ -28,7 +28,10 @@ from urcd.neural import (
     cross_entropy_grad,
     fit_epochs,
     forward_batch,
+    forward_cache,
     init_mlp,
+    mean_nll,
+    softmax,
 )
 
 EXHAUSTIVE_SUBSET_CAP = 100_000
@@ -183,14 +186,14 @@ def train_dnm(data: Dataset, cfg: TrainConfig):
     d = data.input_dim
     net = init_mlp([d, *cfg.hidden_dims, cfg.n_centers],
                    activation=cfg.activation, rng=rng)
-    full = list(zip(inputs, labels))
 
     def loss_grad(nets, rows):
-        return (cross_entropy_grad(nets[0], [full[i] for i in rows])[1],)
+        return (cross_entropy_grad(nets[0], inputs[rows], labels[rows])[1],)
 
     losses = []
-    for (net,) in fit_epochs((net,), loss_grad, len(full), cfg, rng):
-        losses.append(cross_entropy_grad(net, full)[0])
+    for (net,) in fit_epochs((net,), loss_grad, len(inputs), cfg, rng):
+        logits, _, _ = forward_cache(net, inputs)
+        losses.append(mean_nll(softmax(logits), labels))
 
     predictions = forward_batch(net, inputs).argmax(axis=1)
     accuracy = float((predictions == labels.argmax(axis=1)).mean())

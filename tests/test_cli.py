@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +205,14 @@ def test_bad_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen"])          # --out is required
     assert exc.value.code == 2
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes most of a second to import; the CLI needs none of it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, urcd.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

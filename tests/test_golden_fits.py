@@ -8,6 +8,11 @@ set, so the per-epoch shuffle is on.  The MDN cases cover D = 2 and targets
 with fewer atoms than mixture components, whose padded components tie
 exactly in the target matching.
 
+The same file pins ``train_dnm``'s training log: the bytes of every epoch
+loss and of the final label accuracy (as ``float.hex`` strings), with the
+parameter hash, for a full-batch fit, a minibatch fit and the one-center
+``const`` model.
+
 Regenerate the golden file (only when a change to the trained parameters
 is intended and said so) with ``PYTHONPATH=src python tests/test_golden_fits.py``.
 """
@@ -61,6 +66,24 @@ _CASES = {
 }
 
 
+# name -> (generator settings, train_dnm settings); the training log is pinned
+_LOG_CASES = {
+    "dnm_log_full_batch": (dict(task="mc_dropout", d=3, size=14, S=20, seed=8,
+                                base_width=5),
+                           dict(hidden_dims=(5,), epochs=10,
+                                learning_rate=2e-2, seed=10, n_centers=3)),
+    "dnm_log_minibatch": (dict(task="heteroscedastic", d=2, size=14, S=20,
+                               seed=9, base_width=6),
+                          dict(hidden_dims=(6, 4), activation="tanh",
+                               epochs=10, batch_size=4, learning_rate=2e-2,
+                               seed=11, n_centers=4)),
+    "dnm_log_const": (dict(task="heteroscedastic", d=1, size=14, S=20, seed=10,
+                           base_width=6),
+                      dict(hidden_dims=(4,), epochs=6, batch_size=5,
+                           learning_rate=2e-2, seed=12, n_centers=1)),
+}
+
+
 def _networks(kind: str, data, fit: dict):
     fit = dict(fit)
     if kind == "dnm":
@@ -74,15 +97,28 @@ def _networks(kind: str, data, fit: dict):
     return (fitter(data, FitConfig(**fit)).net,)
 
 
+def _params_hash(nets) -> str:
+    digest = hashlib.sha256()
+    for net in nets:
+        for arr in (*net.weights, *net.biases):
+            digest.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
 def _fit_hash(kind: str, gen: dict, fit: dict) -> str:
     data, _ = generate(GeneratorConfig(**gen))
     batch = fit["batch_size"]
     assert batch < len(data.train_entries()), "the shuffle must be on"
-    digest = hashlib.sha256()
-    for net in _networks(kind, data, fit):
-        for arr in (*net.weights, *net.biases):
-            digest.update(np.ascontiguousarray(arr, dtype=float).tobytes())
-    return digest.hexdigest()
+    return _params_hash(_networks(kind, data, fit))
+
+
+def _log_entry(gen: dict, fit: dict) -> dict:
+    data, _ = generate(GeneratorConfig(**gen))
+    model, log = train_dnm(data, TrainConfig(**fit))
+    return {"config": {"trainer": "dnm", "generator": gen, "fit": fit},
+            "sha256": _params_hash((model.classifier,)),
+            "epoch_losses": [float(v).hex() for v in log.epoch_losses],
+            "final_accuracy": float(log.final_accuracy).hex()}
 
 
 def _as_json(value):
@@ -91,16 +127,24 @@ def _as_json(value):
 
 def test_golden_fit_bytes():
     golden = json.loads(GOLDEN.read_text())
-    assert set(golden) == set(_CASES)
+    assert set(golden) == set(_CASES) | set(_LOG_CASES)
     for name, (kind, gen, fit) in _CASES.items():
         assert golden[name]["config"] == _as_json(
             {"trainer": kind, "generator": gen, "fit": fit})
         assert _fit_hash(kind, gen, fit) == golden[name]["sha256"], name
 
 
+def test_golden_training_log_bytes():
+    golden = json.loads(GOLDEN.read_text())
+    for name, (gen, fit) in _LOG_CASES.items():
+        assert _as_json(_log_entry(gen, fit)) == golden[name], name
+
+
 if __name__ == "__main__":
     out = {name: {"config": {"trainer": kind, "generator": gen, "fit": fit},
                   "sha256": _fit_hash(kind, gen, fit)}
            for name, (kind, gen, fit) in _CASES.items()}
+    out.update({name: _log_entry(gen, fit)
+                for name, (gen, fit) in _LOG_CASES.items()})
     GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
+from scipy.stats import norm
 
 from urcd.datagen import GeneratorConfig
 from urcd.harness import (
     CSV_HEADER,
+    _bootstrap_means,
     EvalResult,
     ExperimentReport,
     HarnessConfig,
@@ -103,6 +108,59 @@ def test_bca_deterministic_and_validated():
         bca_interval(x, level=1.5)
     with pytest.raises(ValueError):
         bca_interval(x, n_boot=10)
+
+
+def _norm_bca_interval(samples, level=0.95, n_boot=1000, seed=0):
+    """bca_interval as written with scipy.stats.norm; kept as a reference."""
+    x = np.asarray(samples, dtype=float)
+    if np.ptp(x) == 0.0:
+        return float(x[0]), float(x[0])
+    n = x.size
+    boot = _bootstrap_means(x, n_boot, seed)
+    theta = x.mean()
+    p0 = np.clip((boot < theta).mean(), 1.0 / (n_boot + 1), n_boot / (n_boot + 1.0))
+    z0 = norm.ppf(p0)
+    jack = (x.sum() - x) / (n - 1)
+    centered = jack.mean() - jack
+    denom = 6.0 * (centered ** 2).sum() ** 1.5
+    accel = (centered ** 3).sum() / denom if denom > 0 else 0.0
+
+    def endpoint(z):
+        shift = z0 + z
+        scale = 1.0 - accel * shift
+        if scale <= 0:
+            return 1.0 if shift > 0 else 0.0
+        return float(norm.cdf(z0 + shift / scale))
+
+    alpha_lo = endpoint(norm.ppf((1.0 - level) / 2.0))
+    alpha_hi = endpoint(norm.ppf((1.0 + level) / 2.0))
+    return float(np.quantile(boot, alpha_lo)), float(np.quantile(boot, alpha_hi))
+
+
+@settings(max_examples=40)
+@given(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=2, max_size=40),
+       st.sampled_from([100, 1000]),
+       st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99, 0.999]),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_bca_matches_scipy_stats_norm_version(samples, n_boot, level, seed,
+                                              skewed):
+    x = np.array(samples)
+    if skewed:                      # a heavy tail moves z0 and accel off 0
+        x = np.exp(x / 200.0)
+    assert bca_interval(x, level, n_boot, seed) == _norm_bca_interval(
+        x, level, n_boot, seed)
+
+
+def test_ndtri_and_ndtr_match_norm_on_bca_inputs():
+    # every bias-correction input bca_interval can form: k / n_boot, clipped
+    grid = np.concatenate([
+        np.clip(np.arange(n_boot + 1) / n_boot, 1.0 / (n_boot + 1),
+                n_boot / (n_boot + 1.0))
+        for n_boot in range(100, 2001)])
+    assert np.array_equal(ndtri(grid), norm.ppf(grid))
+    z = np.concatenate([np.linspace(-40.0, 40.0, 200_001),
+                        np.random.default_rng(0).normal(scale=3.0, size=100_000)])
+    assert np.array_equal(ndtr(z), norm.cdf(z))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urcd.neural import (
     Grads,
     Mlp,
     adam_step,
+    backprop,
     cross_entropy_grad,
     forward_cache,
     grad_check,
@@ -18,6 +21,13 @@ from urcd.neural import (
     n_params,
     softmax,
 )
+
+
+def _ce(net, batch):
+    """cross_entropy_grad on a list of (x, one_hot_label) pairs."""
+    X = np.array([np.asarray(x, dtype=float) for x, _ in batch])
+    Y = np.array([np.asarray(y, dtype=float) for _, y in batch])
+    return cross_entropy_grad(net, X, Y)
 
 
 def test_forward_identity_layer():
@@ -78,7 +88,7 @@ def test_cross_entropy_saturated_logits():
               biases=(np.zeros(2),), activation="identity")
     batch = [(np.array([1.0, 0.0]), np.array([1.0, 0.0])),
              (np.array([0.0, 1.0]), np.array([0.0, 1.0]))]
-    loss, grads = cross_entropy_grad(net, batch)
+    loss, grads = _ce(net, batch)
     assert loss < 1e-3
     assert max(np.abs(g).max() for g in grads.weights) < 1e-3
 
@@ -89,16 +99,61 @@ def test_cross_entropy_uniform_loss():
               biases=(np.zeros(n_classes),), activation="relu")
     label = np.zeros(n_classes)
     label[2] = 1.0
-    loss, _ = cross_entropy_grad(net, [(np.array([1.0, 2.0, 3.0]), label)])
+    loss, _ = _ce(net, [(np.array([1.0, 2.0, 3.0]), label)])
     assert abs(loss - np.log(n_classes)) < 1e-12
 
 
 def test_cross_entropy_label_length_check():
     net = init_mlp([2, 3], rng=np.random.default_rng(1))
     with pytest.raises(ValueError):
-        cross_entropy_grad(net, [(np.zeros(2), np.array([1.0, 0.0]))])
+        _ce(net, [(np.zeros(2), np.array([1.0, 0.0]))])
     with pytest.raises(ValueError):
-        cross_entropy_grad(net, [])
+        _ce(net, [])
+
+
+def test_cross_entropy_row_count_check():
+    net = init_mlp([2, 3], rng=np.random.default_rng(1))
+    with pytest.raises(ValueError):
+        cross_entropy_grad(net, np.zeros((2, 2)), np.array([[1.0, 0.0, 0.0]]))
+
+
+def _pair_cross_entropy_grad(net, batch):
+    """The earlier cross_entropy_grad, which rebuilt X and Y from
+    (x, one_hot_label) pairs on every call; kept as a reference."""
+    if len(batch) == 0:
+        raise ValueError("batch must be non-empty")
+    X = np.array([np.asarray(x, dtype=float) for x, _ in batch])
+    Y = np.array([np.asarray(y, dtype=float) for _, y in batch])
+    if Y.shape[1] != net.layer_dims[-1]:
+        raise ValueError("label length does not match the network output dimension")
+    logits, pre, post = forward_cache(net, X)
+    p = softmax(logits)
+    n = X.shape[0]
+    loss = float(-(Y * np.log(np.clip(p, 1e-300, None))).sum() / n)
+    grads = backprop(net, pre, post, (p - Y) / n)
+    return loss, grads
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 4),
+       st.lists(st.integers(1, 6), max_size=2), st.integers(1, 5),
+       st.sampled_from(["relu", "tanh", "sigmoid", "identity"]))
+def test_cross_entropy_arrays_match_pair_version_bitwise(seed, n, d, hidden,
+                                                         n_classes, activation):
+    # rows picked from arrays built once, as train_dnm does, against pairs
+    rng = np.random.default_rng(seed)
+    net = init_mlp([d, *hidden, n_classes], activation=activation, rng=rng)
+    X = rng.normal(scale=3.0, size=(n + 3, d))
+    Y = np.zeros((n + 3, n_classes))
+    Y[np.arange(n + 3), rng.integers(n_classes, size=n + 3)] = 1.0
+    rows = rng.permutation(n + 3)[:n]
+    loss, grads = cross_entropy_grad(net, X[rows], Y[rows])
+    ref_loss, ref_grads = _pair_cross_entropy_grad(
+        net, [(X[i], Y[i]) for i in rows])
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    for a, b in zip((*grads.weights, *grads.biases),
+                    (*ref_grads.weights, *ref_grads.biases)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_grad_check_linear_net():
@@ -146,7 +201,7 @@ def test_adam_zero_gradient_is_identity():
     rng = np.random.default_rng(6)
     net = init_mlp([2, 3, 2], rng=rng)
     state = init_adam(net, learning_rate=0.05)
-    _, grads = cross_entropy_grad(
+    _, grads = _ce(
         net, [(np.zeros(2), np.array([0.5, 0.5]))])
     zero = type(grads)(weights=tuple(np.zeros_like(g) for g in grads.weights),
                        biases=tuple(np.zeros_like(g) for g in grads.biases))
@@ -163,7 +218,7 @@ def test_adam_first_step_is_signed_lr():
     lr = 0.01
     state = init_adam(net, learning_rate=lr)
     g = np.array([[0.5, -2.0], [1.0, -0.25]])
-    grads_cls = cross_entropy_grad(net, [(np.zeros(2), np.array([1.0, 0.0]))])[1]
+    grads_cls = _ce(net, [(np.zeros(2), np.array([1.0, 0.0]))])[1]
     grads = type(grads_cls)(weights=(g,), biases=(np.zeros(2),))
     new_net, _ = adam_step(net, state, grads)
     update = new_net.weights[0] - net.weights[0]
@@ -174,7 +229,7 @@ def test_adam_deterministic():
     rng = np.random.default_rng(8)
     net = init_mlp([2, 3], rng=rng)
     batch = _random_batch(rng, 4, 2, 3)
-    _, grads = cross_entropy_grad(net, batch)
+    _, grads = _ce(net, batch)
     state = init_adam(net)
     n1, s1 = adam_step(net, state, grads)
     n2, s2 = adam_step(net, state, grads)
@@ -186,9 +241,9 @@ def test_adam_deterministic():
 def test_adam_shape_mismatch():
     rng = np.random.default_rng(9)
     net = init_mlp([2, 3], rng=rng)
-    _, grads = cross_entropy_grad(net, _random_batch(rng, 2, 2, 3))
+    _, grads = _ce(net, _random_batch(rng, 2, 2, 3))
     deep = init_mlp([2, 4, 3], rng=rng)
-    _, deep_grads = cross_entropy_grad(deep, _random_batch(rng, 2, 2, 3))
+    _, deep_grads = _ce(deep, _random_batch(rng, 2, 2, 3))
     cases = [
         (net, Grads(weights=(np.zeros((5, 5)),), biases=grads.biases)),
         # a (1,) bias gradient would broadcast over the (3,) bias
@@ -214,11 +269,11 @@ def test_loss_decreases_on_separable_problem():
     batch = list(zip(xs, labels))
     net = init_mlp([1, 8, 2], rng=rng)
     state = init_adam(net, learning_rate=0.05)
-    loss0, _ = cross_entropy_grad(net, batch)
+    loss0, _ = _ce(net, batch)
     for _ in range(200):
-        _, grads = cross_entropy_grad(net, batch)
+        _, grads = _ce(net, batch)
         net, state = adam_step(net, state, grads)
-    loss_final, _ = cross_entropy_grad(net, batch)
+    loss_final, _ = _ce(net, batch)
     assert loss_final < loss0
 
 
