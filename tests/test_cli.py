@@ -207,12 +207,23 @@ def test_bad_usage_exits_2():
     assert exc.value.code == 2
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats takes most of a second to import; the CLI needs none of it
+def _loaded_by_cli_import(module):
+    """Whether a fresh interpreter has `module` loaded after `import urcd.cli`."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, urcd.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, urcd.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes most of a second to import; the CLI needs none of it
+    assert not _loaded_by_cli_import("scipy.stats")
+
+
+def test_import_does_not_load_scipy_optimize():
+    # w1_exact imports scipy.optimize only for the pairs it sends to
+    # linear_sum_assignment; at module level it would add ~0.2 s here
+    assert not _loaded_by_cli_import("scipy.optimize")

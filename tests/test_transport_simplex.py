@@ -2,16 +2,25 @@
 
 ``_former_solve_transport`` is the earlier solver, which recomputed the
 duals, the cycle and the objective from scratch on every pivot; it is kept
-here only as a reference, with counters added.  The tree-keeping solver
-must make the same pivots and return the same coupling bit for bit, and
-both must agree with the HiGHS LP.
+here only as a reference, with counters added.  It starts from the
+north-west corner, as it did, or from a starting flow it is given.  From
+the production least-cost start, the tree-keeping solver must make the same
+pivots and return the same coupling bit for bit; from the north-west
+corner, the former solver may reach another optimal vertex, so only the
+costs must agree, to 1e-12 (see ``_close``).  Everything must agree with
+the HiGHS LP.  Equal-size uniform pairs are assignment problems, which ``w1_exact``
+solves without the simplex.
 """
 
+from unittest import mock
+
 import numpy as np
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urcd.measures import _distance_matrix, _solve_transport, make_empirical, w1_exact
+from urcd.measures import (_distance_matrix, _least_cost_start, _solve_transport,
+                           make_empirical, w1_exact)
 
 from lp_oracle import lp_oracle
 
@@ -60,10 +69,16 @@ def _former_tree_path(adj, start, goal):
     return path
 
 
-def _former_solve_transport(a, b, cost):
-    """Returns (F, pivots, degenerate pivots, whether Bland's rule fired)."""
+def _former_solve_transport(a, b, cost, start=None):
+    """Returns (F, pivots, degenerate pivots, whether Bland's rule fired).
+
+    `start` maps basis cells to flows, in basis order; by default the
+    north-west corner."""
     k, m = cost.shape
-    basis, flow = _former_northwest_corner(a, b)
+    if start is None:
+        basis, flow = _former_northwest_corner(a, b)
+    else:
+        basis, flow = list(start), dict(start)
 
     adj = {node: [] for node in range(k + m)}
     for (i, j) in basis:
@@ -145,25 +160,67 @@ def _former_solve_transport(a, b, cost):
     return F, pivots, degenerate, bland
 
 
-def _former_w1_exact(mu, nu):
-    """``w1_exact``'s zero-weight handling around the former solver."""
-    cost = _distance_matrix(mu, nu)
+def _close(x, y, cost):
+    """Within 1e-12 relative to the larger of `y` and the largest ground
+    distance: flows carry rounding of order eps absolutely, so a cost much
+    below the ground distances (mass 1e-6 moved by 1) may differ by more
+    than 1e-12 of itself."""
+    return abs(x - y) <= 1e-12 * max(abs(y), float(cost.max()))
+
+
+def _positive(mu, nu):
+    """``w1_exact``'s zero-weight filter: (a, b, cost, ia, ib)."""
     ia = np.flatnonzero(mu.weights > 0.0)
     ib = np.flatnonzero(nu.weights > 0.0)
     a = mu.weights[ia] / mu.weights[ia].sum()
     b = nu.weights[ib] / nu.weights[ib].sum()
-    sub, *stats = _former_solve_transport(a, b, cost[np.ix_(ia, ib)])
+    return a, b, _distance_matrix(mu, nu)[np.ix_(ia, ib)], ia, ib
+
+
+def _is_assignment(mu, nu):
+    a, b, *_ = _positive(mu, nu)
+    return a.size == b.size and np.all(a == a[0]) and np.all(b == b[0])
+
+
+def _former_w1_exact(mu, nu, least_cost):
+    """``w1_exact``'s zero-weight handling around the former solver, started
+    from the least-cost basis or from the north-west corner."""
+    a, b, cost, ia, ib = _positive(mu, nu)
+    start = _least_cost_start(a, b, cost) if least_cost else None
+    sub, *stats = _former_solve_transport(a, b, cost, start)
     coupling = np.zeros((mu.n_atoms, nu.n_atoms))
     coupling[np.ix_(ia, ib)] = sub
     return coupling, stats
 
 
 def _assert_same_as_former(mu, nu):
+    """Simplex pairs: the least-cost former solver bit for bit.  Assignment
+    pairs: no pivots.  Both: the north-west former solver's cost."""
     plan = w1_exact(mu, nu)
-    coupling, stats = _former_w1_exact(mu, nu)
-    assert np.array_equal(plan.coupling, coupling)
-    assert [plan.pivots, plan.degenerate_pivots, plan.bland] == stats
+    if _is_assignment(mu, nu):
+        assert (plan.pivots, plan.degenerate_pivots, plan.bland) == (0, 0, False)
+    else:
+        coupling, stats = _former_w1_exact(mu, nu, least_cost=True)
+        assert np.array_equal(plan.coupling, coupling)
+        assert [plan.pivots, plan.degenerate_pivots, plan.bland] == stats
+    nw_coupling, _ = _former_w1_exact(mu, nu, least_cost=False)
+    cost = _distance_matrix(mu, nu)
+    assert _close(plan.cost, float(np.sum(nw_coupling * cost)), cost)
     return plan
+
+
+def _assert_solve_same_as_former(a, b, cost):
+    """``_solve_transport`` against the former solver: bit for bit from the
+    least-cost start, the cost from the north-west corner.  Returns the
+    stats."""
+    F, *stats = _solve_transport(a, b, cost)
+    old_F, *old_stats = _former_solve_transport(a, b, cost,
+                                                _least_cost_start(a, b, cost))
+    assert np.array_equal(F, old_F)
+    assert stats == old_stats
+    nw_F, *_ = _former_solve_transport(a, b, cost)
+    assert _close(float(np.sum(F * cost)), float(np.sum(nw_F * cost)), cost)
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +278,13 @@ _PAIRS = st.sampled_from(["random", "uniform", "duplicates", "zeros",
                           "single"]).flatmap(_pair)
 
 
+def _near_additive(rng, k, m):
+    """Costs u_i + v_j plus noise below 0.1: the least-cost start cannot
+    rank the cells, so the simplex still has many pivots to make."""
+    return (rng.uniform(0, 3, size=(k, 1)) + rng.uniform(0, 3, size=(1, m))
+            + rng.uniform(0, 0.1, size=(k, m)))
+
+
 # ---------------------------------------------------------------------------
 # same pivots, same coupling
 # ---------------------------------------------------------------------------
@@ -237,10 +301,7 @@ def test_solve_transport_matches_former_solver(k, m, seed, square_uniform):
         b = rng.uniform(0.01, 1.0, size=m)
         a, b = a / a.sum(), b / b.sum()
     cost = rng.uniform(0.0, 3.0, size=(k, m))
-    F, *stats = _solve_transport(a, b, cost)
-    old_F, *old_stats = _former_solve_transport(a, b, cost)
-    assert np.array_equal(F, old_F)
-    assert stats == old_stats
+    _assert_solve_same_as_former(a, b, cost)
 
 
 @settings(max_examples=200)
@@ -254,29 +315,39 @@ def test_pivot_counts_match_former_solver():
     gauss = _assert_same_as_former(make_empirical(rng.normal(size=(40, 2))),
                                    make_empirical(rng.normal(size=(30, 2)),
                                                   rng.dirichlet(np.ones(30))))
-    assert (gauss.pivots, gauss.degenerate_pivots, gauss.bland) == (139, 0, False)
+    assert (gauss.pivots, gauss.degenerate_pivots, gauss.bland) == (41, 0, False)
+
+    # equal-size uniform pairs are assignments in w1_exact, so the simplex
+    # is pinned on them directly; on repeated atoms the least-cost start
+    # matches coincident atoms first and is already optimal
     pool = rng.normal(size=(4, 2))
-    repeated = _assert_same_as_former(make_empirical(pool[rng.integers(0, 4, size=40)]),
-                                      make_empirical(pool[rng.integers(0, 4, size=40)]))
-    assert (repeated.pivots, repeated.degenerate_pivots, repeated.bland) == (83, 78, False)
+    mu = make_empirical(pool[rng.integers(0, 4, size=40)])
+    nu = make_empirical(pool[rng.integers(0, 4, size=40)])
+    assert _assert_solve_same_as_former(mu.weights, nu.weights,
+                                        _distance_matrix(mu, nu)) == [0, 0, False]
+    plan = _assert_same_as_former(mu, nu)
+    assert (plan.pivots, plan.degenerate_pivots, plan.bland) == (0, 0, False)
+    # uniform, unequal sizes: the simplex, with degenerate pivots
+    unequal = _assert_same_as_former(make_empirical(rng.normal(size=(50, 2))),
+                                     make_empirical(rng.normal(size=(25, 2))))
+    assert (unequal.pivots, unequal.degenerate_pivots, unequal.bland) == (35, 29, False)
 
     # all but one atom on each side carry ~1e-14: the pivots move too little
     # mass to count as progress, so Bland's rule takes over
-    rng = np.random.default_rng(2)
+    rng = np.random.default_rng(0)
     a = rng.uniform(1, 2, size=30) * 1e-14
     b = rng.uniform(1, 2, size=30) * 1e-14
     a[0] = b[-1] = 1.0
     a, b = a / a.sum(), b / b.sum()
-    cost = rng.uniform(0, 3, size=(30, 30))
-    F, *stats = _solve_transport(a, b, cost)
-    old_F, *old_stats = _former_solve_transport(a, b, cost)
-    assert np.array_equal(F, old_F)
-    assert stats == old_stats == [106, 0, True]
+    cost = _near_additive(rng, 30, 30)
+    assert _assert_solve_same_as_former(a, b, cost) == [120, 0, True]
 
 
 def test_stall_rule_matches_former_solver():
     """Flows of ~1e-13.5 to 1e-11 put theta * reduced cost near the stall
-    threshold, so when Bland's rule starts decides the pivots."""
+    threshold, so when Bland's rule starts decides the pivots.  Nearly
+    additive costs keep the least-cost start far enough from the optimum
+    for the stall counter to run out."""
     blands = 0
     for seed in range(80):
         rng = np.random.default_rng(seed)
@@ -286,11 +357,7 @@ def test_stall_rule_matches_former_solver():
         b = rng.uniform(0.5, 2, size=m) * scale
         a[rng.integers(k)] = b[rng.integers(m)] = 1.0
         a, b = a / a.sum(), b / b.sum()
-        cost = rng.uniform(0, 3, size=(k, m))
-        F, *stats = _solve_transport(a, b, cost)
-        old_F, *old_stats = _former_solve_transport(a, b, cost)
-        assert np.array_equal(F, old_F)
-        assert stats == old_stats
+        stats = _assert_solve_same_as_former(a, b, _near_additive(rng, k, m))
         blands += stats[2]
     assert blands > 0
 
@@ -307,3 +374,114 @@ def test_w1_exact_edge_cases_match_lp(pair):
     assert abs(plan.cost - lp_oracle(mu, nu)) < 1e-8
     assert np.abs(plan.coupling.sum(axis=1) - mu.weights).max() < 1e-8
     assert np.abs(plan.coupling.sum(axis=0) - nu.weights).max() < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the least-cost starting basis
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200)
+@given(_PAIRS)
+def test_least_cost_start_is_a_feasible_spanning_tree(pair):
+    """Fed the raw weights, zeros included: k + m - 1 cells that join every
+    row and column without a cycle, non-negative flows, exact marginals."""
+    mu, nu = pair
+    a, b = mu.weights, nu.weights
+    k, m = a.size, b.size
+    flow = _least_cost_start(a, b, _distance_matrix(mu, nu))
+    assert len(flow) == k + m - 1
+
+    root = list(range(k + m))          # union-find over rows 0..k-1, columns k..
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for i, j in flow:
+        ri, rj = find(i), find(k + j)
+        assert ri != rj                 # a cycle would join joined nodes
+        root[ri] = rj
+    assert len({find(x) for x in range(k + m)}) == 1
+
+    F = np.zeros((k, m))
+    for (i, j), t in flow.items():
+        F[i, j] = t
+    assert F.min() >= 0.0
+    assert np.abs(F.sum(axis=1) - a).max() <= 1e-12
+    assert np.abs(F.sum(axis=0) - b).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# equal-size uniform pairs: the assignment path
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _assignment_pair(draw):
+    """Uniform weights on n positive atoms per side; atoms may repeat, and
+    either side may carry extra atoms of weight zero."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 10))
+    pool = draw(st.sampled_from([None, 1, 3]))
+    sides = []
+    for _ in range(2):
+        zeros = draw(st.integers(0, 3))
+        atoms = draw(_atoms(n + zeros, dim, pool))
+        w = np.zeros(n + zeros)
+        w[draw(st.permutations(range(n + zeros)))[:n]] = 1.0 / n
+        sides.append(make_empirical(atoms, w) if zeros else make_empirical(atoms))
+    return tuple(sides)
+
+
+@settings(max_examples=200)
+@given(_assignment_pair())
+def test_assignment_path_matches_lp_and_simplex(pair):
+    mu, nu = pair
+    assert _is_assignment(mu, nu)
+    plan = w1_exact(mu, nu)
+    assert (plan.pivots, plan.degenerate_pivots, plan.bland) == (0, 0, False)
+    assert abs(plan.cost - lp_oracle(mu, nu)) < 1e-8
+    a, b, cost, ia, ib = _positive(mu, nu)
+    F, *_ = _solve_transport(a, b, cost)
+    assert _close(plan.cost, float(np.sum(F * cost)), cost)
+
+    # a permutation of the positive atoms, each matched with mass 1/n
+    n = ia.size
+    sub = plan.coupling[np.ix_(ia, ib)]
+    assert np.array_equal(np.count_nonzero(sub, axis=0), np.ones(n))
+    assert np.array_equal(np.count_nonzero(sub, axis=1), np.ones(n))
+    assert np.allclose(sub[sub > 0], 1.0 / n, rtol=1e-15, atol=0.0)
+    assert np.count_nonzero(plan.coupling) == n
+
+
+@st.composite
+def _simplex_pair(draw):
+    """Not an assignment: unequal numbers of positive atoms, or (at equal
+    numbers) weights that are not all equal on one side."""
+    dim = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 10).filter(lambda m: m != k))
+        return (draw(_measure(k, dim, "uniform")), draw(_measure(m, dim, "uniform")))
+    k = max(k, 2)
+    mu, nu = draw(_measure(k, dim, "uniform")), draw(_measure(k, dim, "uniform"))
+    w = np.full(k, 1.0)
+    w[draw(st.integers(0, k - 1))] = draw(st.sampled_from([0.5, 2.0]))
+    skewed = make_empirical(nu.atoms, w / w.sum())
+    return (mu, skewed) if draw(st.booleans()) else (skewed, mu)
+
+
+@settings(max_examples=100)
+@given(_simplex_pair())
+def test_other_pairs_go_through_the_simplex(pair):
+    mu, nu = pair
+    assert not _is_assignment(mu, nu)
+    with mock.patch.object(scipy.optimize, "linear_sum_assignment",
+                           side_effect=AssertionError("assignment path taken")):
+        plan = w1_exact(mu, nu)
+    a, b, cost, ia, ib = _positive(mu, nu)
+    F, *stats = _solve_transport(a, b, cost)
+    assert np.array_equal(plan.coupling[np.ix_(ia, ib)], F)
+    assert [plan.pivots, plan.degenerate_pivots, plan.bland] == stats
+
