@@ -1,16 +1,17 @@
 """Dense feedforward networks with hand-rolled backprop and Adam.
 
-Networks are plain dataclasses over numpy arrays.  The forward map applies
-the activation componentwise after every affine layer except the last one.
+Networks are plain dataclasses over numpy arrays: an ``Mlp``'s weights and
+biases view one flat vector ``params`` (weights, then biases), the layout
+of its gradients too.  The forward map applies the activation
+componentwise after every affine layer except the last one.
 ``forward_cache``/``backprop`` expose the reverse-mode core, and
 ``fit_epochs`` is the one minibatch-Adam loop, so other modules train the
 same networks under their own losses.  ``cross_entropy_grad`` takes a batch
 as an input array and a one-hot label array, so a trainer builds both once
 per fit and passes row slices; ``mean_nll`` is its loss expression, for a
-loss that needs no gradient.  ``adam_step`` updates all weights
-and biases of a network as one flat vector (weights, then biases), so a
-step costs a handful of numpy operations whatever the depth.
-``NetConfig``/``FitConfig`` declare the training settings they share.
+loss that needs no gradient.  ``adam_step`` updates the flat vector
+elementwise, so a step costs a handful of numpy operations whatever the
+depth.  ``NetConfig``/``FitConfig`` declare the training settings they share.
 
 Everything is deterministic: initialization is seeded, and gradient /
 optimizer updates are pure functions returning fresh objects.
@@ -18,7 +19,8 @@ optimizer updates are pure functions returning fresh objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -32,6 +34,16 @@ _ACTIVATIONS = {
 }
 
 
+def _views(flat: np.ndarray, shapes) -> list:
+    """Consecutive slices of flat, reshaped to shapes (no copy)."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
 @dataclass(frozen=True)
 class Mlp:
     """Fully-connected network.
@@ -40,25 +52,37 @@ class Mlp:
     weights    : weights[j] has shape (layer_dims[j], layer_dims[j+1])
     biases     : biases[j] has shape (layer_dims[j+1],)
     activation : one of relu / tanh / sigmoid / identity
+    params     : the flat float64 vector they view; the constructor (and so
+                 ``dataclasses.replace``) copies into a new one, while
+                 ``with_params`` wraps a given one
     """
 
     layer_dims: tuple
     weights: tuple
     biases: tuple
     activation: str = "relu"
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: InitVar[np.ndarray | None] = None
 
+    def __post_init__(self, flat):
+        arrays = (*self.weights, *self.biases)
+        if flat is None:
+            flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+        views = _views(flat, [np.shape(a) for a in arrays])
+        layers = len(self.weights)
+        object.__setattr__(self, "params", flat)
+        object.__setattr__(self, "weights", tuple(views[:layers]))
+        object.__setattr__(self, "biases", tuple(views[layers:]))
 
-@dataclass(frozen=True)
-class Grads:
-    """Parameter-shaped gradient collection mirroring an Mlp."""
-
-    weights: tuple
-    biases: tuple
+    def with_params(self, params: np.ndarray) -> Mlp:
+        """This network's shape over the flat vector params, taken as is."""
+        return Mlp(self.layer_dims, self.weights, self.biases, self.activation,
+                   flat=params)
 
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Adam moments of one network, flat in ``adam_step``'s parameter order."""
+    """Adam moments of one network, flat in ``Mlp.params`` order."""
 
     step: int
     m: np.ndarray
@@ -120,7 +144,7 @@ def init_mlp(layer_dims, activation: str = "relu",
 
 def n_params(net: Mlp) -> int:
     """Exact trainable-parameter count: sum_j (d_j * d_{j+1} + d_{j+1})."""
-    return sum(w.size + b.size for w, b in zip(net.weights, net.biases))
+    return net.params.size
 
 
 def forward_cache(net: Mlp, X: np.ndarray):
@@ -139,18 +163,22 @@ def forward_cache(net: Mlp, X: np.ndarray):
     return post[-1], pre, post
 
 
-def backprop(net: Mlp, pre, post, d_out: np.ndarray) -> Grads:
-    """Reverse-mode accumulation from d(loss)/d(output) back to parameters."""
+def backprop(net: Mlp, pre, post, d_out: np.ndarray) -> np.ndarray:
+    """Reverse-mode accumulation from d(loss)/d(output) back to parameters.
+
+    Returns the gradient as one flat vector in ``net.params`` order.
+    """
     _, dact = _ACTIVATIONS[net.activation]
-    gw = [None] * len(net.weights)
-    gb = [None] * len(net.biases)
+    grad = np.empty_like(net.params)
+    layers = len(net.weights)
+    views = _views(grad, [a.shape for a in (*net.weights, *net.biases)])
     delta = d_out
-    for j in range(len(net.weights) - 1, -1, -1):
-        gw[j] = post[j].T @ delta
-        gb[j] = delta.sum(axis=0)
+    for j in range(layers - 1, -1, -1):
+        np.matmul(post[j].T, delta, out=views[j])
+        delta.sum(axis=0, out=views[layers + j])
         if j > 0:
             delta = (delta @ net.weights[j].T) * dact(pre[j - 1])
-    return Grads(weights=tuple(gw), biases=tuple(gb))
+    return grad
 
 
 def mlp_forward(net: Mlp, x) -> np.ndarray:
@@ -190,7 +218,7 @@ def cross_entropy_grad(net: Mlp, X, Y):
     """Mean negative log-likelihood of softmax outputs, with its gradient.
 
     X : (n, d_in) inputs; Y : (n, d_out) one-hot labels, whose length must
-    equal the network output dimension.  Returns (loss, Grads).
+    equal the network output dimension.  Returns (loss, flat gradient).
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -202,8 +230,8 @@ def cross_entropy_grad(net: Mlp, X, Y):
         raise ValueError("inputs and labels must have the same number of rows")
     logits, pre, post = forward_cache(net, X)
     p = softmax(logits)
-    grads = backprop(net, pre, post, (p - Y) / X.shape[0])
-    return mean_nll(p, Y), grads
+    grad = backprop(net, pre, post, (p - Y) / X.shape[0])
+    return mean_nll(p, Y), grad
 
 
 def init_adam(net: Mlp, learning_rate: float = 1e-2, beta1: float = 0.9,
@@ -213,48 +241,31 @@ def init_adam(net: Mlp, learning_rate: float = 1e-2, beta1: float = 0.9,
                           beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(net: Mlp, state: OptimizerState, grads: Grads):
-    """One bias-corrected Adam update; returns (new net, new state).
-
-    Parameters and gradients are flattened into one vector each (weights,
-    then biases) and updated elementwise; the new network's arrays are views
-    of the new vector.  Inputs are not modified.
-    """
-    params = (*net.weights, *net.biases)
-    gparams = (*grads.weights, *grads.biases)
-    if (len(grads.weights) != len(net.weights)
-            or [np.shape(a) for a in gparams] != [a.shape for a in params]):
-        raise ValueError("gradient shapes do not match the network")
-    p = np.concatenate([a.ravel() for a in params])
-    g = np.concatenate([np.asarray(a).ravel() for a in gparams])
-    if state.m.shape != p.shape or state.v.shape != p.shape:
+def adam_step(net: Mlp, state: OptimizerState, grad: np.ndarray):
+    """One bias-corrected Adam update of ``net.params`` by the flat gradient
+    grad; returns (new net, new state).  Inputs are not modified."""
+    if np.shape(grad) != net.params.shape:
+        raise ValueError("gradient shape does not match the network")
+    if state.m.shape != grad.shape or state.v.shape != grad.shape:
         raise ValueError("optimizer state does not match the network")
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
-    m = b1 * state.m + (1 - b1) * g
-    v = b2 * state.v + (1 - b2) * g * g
+    m = b1 * state.m + (1 - b1) * grad
+    v = b2 * state.v + (1 - b2) * grad * grad
     mhat = m / (1 - b1 ** t)
     vhat = v / (1 - b2 ** t)
-    p = p - state.learning_rate * mhat / (np.sqrt(vhat) + state.eps)
-
-    views, start = [], 0
-    for a in params:
-        views.append(p[start:start + a.size].reshape(a.shape))
-        start += a.size
-    layers = len(net.weights)
-    new_net = Mlp(layer_dims=net.layer_dims, weights=tuple(views[:layers]),
-                  biases=tuple(views[layers:]), activation=net.activation)
-    return new_net, OptimizerState(step=t, m=m, v=v,
-                                   learning_rate=state.learning_rate,
-                                   beta1=b1, beta2=b2, eps=state.eps)
+    params = net.params - state.learning_rate * mhat / (np.sqrt(vhat) + state.eps)
+    return net.with_params(params), OptimizerState(
+        step=t, m=m, v=v, learning_rate=state.learning_rate, beta1=b1, beta2=b2,
+        eps=state.eps)
 
 
 def fit_epochs(nets, loss_grad, n: int, cfg: NetConfig, rng):
     """Minibatch Adam over n training rows; yields the networks after each epoch.
 
-    loss_grad(nets, rows) returns one Grads per network for the index array
-    rows.  Each network keeps its own Adam state.  Rows are reshuffled every
-    epoch only when a batch is smaller than n.
+    loss_grad(nets, rows) returns one flat gradient per network for the index
+    array rows.  Each network keeps its own Adam state.  Rows are reshuffled
+    every epoch only when a batch is smaller than n.
     """
     nets = tuple(nets)
     states = [init_adam(net, learning_rate=cfg.learning_rate) for net in nets]
@@ -276,38 +287,18 @@ def grad_check(net: Mlp, batch, h: float = 1e-5) -> float:
         raise ValueError("batch must be non-empty")
     X = np.array([np.asarray(x, dtype=float) for x, _ in batch])
     Y = np.array([np.asarray(y, dtype=float) for _, y in batch])
-    _, grads = cross_entropy_grad(net, X, Y)
+    _, grad = cross_entropy_grad(net, X, Y)
 
-    def loss_with(weights, biases):
-        probe = replace(net, weights=weights, biases=biases)
-        loss, _ = cross_entropy_grad(probe, X, Y)
-        return loss
+    def loss_at(idx, step):
+        bumped = net.params.copy()
+        bumped[idx] += step
+        return cross_entropy_grad(net.with_params(bumped), X, Y)[0]
 
     worst = 0.0
-    for kind in ("weights", "biases"):
-        params = list(getattr(net, kind))
-        analytic = getattr(grads, kind)
-        for li, arr in enumerate(params):
-            flat = arr.ravel()
-            for idx in range(flat.size):
-                bumped = arr.copy().ravel()
-                bumped[idx] += h
-                plus = list(params)
-                plus[li] = bumped.reshape(arr.shape)
-                bumped = arr.copy().ravel()
-                bumped[idx] -= h
-                minus = list(params)
-                minus[li] = bumped.reshape(arr.shape)
-                if kind == "weights":
-                    lp = loss_with(tuple(plus), net.biases)
-                    lm = loss_with(tuple(minus), net.biases)
-                else:
-                    lp = loss_with(net.weights, tuple(plus))
-                    lm = loss_with(net.weights, tuple(minus))
-                numeric = (lp - lm) / (2 * h)
-                a = analytic[li].ravel()[idx]
-                err = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-8)
-                worst = max(worst, err)
+    for idx, a in enumerate(grad):
+        numeric = (loss_at(idx, h) - loss_at(idx, -h)) / (2 * h)
+        err = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-8)
+        worst = max(worst, err)
     return worst
 
 

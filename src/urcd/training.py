@@ -5,6 +5,12 @@ nearest-center labeling happen purely in input space, and the classifier is
 then fit by cross-entropy.  This module intentionally has no dependency on
 the Wasserstein solvers.
 
+``train_dnm`` logs every epoch's full-training-set loss and the final label
+accuracy with the bits a forward pass after each epoch would give, but
+skips work the loop already did or cannot change: with a full batch, step
+t + 1's loss is epoch t's, and a one-center classifier, whose gradient is
+exactly zero, is not trained at all.
+
 Dataset files are line-delimited JSON, one record per input:
 ``{"x": [...], "samples": [[...], ...]}``, where the samples are the i.i.d.
 draws defining the target measure at x.  The train/test split lives in a
@@ -27,7 +33,6 @@ from urcd.neural import (
     FitConfig,
     cross_entropy_grad,
     fit_epochs,
-    forward_batch,
     forward_cache,
     init_mlp,
     mean_nll,
@@ -187,16 +192,39 @@ def train_dnm(data: Dataset, cfg: TrainConfig):
     net = init_mlp([d, *cfg.hidden_dims, cfg.n_centers],
                    activation=cfg.activation, rng=rng)
 
-    def loss_grad(nets, rows):
-        return (cross_entropy_grad(nets[0], inputs[rows], labels[rows])[1],)
-
-    losses = []
-    for (net,) in fit_epochs((net,), loss_grad, len(inputs), cfg, rng):
+    def forward_loss(net):
         logits, _, _ = forward_cache(net, inputs)
-        losses.append(mean_nll(softmax(logits), labels))
+        return mean_nll(softmax(logits), labels), logits
 
-    predictions = forward_batch(net, inputs).argmax(axis=1)
-    accuracy = float((predictions == labels.argmax(axis=1)).mean())
+    n = len(inputs)
+    if cfg.n_centers == 1 and np.isfinite(inputs).all():
+        # One class: the softmax of a single finite logit is exactly 1.0, the
+        # label, so p - y is 0 and, with finite inputs, every gradient entry
+        # is +-0; Adam's moments stay +0 and each step subtracts +0 from every
+        # parameter.  fit_epochs would return this network unchanged and log
+        # this loss every epoch, so it is skipped.
+        loss, logits = forward_loss(net)
+        losses = [loss] * cfg.epochs
+    else:
+        step_losses, losses = [], []
+
+        def loss_grad(nets, rows):
+            loss, grad = cross_entropy_grad(nets[0], inputs[rows], labels[rows])
+            step_losses.append(loss)
+            return (grad,)
+
+        full_batch = min(cfg.batch_size or n, n) == n
+        for (net,) in fit_epochs((net,), loss_grad, n, cfg, rng):
+            if not full_batch:
+                loss, logits = forward_loss(net)
+                losses.append(loss)
+        if full_batch:
+            # step t + 1 starts from epoch t's network on the same rows, so
+            # its loss is epoch t's; only the last epoch needs a forward pass
+            loss, logits = forward_loss(net)
+            losses = [*step_losses[1:], loss]
+
+    accuracy = float((logits.argmax(axis=1) == labels.argmax(axis=1)).mean())
 
     model = DnmModel(feature_map=identity_feature_map(d), classifier=net,
                      atoms=atoms)

@@ -1,9 +1,10 @@
 """Bit-level contract of one training step.
 
-``adam_step`` updates a network as one flat vector, and ``mdn_fit`` matches
-the targets of a whole minibatch at once.  The property tests compare both
-with the per-layer Adam update and the per-row greedy matching they
-replaced, which are kept below as the reference, with ``np.array_equal``.
+``adam_step`` updates a network's flat parameter vector, and ``mdn_fit``
+matches the targets of a whole minibatch at once.  The property tests
+compare both with the per-layer Adam update and the per-row greedy matching
+they replaced, which are kept below as the reference, with
+``np.array_equal``.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from urcd.baselines import _greedy_match, _mdn_output_grad
-from urcd.neural import Grads, Mlp, adam_step, init_adam, softmax
+from urcd.neural import Mlp, adam_step, init_adam, softmax
 
 # ---------------------------------------------------------------------------
 # reference: per-layer Adam
@@ -44,14 +45,17 @@ def _net_and_grads(draw):
                             for a, b in zip(dims[:-1], dims[1:])),
               biases=tuple(rng.normal(size=b) for b in dims[1:]),
               activation="tanh")
-    # gradients over many scales, with exact zeros mixed in
-    grads = [Grads(weights=tuple(rng.normal(size=w.shape) * 10.0 ** rng.integers(-8, 4)
-                                 * (rng.random(w.shape) < 0.8)
-                                 for w in net.weights),
-                   biases=tuple(rng.normal(size=b.shape) * 10.0 ** rng.integers(-8, 4)
-                                for b in net.biases))
+    # per-layer gradients over many scales, with exact zeros mixed in
+    grads = [[*(rng.normal(size=w.shape) * 10.0 ** rng.integers(-8, 4)
+                * (rng.random(w.shape) < 0.8) for w in net.weights),
+              *(rng.normal(size=b.shape) * 10.0 ** rng.integers(-8, 4)
+                for b in net.biases)]
              for _ in range(steps)]
     return net, grads, lr
+
+
+def _flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
 
 
 @given(_net_and_grads())
@@ -62,29 +66,29 @@ def test_flat_adam_matches_per_layer_update(case):
     ms = [np.zeros_like(p) for p in params]
     vs = [np.zeros_like(p) for p in params]
     for t, g in enumerate(grads, 1):
-        net, state = adam_step(net, state, g)
-        params, ms, vs = _adam_per_layer(params, [*g.weights, *g.biases],
-                                         ms, vs, t, lr)
+        net, state = adam_step(net, state, _flat(g))
+        params, ms, vs = _adam_per_layer(params, g, ms, vs, t, lr)
         assert state.step == t
         assert len(net.weights) == len(net.biases) == len(net.layer_dims) - 1
         for got, want in zip((*net.weights, *net.biases), params):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
-        assert np.array_equal(state.m, np.concatenate([m.ravel() for m in ms]))
-        assert np.array_equal(state.v, np.concatenate([v.ravel() for v in vs]))
+        assert np.array_equal(net.params, _flat(params))
+        assert np.array_equal(state.m, _flat(ms))
+        assert np.array_equal(state.v, _flat(vs))
 
 
 @given(_net_and_grads())
 def test_adam_step_leaves_its_inputs_alone(case):
     net, grads, lr = case
     state = init_adam(net, learning_rate=lr)
-    for g in grads:
-        before = [a.copy() for a in (*net.weights, *net.biases, state.m, state.v,
-                                     *g.weights, *g.biases)]
+    for g in map(_flat, grads):
+        before = [a.copy() for a in (*net.weights, *net.biases, net.params,
+                                     state.m, state.v, g)]
         new_net, new_state = adam_step(net, state, g)
         # a further step on the result must not write through to it either
         adam_step(new_net, new_state, g)
-        after = (*net.weights, *net.biases, state.m, state.v, *g.weights, *g.biases)
+        after = (*net.weights, *net.biases, net.params, state.m, state.v, g)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
         assert state.step == new_state.step - 1
         net, state = new_net, new_state

@@ -11,7 +11,7 @@ exactly in the target matching.
 The same file pins ``train_dnm``'s training log: the bytes of every epoch
 loss and of the final label accuracy (as ``float.hex`` strings), with the
 parameter hash, for a full-batch fit, a minibatch fit and the one-center
-``const`` model.
+``const`` model (minibatch relu, full-batch relu and minibatch tanh).
 
 Regenerate the golden file (only when a change to the trained parameters
 is intended and said so) with ``PYTHONPATH=src python tests/test_golden_fits.py``.
@@ -81,6 +81,16 @@ _LOG_CASES = {
                            base_width=6),
                       dict(hidden_dims=(4,), epochs=6, batch_size=5,
                            learning_rate=2e-2, seed=12, n_centers=1)),
+    "dnm_log_const_full_batch": (dict(task="mc_dropout", d=2, size=14, S=20,
+                                      seed=11, base_width=5),
+                                 dict(hidden_dims=(5,), epochs=7,
+                                      learning_rate=2e-2, seed=13,
+                                      n_centers=1)),
+    "dnm_log_const_tanh": (dict(task="heteroscedastic", d=2, size=14, S=20,
+                                seed=12, base_width=6),
+                           dict(hidden_dims=(6, 4), activation="tanh",
+                                epochs=5, batch_size=4, learning_rate=1e-2,
+                                seed=14, n_centers=1)),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urcd.neural import (
-    Grads,
     Mlp,
+    activation_fns,
     adam_step,
     backprop,
     cross_entropy_grad,
@@ -88,9 +89,9 @@ def test_cross_entropy_saturated_logits():
               biases=(np.zeros(2),), activation="identity")
     batch = [(np.array([1.0, 0.0]), np.array([1.0, 0.0])),
              (np.array([0.0, 1.0]), np.array([0.0, 1.0]))]
-    loss, grads = _ce(net, batch)
+    loss, grad = _ce(net, batch)
     assert loss < 1e-3
-    assert max(np.abs(g).max() for g in grads.weights) < 1e-3
+    assert np.abs(grad[:net.weights[0].size]).max() < 1e-3
 
 
 def test_cross_entropy_uniform_loss():
@@ -151,9 +152,65 @@ def test_cross_entropy_arrays_match_pair_version_bitwise(seed, n, d, hidden,
     ref_loss, ref_grads = _pair_cross_entropy_grad(
         net, [(X[i], Y[i]) for i in rows])
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
-    for a, b in zip((*grads.weights, *grads.biases),
-                    (*ref_grads.weights, *ref_grads.biases)):
-        assert a.tobytes() == b.tobytes()
+    assert grads.tobytes() == ref_grads.tobytes()
+
+
+def _per_layer_backprop(net, pre, post, d_out):
+    """The earlier backprop, which returned one new array per weight and
+    bias; kept as a reference, flattened weights first, then biases."""
+    _, dact = activation_fns(net.activation)
+    gw = [None] * len(net.weights)
+    gb = [None] * len(net.biases)
+    delta = d_out
+    for j in range(len(net.weights) - 1, -1, -1):
+        gw[j] = post[j].T @ delta
+        gb[j] = delta.sum(axis=0)
+        if j > 0:
+            delta = (delta @ net.weights[j].T) * dact(pre[j - 1])
+    return np.concatenate([a.ravel() for a in (*gw, *gb)])
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 17),
+       st.lists(st.integers(1, 9), min_size=2, max_size=5),
+       st.sampled_from(["relu", "tanh", "sigmoid", "identity"]))
+def test_flat_backprop_matches_per_layer_bitwise(seed, n, dims, activation):
+    rng = np.random.default_rng(seed)
+    net = init_mlp(dims, activation=activation, rng=rng)
+    X = rng.normal(scale=2.0, size=(n, dims[0]))
+    out, pre, post = forward_cache(net, X)
+    d_out = rng.normal(size=out.shape) * 10.0 ** rng.integers(-6, 3)
+    grad = backprop(net, pre, post, d_out)
+    assert grad.shape == net.params.shape
+    ref = _per_layer_backprop(net, pre, post, d_out)
+    assert np.array_equal(grad.view(np.int64), ref.view(np.int64))
+
+
+def test_params_are_one_vector_behind_weights_and_biases():
+    rng = np.random.default_rng(14)
+    w = (rng.normal(size=(2, 3)), rng.normal(size=(3, 1)))
+    b = (rng.normal(size=3), rng.normal(size=1))
+    net = Mlp(layer_dims=(2, 3, 1), weights=w, biases=b, activation="tanh")
+    assert np.array_equal(net.params,
+                          np.concatenate([a.ravel() for a in (*w, *b)]))
+    for view in (*net.weights, *net.biases):
+        assert np.shares_memory(view, net.params)
+    # the constructor copies: the caller's arrays stay separate
+    before = w[0].copy()
+    w[0][0, 0] += 1.0
+    assert np.array_equal(net.weights[0], before)
+    # replace builds a fresh vector from the new weights, never a stale one
+    swapped = dataclasses.replace(net, weights=(np.zeros((2, 3)), w[1]))
+    assert np.array_equal(swapped.params[:6], np.zeros(6))
+    assert np.array_equal(swapped.params[6:], net.params[6:])
+    assert not np.shares_memory(swapped.params, net.params)
+    assert np.array_equal(swapped.weights[0], np.zeros((2, 3)))
+    # with_params wraps a vector as is
+    vec = np.arange(net.params.size, dtype=float)
+    wrapped = net.with_params(vec)
+    assert wrapped.params is vec
+    assert np.array_equal(wrapped.biases[1], [vec[-1]])
+    assert mlp_forward(wrapped, [0.5, -1.0]).shape == (1,)
 
 
 def test_grad_check_linear_net():
@@ -201,10 +258,9 @@ def test_adam_zero_gradient_is_identity():
     rng = np.random.default_rng(6)
     net = init_mlp([2, 3, 2], rng=rng)
     state = init_adam(net, learning_rate=0.05)
-    _, grads = _ce(
+    _, grad = _ce(
         net, [(np.zeros(2), np.array([0.5, 0.5]))])
-    zero = type(grads)(weights=tuple(np.zeros_like(g) for g in grads.weights),
-                       biases=tuple(np.zeros_like(g) for g in grads.biases))
+    zero = np.zeros_like(grad)
     new_net, new_state = adam_step(net, state, zero)
     assert new_state.step == 1
     for a, b in zip(net.weights, new_net.weights):
@@ -218,9 +274,8 @@ def test_adam_first_step_is_signed_lr():
     lr = 0.01
     state = init_adam(net, learning_rate=lr)
     g = np.array([[0.5, -2.0], [1.0, -0.25]])
-    grads_cls = _ce(net, [(np.zeros(2), np.array([1.0, 0.0]))])[1]
-    grads = type(grads_cls)(weights=(g,), biases=(np.zeros(2),))
-    new_net, _ = adam_step(net, state, grads)
+    grad = np.concatenate([g.ravel(), np.zeros(2)])
+    new_net, _ = adam_step(net, state, grad)
     update = new_net.weights[0] - net.weights[0]
     assert np.allclose(update, -lr * np.sign(g), atol=1e-6)
 
@@ -241,22 +296,24 @@ def test_adam_deterministic():
 def test_adam_shape_mismatch():
     rng = np.random.default_rng(9)
     net = init_mlp([2, 3], rng=rng)
-    _, grads = _ce(net, _random_batch(rng, 2, 2, 3))
+    _, grad = _ce(net, _random_batch(rng, 2, 2, 3))
     deep = init_mlp([2, 4, 3], rng=rng)
-    _, deep_grads = _ce(deep, _random_batch(rng, 2, 2, 3))
+    _, deep_grad = _ce(deep, _random_batch(rng, 2, 2, 3))
     cases = [
-        (net, Grads(weights=(np.zeros((5, 5)),), biases=grads.biases)),
-        # a (1,) bias gradient would broadcast over the (3,) bias
-        (net, Grads(weights=grads.weights, biases=(np.zeros(1),))),
+        (net, grad[:-1]),                            # too short
+        (net, np.append(grad, 0.0)),                 # too long
+        # a (1, P) gradient would broadcast over the (P,) moments
+        (net, grad[None, :]),
         # a one-layer gradient for a two-layer network
-        (deep, Grads(weights=deep_grads.weights[:1], biases=deep_grads.biases[:1])),
-        (deep, Grads(weights=deep_grads.weights, biases=deep_grads.biases[:1])),
+        (deep, deep_grad[:deep.weights[0].size + deep.biases[0].size]),
+        (deep, np.zeros(1)),
     ]
     for target, bad in cases:
         with pytest.raises(ValueError):
             adam_step(target, init_adam(target), bad)
+    # the optimizer state of another network
     with pytest.raises(ValueError):
-        adam_step(deep, init_adam(net), deep_grads)
+        adam_step(deep, init_adam(net), deep_grad)
 
 
 def test_loss_decreases_on_separable_problem():
@@ -271,8 +328,8 @@ def test_loss_decreases_on_separable_problem():
     state = init_adam(net, learning_rate=0.05)
     loss0, _ = _ce(net, batch)
     for _ in range(200):
-        _, grads = _ce(net, batch)
-        net, state = adam_step(net, state, grads)
+        _, grad = _ce(net, batch)
+        net, state = adam_step(net, state, grad)
     loss_final, _ = _ce(net, batch)
     assert loss_final < loss0
 

@@ -3,11 +3,22 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import urcd.measures
 import urcd.training
 from urcd.dnm import covering_radius, dnm_predict, predict_weights
 from urcd.measures import make_empirical, measures_equal
+from urcd.neural import (
+    cross_entropy_grad,
+    fit_epochs,
+    forward_batch,
+    forward_cache,
+    init_mlp,
+    mean_nll,
+    softmax,
+)
 from urcd.training import (
     Dataset,
     TrainConfig,
@@ -162,6 +173,86 @@ def test_train_deterministic_per_seed():
     assert l1.epoch_losses == l2.epoch_losses
     for a, b in zip(m1.classifier.weights, m2.classifier.weights):
         assert np.array_equal(a, b)
+
+
+def _train_dnm_full_loop(data, cfg):
+    """The classifier fit of train_dnm with no shortcut: every epoch of
+    minibatch Adam, a forward pass for each epoch loss and one more for the
+    accuracy.  Kept as the reference for train_dnm's skipped one-center fit
+    and its reuse of full-batch step losses."""
+    inputs = data.train_inputs()
+    rng = np.random.default_rng(cfg.seed)
+    centers = select_centers(inputs, cfg.n_centers, cfg.center_strategy)
+    labels = assign_labels(inputs, centers)
+    net = init_mlp([data.input_dim, *cfg.hidden_dims, cfg.n_centers],
+                   activation=cfg.activation, rng=rng)
+
+    def loss_grad(nets, rows):
+        return (cross_entropy_grad(nets[0], inputs[rows], labels[rows])[1],)
+
+    losses = []
+    for (net,) in fit_epochs((net,), loss_grad, len(inputs), cfg, rng):
+        logits, _, _ = forward_cache(net, inputs)
+        losses.append(mean_nll(softmax(logits), labels))
+    predictions = forward_batch(net, inputs).argmax(axis=1)
+    accuracy = float((predictions == labels.argmax(axis=1)).mean())
+    return net, losses, accuracy
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _assert_fit_is_full_loop(data, cfg):
+    model, log = train_dnm(data, cfg)
+    net, losses, accuracy = _train_dnm_full_loop(data, cfg)
+    assert np.array_equal(_bits(model.classifier.params), _bits(net.params))
+    assert np.array_equal(_bits(log.epoch_losses), _bits(losses))
+    assert np.array_equal(_bits(log.final_accuracy), _bits(accuracy))
+
+
+_ACTIVATION = st.sampled_from(["relu", "tanh", "sigmoid", "identity"])
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 3),
+       st.lists(st.integers(1, 6), max_size=2), _ACTIVATION,
+       st.one_of(st.none(), st.integers(1, 14)), st.integers(1, 6),
+       st.sampled_from([1e-3, 2e-2, 0.5]))
+def test_one_center_fit_equals_full_loop(seed, n, d, hidden, activation,
+                                         batch_size, epochs, lr):
+    cfg = TrainConfig(n_centers=1, hidden_dims=tuple(hidden),
+                      activation=activation, batch_size=batch_size,
+                      epochs=epochs, learning_rate=lr, seed=seed)
+    _assert_fit_is_full_loop(_toy_dataset(np.random.default_rng(seed), n, d), cfg)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 12), st.integers(1, 3),
+       st.integers(2, 3), st.lists(st.integers(1, 6), max_size=2), _ACTIVATION,
+       st.one_of(st.none(), st.integers(1, 14)), st.integers(1, 6))
+def test_fit_logs_full_loop_losses(seed, n, d, n_centers, hidden, activation,
+                                   batch_size, epochs):
+    cfg = TrainConfig(n_centers=min(n_centers, n - 1), hidden_dims=tuple(hidden),
+                      activation=activation, batch_size=batch_size,
+                      epochs=epochs, learning_rate=2e-2, seed=seed)
+    _assert_fit_is_full_loop(_toy_dataset(np.random.default_rng(seed), n, d), cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("batch_size", [None, 2])
+def test_one_center_fit_on_an_infinite_input_fails_as_the_full_loop(batch_size):
+    # a dataset file may hold Infinity; tanh keeps the logits finite, but the
+    # gradient inf * 0 is NaN, so the full loop fails on a non-finite logit
+    data = _toy_dataset(np.random.default_rng(15), n=6, d=2)
+    entries = list(data.entries)
+    entries[3] = (np.array([np.inf, 0.5]), entries[3][1])
+    data = build_dataset(entries, train_idx=range(6), test_idx=())
+    cfg = TrainConfig(n_centers=1, hidden_dims=(3,), activation="tanh",
+                      epochs=2, batch_size=batch_size, seed=2)
+    for fit in (train_dnm, _train_dnm_full_loop):
+        with pytest.raises(ValueError, match="finite"):
+            fit(data, cfg)
 
 
 def test_argmax_weight_matches_label_at_full_accuracy():
