@@ -121,8 +121,14 @@ def sample_gmm(gmm: GaussianMixture, n_samples: int,
 # shared squared-error trainer
 # ---------------------------------------------------------------------------
 
-def _fit_squared_error(net: Mlp, X, Y, cfg: FitConfig, rng):
-    """Adam on mean squared error; returns the trained network."""
+def _fit_squared_error(data, Y, cfg: FitConfig) -> Mlp:
+    """Adam on mean squared error from the training inputs to the rows of Y;
+    returns the trained network."""
+    rng = np.random.default_rng(cfg.seed)
+    X = data.train_inputs()
+    net = init_mlp([X.shape[1], *cfg.hidden_dims, Y.shape[1]],
+                   activation=cfg.activation, rng=rng)
+
     def loss_grad(nets, rows):
         out, pre, post = forward_cache(nets[0], X[rows])
         return (backprop(nets[0], pre, post, 2.0 * (out - Y[rows]) / rows.size),)
@@ -227,33 +233,28 @@ def mdn_fit(data, n_components: int, cfg: FitConfig) -> MdnModel:
     once).  Deterministic per seed.
     """
     rng = np.random.default_rng(cfg.seed)
-    train = data.train_entries()
-    X = np.array([x for x, _ in train])
-    d_in = X.shape[1]
-    D = train[0][1].dim
+    X = data.train_inputs()
+    D = data.output_dim
     K = n_components
 
     targets = []
-    for _, measure in train:
+    for _, measure in data.train_entries():
         # seed the EM init from the sample content so identical target
         # measures receive identical mixture decompositions
         content_seed = (cfg.seed * 1_000_003 + zlib.crc32(measure.atoms.tobytes())) % 2**32
-        gmm = em_fit_gmm(measure.atoms, min(K, measure.n_atoms),
-                         iters=EM_ITERS, seed=content_seed)
-        if gmm.n_components < K:      # pad tiny targets by repeating components
-            reps = [gmm.weights, gmm.means, gmm.log_stds]
-            while reps[0].size < K:
-                reps[0] = np.append(reps[0], 0.0)
-                reps[1] = np.vstack([reps[1], reps[1][-1]])
-                reps[2] = np.vstack([reps[2], reps[2][-1]])
-            gmm = GaussianMixture(weights=reps[0], means=reps[1], log_stds=reps[2])
+        n = min(K, measure.n_atoms)
+        gmm = em_fit_gmm(measure.atoms, n, iters=EM_ITERS, seed=content_seed)
+        if n < K:    # pad tiny targets by repeating the last component, weight 0
+            idx = np.minimum(np.arange(K), n - 1)
+            gmm = GaussianMixture(weights=np.append(gmm.weights, np.zeros(K - n)),
+                                  means=gmm.means[idx], log_stds=gmm.log_stds[idx])
         targets.append(gmm)
     t_weights = np.array([t.weights for t in targets])     # (N, K)
     t_means = np.array([t.means for t in targets])         # (N, K, D)
     t_log_stds = np.array([t.log_stds for t in targets])   # (N, K, D)
 
-    hidden = cfg.hidden_dims if cfg.hidden_dims else (max(8, 2 * d_in),)
-    trunk = init_mlp([d_in, *hidden], activation=cfg.activation, rng=rng)
+    hidden = cfg.hidden_dims if cfg.hidden_dims else (max(8, 2 * X.shape[1]),)
+    trunk = init_mlp([X.shape[1], *hidden], activation=cfg.activation, rng=rng)
     head = init_mlp([hidden[-1], K + 2 * K * D], activation="identity", rng=rng)
 
     def loss_grad(nets, rows):
@@ -300,31 +301,29 @@ class GaussianNetModel:
         return n_params(self.net)
 
 
-def dgn_predict_params(model: GaussianNetModel, x):
+def _dgn_head(model: GaussianNetModel, x):
+    """Predicted mean and covariance factor L at a single input."""
     D = model.out_dim
     o = mlp_forward(model.net, np.asarray(x, dtype=float))
-    mean = o[:D]
-    factor = o[D:].reshape(D, D)
+    return o[:D], o[D:].reshape(D, D)
+
+
+def dgn_predict_params(model: GaussianNetModel, x):
+    mean, factor = _dgn_head(model, x)
     return mean, factor @ factor.T
 
 
 def dgn_fit(data, cfg: FitConfig) -> GaussianNetModel:
     """Regress per-input sample mean and covariance Cholesky factor."""
-    rng = np.random.default_rng(cfg.seed)
-    train = data.train_entries()
-    X = np.array([x for x, _ in train])
-    D = train[0][1].dim
+    D = data.output_dim
     targets = []
-    for _, measure in train:
+    for _, measure in data.train_entries():
         m = measure.mean()
         diff = measure.atoms - m
         cov = (measure.weights[:, None] * diff).T @ diff
         L = np.linalg.cholesky(cov + VARIANCE_FLOOR * np.eye(D))
         targets.append(np.concatenate([m, L.ravel()]))
-    Y = np.array(targets)
-    net = init_mlp([X.shape[1], *cfg.hidden_dims, D + D * D],
-                   activation=cfg.activation, rng=rng)
-    net = _fit_squared_error(net, X, Y, cfg, rng)
+    net = _fit_squared_error(data, np.array(targets), cfg)
     return GaussianNetModel(net=net, out_dim=D)
 
 
@@ -332,10 +331,8 @@ def dgn_predict_measure(model: GaussianNetModel, x, n_samples: int,
                         seed: int) -> EmpiricalMeasure:
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    D = model.out_dim
-    o = mlp_forward(model.net, np.asarray(x, dtype=float))
-    mean, factor = o[:D], o[D:].reshape(D, D)
-    z = np.random.default_rng(seed).standard_normal((n_samples, D))
+    mean, factor = _dgn_head(model, x)
+    z = np.random.default_rng(seed).standard_normal((n_samples, model.out_dim))
     return make_empirical(mean + z @ factor.T)
 
 
@@ -354,14 +351,9 @@ class MeanDnnModel:
 
 def mean_dnn_fit(data, cfg: FitConfig) -> MeanDnnModel:
     """Squared-error regression onto the empirical means of the targets."""
-    rng = np.random.default_rng(cfg.seed)
-    train = data.train_entries()
-    X = np.array([x for x, _ in train])
-    Y = np.array([m.mean() for _, m in train])
-    net = init_mlp([X.shape[1], *cfg.hidden_dims, Y.shape[1]],
-                   activation=cfg.activation, rng=rng)
-    net = _fit_squared_error(net, X, Y, cfg, rng)
-    return MeanDnnModel(net=net, out_dim=Y.shape[1])
+    Y = np.array([m.mean() for _, m in data.train_entries()])
+    return MeanDnnModel(net=_fit_squared_error(data, Y, cfg),
+                        out_dim=data.output_dim)
 
 
 def mean_dnn_predict(model: MeanDnnModel, x) -> np.ndarray:

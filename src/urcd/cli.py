@@ -34,6 +34,7 @@ from urcd.dnm import (
 )
 from urcd.harness import (
     CSV_HEADER,
+    KNOWN_MODELS,
     HarnessConfig,
     emit_report,
     eval_model,
@@ -106,7 +107,7 @@ _TRAIN = (
 # the experiment's own settings; it reads the generator settings too
 _EXPERIMENT = (
     _row("--models", "models",
-         help="comma list: dnm,const,mdn,dgn,mean,oracle"),
+         help="comma list: " + ",".join(KNOWN_MODELS)),
     _row("--format", "format", choices=("csv", "json")),
     _row("--n-centers", "n_centers", int),
     _row("--mdn-components", "mdn_components", int), *_NET,

@@ -372,7 +372,6 @@ class SdeSampler:
     b0: float
     b1: float
     n_steps: int
-    dim: int
 
     def _mu(self, y):
         if self.drift == "zero":
@@ -428,6 +427,6 @@ def gen_sde_marginals(cfg: GeneratorConfig):
     sampler = SdeSampler(drift=cfg.sde_drift, diffusion=cfg.sde_diffusion,
                          a0=cfg.drift_a0, a1=cfg.drift_a1,
                          b0=cfg.diffusion_b0, b1=cfg.diffusion_b1,
-                         n_steps=cfg.n_steps, dim=cfg.d)
+                         n_steps=cfg.n_steps)
     inputs = _grid(cfg)
     return _build(cfg, inputs, sampler), sampler

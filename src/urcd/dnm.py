@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from urcd.measures import EmpiricalMeasure, make_empirical, mixture, w1_cost
-from urcd.neural import Mlp, mlp_forward, mlp_from_dict, mlp_to_dict, softmax
+from urcd.neural import (
+    Mlp,
+    mlp_forward,
+    mlp_from_dict,
+    mlp_to_dict,
+    n_params,
+    softmax,
+)
 
 _INV_E = math.exp(-1.0)
 
@@ -125,6 +132,9 @@ class DnmModel:
     def output_dim(self) -> int:
         return self.atoms[0].dim
 
+    def parameter_count(self) -> int:
+        return n_params(self.classifier)
+
 
 @dataclass(frozen=True)
 class RateParams:
@@ -153,17 +163,15 @@ class RateParams:
             raise ValueError("d must be a positive integer")
 
 
-def dnm_predict(model: DnmModel, x) -> EmpiricalMeasure:
-    """Softmax-weighted mixture of the atom measures at input x."""
-    feats = model.feature_map.apply(x)
-    weights = softmax(mlp_forward(model.classifier, feats))
-    return mixture(weights, model.atoms)
-
-
 def predict_weights(model: DnmModel, x) -> np.ndarray:
     """The simplex weights the model assigns to its atom measures at x."""
     feats = model.feature_map.apply(x)
     return softmax(mlp_forward(model.classifier, feats))
+
+
+def dnm_predict(model: DnmModel, x) -> EmpiricalMeasure:
+    """Softmax-weighted mixture of the atom measures at input x."""
+    return mixture(predict_weights(model, x), model.atoms)
 
 
 def covering_radius(atoms, targets) -> float:

@@ -21,6 +21,7 @@ import json
 import time
 import zlib
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -38,10 +39,9 @@ from urcd.baselines import (
 from urcd.datagen import GeneratorConfig, generate
 from urcd.dnm import dnm_predict
 from urcd.measures import w1_cost
-from urcd.neural import NetConfig, n_params
+from urcd.neural import NetConfig
 from urcd.training import Dataset, TrainConfig, build_dataset, train_dnm
 
-KNOWN_MODELS = ("oracle", "dnm", "const", "mdn", "dgn", "mean")
 ZERO_FLOOR = 1e-20   # reported values below this print as 0
 
 _STREAM_TEST = 104729    # distinct seed-stream tags
@@ -248,30 +248,31 @@ def _ball_test_inputs(data: Dataset, sampler, n_samples: int, n_test: int,
     return build_dataset(entries, train_idx=data.train_idx, test_idx=test_idx)
 
 
-def _train_model(name: str, data: Dataset, gen_cfg: GeneratorConfig,
-                 h: HarnessConfig, seed: int):
-    """Returns (predictor, parameter count)."""
-    shared = {f.name: getattr(h, f.name) for f in dataclasses.fields(NetConfig)}
-    fit_cfg = FitConfig(**shared, seed=seed)
-    if name in ("dnm", "const"):
-        n_centers = h.n_centers if name == "dnm" else 1
-        model, _ = train_dnm(data, TrainConfig(**shared, seed=seed,
-                                               n_centers=n_centers))
-        return (lambda x: dnm_predict(model, x)), n_params(model.classifier)
-    if name == "mdn":
-        model = mdn_fit(data, h.mdn_components, fit_cfg)
-        return (lambda x: mdn_predict_measure(model, x, gen_cfg.S,
-                                              _pred_seed(seed, x)),
-                model.parameter_count())
-    if name == "dgn":
-        model = dgn_fit(data, fit_cfg)
-        return (lambda x: dgn_predict_measure(model, x, gen_cfg.S,
-                                              _pred_seed(seed, x)),
-                model.parameter_count())
-    if name == "mean":
-        model = mean_dnn_fit(data, fit_cfg)
-        return (lambda x: mean_dnn_predict_measure(model, x)), model.parameter_count()
-    raise ValueError(f"unknown model {name!r}")
+class _Model(NamedTuple):
+    fit: Callable        # (data, HarnessConfig, shared settings) -> model
+    predict: Callable    # (model, x, n_samples, seed) -> EmpiricalMeasure
+    mixes_atoms: bool    # predictions mix atom measures: check the hull
+
+
+# The lambdas look up ``train_dnm``, ``dnm_predict``, ... when called, so a
+# rebinding of those module-level names reaches every entry.
+_MODELS = {
+    "dnm": _Model(lambda data, h, shared: train_dnm(
+        data, TrainConfig(**shared, n_centers=h.n_centers))[0],
+        lambda model, x, n, seed: dnm_predict(model, x), True),
+    "const": _Model(lambda data, h, shared: train_dnm(
+        data, TrainConfig(**shared, n_centers=1))[0],
+        lambda model, x, n, seed: dnm_predict(model, x), True),
+    "mdn": _Model(lambda data, h, shared: mdn_fit(
+        data, h.mdn_components, FitConfig(**shared)), mdn_predict_measure, False),
+    "dgn": _Model(lambda data, h, shared: dgn_fit(data, FitConfig(**shared)),
+                  dgn_predict_measure, False),
+    "mean": _Model(lambda data, h, shared: mean_dnn_fit(data, FitConfig(**shared)),
+                   lambda model, x, n, seed: mean_dnn_predict_measure(model, x),
+                   False),
+    "oracle": None,    # the reference itself: never trained, W1 = M = 0
+}
+KNOWN_MODELS = tuple(_MODELS)
 
 
 def _split_interval(samples, h: HarnessConfig, seed):
@@ -328,9 +329,12 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
                       np.random.SeedSequence((seed, _STREAM_PRED, i)))
         oracle_test_time = max(time.perf_counter() - t0, 1e-12)
 
+    shared = {f.name: getattr(h, f.name) for f in dataclasses.fields(NetConfig)}
+    shared["seed"] = seed
     rows = []
     for name in models:
-        if name == "oracle":
+        spec = _MODELS[name]
+        if spec is None:
             rows.append((name, Metrics(
                 w1=0.0, w1_lo=0.0, w1_hi=0.0, m=0.0, m_lo=0.0, m_hi=0.0,
                 n_par=0, train_time=0.0,
@@ -338,11 +342,15 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
             continue
         try:
             t0 = time.perf_counter()
-            predict, par = _train_model(name, data, gen_cfg, h, seed)
+            model = spec.fit(data, h, shared)
             train_time = time.perf_counter() - t0
         except Exception as exc:
             raise RuntimeError(f"[train:{name}] {exc}") from exc
-        if name in ("dnm", "const"):
+
+        def predict(x):
+            return spec.predict(model, x, gen_cfg.S, _pred_seed(seed, x))
+
+        if spec.mixes_atoms:
             _check_hull(predict, data)
         try:
             test_time = 0.0
@@ -365,7 +373,7 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
         rows.append((name, Metrics(
             w1=w1_point, w1_lo=min(w1_lo, w1_point), w1_hi=max(w1_hi, w1_point),
             m=m_point, m_lo=min(m_lo, m_point), m_hi=max(m_hi, m_point),
-            n_par=par,
+            n_par=model.parameter_count(),
             train_time=train_time if h.timings else 0.0,
             test_time_ratio=(test_time / oracle_test_time) if h.timings else 0.0)))
 

@@ -326,6 +326,12 @@ def _solve_transport(a, b, cost):
     return F, pivots, degenerate, bland
 
 
+def _positive_part(measure: EmpiricalMeasure):
+    """Indices of the atoms of positive weight, and their weights renormalised."""
+    idx = np.flatnonzero(measure.weights > 0.0)
+    return idx, measure.weights[idx] / measure.weights[idx].sum()
+
+
 def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportPlan:
     """Exact Wasserstein-1 distance with an optimal coupling.
 
@@ -342,10 +348,8 @@ def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportPlan:
     _check_same_dim(mu, nu)
     cost = _distance_matrix(mu, nu)
 
-    ia = np.flatnonzero(mu.weights > 0.0)
-    ib = np.flatnonzero(nu.weights > 0.0)
-    a = mu.weights[ia] / mu.weights[ia].sum()
-    b = nu.weights[ib] / nu.weights[ib].sum()
+    ia, a = _positive_part(mu)
+    ib, b = _positive_part(nu)
     sub_cost = cost[np.ix_(ia, ib)]
     if a.size == b.size and np.all(a == a[0]) and np.all(b == b[0]):
         # imported here: scipy.optimize would add ~0.2 s to `import urcd.cli`
@@ -405,10 +409,8 @@ def w1_sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, reg: float,
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
-    ia = np.flatnonzero(mu.weights > 0.0)
-    ib = np.flatnonzero(nu.weights > 0.0)
-    a = mu.weights[ia] / mu.weights[ia].sum()
-    b = nu.weights[ib] / nu.weights[ib].sum()
+    ia, a = _positive_part(mu)
+    ib, b = _positive_part(nu)
     C = _distance_matrix(mu, nu)[np.ix_(ia, ib)]
     loga = np.log(a)
     logb = np.log(b)

@@ -191,14 +191,6 @@ def mlp_forward(net: Mlp, x) -> np.ndarray:
     return out[0]
 
 
-def forward_batch(net: Mlp, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != net.layer_dims[0]:
-        raise ValueError("batch shape does not match the network input size")
-    out, _, _ = forward_cache(net, X)
-    return out
-
-
 def softmax(v) -> np.ndarray:
     """Numerically stabilized softmax; output sums to 1 within 1e-12."""
     v = np.asarray(v, dtype=float)

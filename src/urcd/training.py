@@ -119,7 +119,7 @@ def _medoid_objective(dist: np.ndarray, subset) -> float:
     return float(dist[:, list(subset)].min(axis=1).sum())
 
 
-def select_centers(train, n_centers: int, strategy: str = "greedy_medoids"):
+def select_centers(inputs, n_centers: int, strategy: str = "greedy_medoids"):
     """Choose distinct training indices whose points cover the inputs.
 
     The covering objective is sum_x min_n ||x - c_n||.  "exhaustive"
@@ -128,10 +128,7 @@ def select_centers(train, n_centers: int, strategy: str = "greedy_medoids"):
     at a time, each minimizing the objective given the centers already
     chosen, ties broken by lowest index.  Both are deterministic.
     """
-    if isinstance(train, Dataset):
-        inputs = train.train_inputs()
-    else:
-        inputs = np.atleast_2d(np.asarray(train, dtype=float))
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     n = inputs.shape[0]
     if not 1 <= n_centers < n:
         raise ValueError(f"need 1 <= n_centers < {n}")

@@ -236,7 +236,7 @@ def test_criterion_9_sde_moments():
     theta, sigma, x0, t = 1.0, 1.0, 1.0, 1.0
     s, n_steps = 2000, 200
     sampler = SdeSampler(drift="ou", diffusion="constant", a0=0.0, a1=-theta,
-                         b0=sigma, b1=0.0, n_steps=n_steps, dim=1)
+                         b0=sigma, b1=0.0, n_steps=n_steps)
     pts = sampler.draw(np.array([t, x0]), s, seed=1009)
     mean_err = abs(pts.mean() - x0 * math.exp(-theta * t))
     var_err = abs(pts.var() - sigma ** 2 * (1 - math.exp(-2 * theta * t))

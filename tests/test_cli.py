@@ -101,6 +101,8 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert main(experiment + ["--mdn-components", "0", "--models", "mdn"]) == 2
     assert main(experiment + ["--bootstrap", "50"]) == 2
     assert main(experiment + ["--n-test", "-1"]) == 2
+    assert main(experiment + ["--models", "mean,bogus"]) == 2
+    assert "unknown models requested: ['bogus']" in capsys.readouterr().err
     # generator settings a task does not support, by gen and by experiment
     for bad in (["--task", "elm", "--d", "5"], ["--task", "elm", "--dim-out", "2"],
                 ["--task", "sde", "--d", "1", "--dim-out", "2"],

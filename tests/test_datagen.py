@@ -171,7 +171,7 @@ def test_sde_zero_coefficients_identity():
 
 def test_sde_constant_drift_integrates_exactly():
     sampler = SdeSampler(drift="constant", diffusion="constant",
-                         a0=1.0, a1=0.0, b0=0.0, b1=0.0, n_steps=200, dim=1)
+                         a0=1.0, a1=0.0, b0=0.0, b1=0.0, n_steps=200)
     pts = sampler.draw(np.array([1.0, 0.0]), 8, seed=1)
     assert np.abs(pts - 1.0).max() < 1e-9
 
@@ -181,7 +181,7 @@ def test_sde_ou_moments_match_closed_form():
     n_steps, s = 200, 2000
     sampler = SdeSampler(drift="ou", diffusion="constant",
                          a0=0.0, a1=-theta, b0=sigma, b1=0.0,
-                         n_steps=n_steps, dim=1)
+                         n_steps=n_steps)
     pts = sampler.draw(np.array([t, x0]), s, seed=11)
     mean_exact = x0 * math.exp(-theta * t)
     var_exact = sigma ** 2 * (1 - math.exp(-2 * theta * t)) / (2 * theta)
@@ -192,7 +192,7 @@ def test_sde_ou_moments_match_closed_form():
 
 def test_sde_domain_starts_at_time_zero():
     sampler = SdeSampler(drift="ou", diffusion="constant", a0=0.0, a1=-1.0,
-                         b0=1.0, b1=0.0, n_steps=10, dim=1)
+                         b0=1.0, b1=0.0, n_steps=10)
     tx = np.array([-0.05, 0.4])
     assert np.array_equal(sampler.project(tx), [0.0, 0.4])
     assert tx[0] == -0.05                      # the input is not modified

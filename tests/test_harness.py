@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
+import urcd.harness
 from urcd.datagen import GeneratorConfig
 from urcd.harness import (
     CSV_HEADER,
@@ -208,6 +209,29 @@ def test_run_experiment_rejects_unknown_model():
     gen = GeneratorConfig(task="heteroscedastic", d=1, size=8, S=10, seed=6)
     with pytest.raises(ValueError):
         run_experiment(gen, ["gpr"], seed=6, harness=MINI_HARNESS)
+
+
+def test_run_experiment_calls_through_rebound_names(monkeypatch):
+    """Each model's fit and prediction look up the harness's module-level
+    names at call time, so rebinding them (as tracing does) sees every call."""
+    calls = dict.fromkeys(("train_dnm", "mdn_fit", "dgn_fit", "mean_dnn_fit",
+                           "dnm_predict"), 0)
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(urcd.harness, name,
+                            counting(name, getattr(urcd.harness, name)))
+    gen = GeneratorConfig(task="heteroscedastic", d=1, size=8, S=10, seed=7)
+    run_experiment(gen, ["dnm", "const", "mdn", "dgn", "mean"], seed=7,
+                   harness=MINI_HARNESS)
+    assert calls["train_dnm"] == 2
+    assert calls["mdn_fit"] == calls["dgn_fit"] == calls["mean_dnn_fit"] == 1
+    assert calls["dnm_predict"] > 0
 
 
 # ---------------------------------------------------------------------------

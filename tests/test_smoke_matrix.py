@@ -13,10 +13,10 @@ import math
 import pytest
 
 from urcd.cli import main
-from urcd.harness import parse_report_csv
+from urcd.harness import KNOWN_MODELS, parse_report_csv
 
 TASKS = ("heteroscedastic", "mc_dropout", "elm", "sde")
-MODELS = ("dnm", "const", "mdn", "dgn", "mean")
+MODELS = tuple(m for m in KNOWN_MODELS if m != "oracle")
 # the heteroscedastic and ELM tasks are scalar-valued
 UNSUPPORTED = {("heteroscedastic", 2), ("elm", 2)}
 

@@ -13,7 +13,6 @@ from urcd.measures import make_empirical, measures_equal
 from urcd.neural import (
     cross_entropy_grad,
     fit_epochs,
-    forward_batch,
     forward_cache,
     init_mlp,
     mean_nll,
@@ -194,7 +193,7 @@ def _train_dnm_full_loop(data, cfg):
     for (net,) in fit_epochs((net,), loss_grad, len(inputs), cfg, rng):
         logits, _, _ = forward_cache(net, inputs)
         losses.append(mean_nll(softmax(logits), labels))
-    predictions = forward_batch(net, inputs).argmax(axis=1)
+    predictions = forward_cache(net, inputs)[0].argmax(axis=1)
     accuracy = float((predictions == labels.argmax(axis=1)).mean())
     return net, losses, accuracy
 
