@@ -4,7 +4,7 @@ Core entry points:
 
 - ``measures``  : empirical measures and Wasserstein-1 distances
 - ``neural``    : dense networks, backprop, Adam
-- ``dnm``       : the mixture model, its diagnostics and rate calculators
+- ``dnm``       : the mixture model and its rate calculators
 - ``training``  : decoupled center-selection / classification training
 - ``baselines`` : MDN, Gaussian-head and mean regressors, MC oracle
 - ``datagen``   : synthetic measure-valued target generators

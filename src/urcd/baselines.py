@@ -64,14 +64,6 @@ def _log_gauss_diag(points, means, log_stds):
     return -0.5 * (quad + norm[None, :])
 
 
-def gmm_log_likelihood(gmm: GaussianMixture, points) -> float:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    log_p = _log_gauss_diag(points, gmm.means, gmm.log_stds)
-    log_p = log_p + np.log(np.clip(gmm.weights, 1e-300, None))[None, :]
-    mx = log_p.max(axis=1, keepdims=True)
-    return float((mx[:, 0] + np.log(np.exp(log_p - mx).sum(axis=1))).sum())
-
-
 def em_step(points, gmm: GaussianMixture) -> GaussianMixture:
     """One E + M update; never decreases the log-likelihood."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -306,11 +298,6 @@ def _dgn_head(model: GaussianNetModel, x):
     D = model.out_dim
     o = mlp_forward(model.net, np.asarray(x, dtype=float))
     return o[:D], o[D:].reshape(D, D)
-
-
-def dgn_predict_params(model: GaussianNetModel, x):
-    mean, factor = _dgn_head(model, x)
-    return mean, factor @ factor.T
 
 
 def dgn_fit(data, cfg: FitConfig) -> GaussianNetModel:

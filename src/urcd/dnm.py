@@ -1,14 +1,13 @@
-"""Classifier-gated mixtures of empirical measures, with diagnostics.
+"""Classifier-gated mixtures of empirical measures, with their rates.
 
 A model maps an input x to a probability measure by feeding phi(x) through
 a dense classifier, softmax-ing the logits, and mixing a fixed family of
 atom measures with those weights.  Every prediction therefore lies in the
 convex hull of the atom measures by construction.
 
-Also here: the covering-radius and hull-projection diagnostics used to test
-the architecture's approximation behaviour, closed-form atom-count
-calculators for Hoelder-regular targets, a Lambert-W evaluator backing the
-1-D quantizer count, and localized-neighbourhood membership.
+Also here: closed-form atom-count calculators for Hoelder-regular targets,
+a Lambert-W evaluator backing the 1-D quantizer count, and the model's JSON
+format.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from urcd.measures import EmpiricalMeasure, make_empirical, mixture, w1_cost
+from urcd.measures import EmpiricalMeasure, make_empirical, mixture
 from urcd.neural import (
     Mlp,
     mlp_forward,
@@ -174,54 +173,6 @@ def dnm_predict(model: DnmModel, x) -> EmpiricalMeasure:
     return mixture(predict_weights(model, x), model.atoms)
 
 
-def covering_radius(atoms, targets) -> float:
-    """max over targets of the W1 distance to the nearest atom measure."""
-    atoms = list(atoms)
-    targets = list(targets)
-    if not atoms or not targets:
-        raise ValueError("atoms and targets must be non-empty")
-    return max(min(w1_cost(t, a) for a in atoms) for t in targets)
-
-
-def _simplex_grid(n: int, resolution: int):
-    """All weight vectors with coordinates i/resolution on the n-simplex."""
-    if n == 1:
-        yield np.array([1.0])
-        return
-    if n == 2:
-        for i in range(resolution + 1):
-            yield np.array([i, resolution - i]) / resolution
-        return
-    for i in range(resolution + 1):
-        for j in range(resolution + 1 - i):
-            yield np.array([i, j, resolution - i - j]) / resolution
-
-
-def projection_slack(model: DnmModel, targets, grid_resolution: int):
-    """Worst prediction error and worst hull distance over target pairs.
-
-    targets : list of (x, measure) pairs.  Returns (sup_error,
-    sup_hull_dist) where the hull distance is estimated by exhaustive
-    search over a simplex grid; only tractable for up to 3 atom measures.
-    """
-    n = model.n_atoms
-    if n > 3:
-        raise ValueError("hull grid search supports at most 3 atom measures")
-    if grid_resolution < 1:
-        raise ValueError("grid_resolution must be >= 1")
-    targets = list(targets)
-    if not targets:
-        raise ValueError("targets must be non-empty")
-
-    sup_error = max(w1_cost(dnm_predict(model, x), f_x) for x, f_x in targets)
-
-    grid_measures = [mixture(beta, model.atoms)
-                     for beta in _simplex_grid(n, grid_resolution)]
-    sup_hull = max(min(w1_cost(g, f_x) for g in grid_measures)
-                   for _, f_x in targets)
-    return sup_error, sup_hull
-
-
 def n_epsilon_raw(p: RateParams, eps: float) -> float:
     """Pre-ceiling atom-count bound, strictly monotone in its arguments."""
     if eps <= 0:
@@ -320,48 +271,6 @@ def n_quantizer(eps: float, D: int, M: float) -> int:
     return math.ceil(n_quantizer_raw(eps, D, M))
 
 
-def localization_contains(train_inputs, delta: float, eta: float,
-                          x_bar, x) -> bool:
-    """Membership of x in the delta-fattening of the training points
-    lying within distance eta of the anchor x_bar.
-
-    eta = inf ignores the anchor and fattens the whole training set.
-    """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    if eta <= 0:
-        raise ValueError("eta must be positive (or inf)")
-    pts = np.atleast_2d(np.asarray(train_inputs, dtype=float))
-    x_bar = np.asarray(x_bar, dtype=float).ravel()
-    x = np.asarray(x, dtype=float).ravel()
-    if not np.any(np.all(pts == x_bar, axis=1)):
-        raise ValueError("anchor must be one of the training inputs")
-    if math.isinf(eta):
-        filtered = pts
-    else:
-        filtered = pts[np.linalg.norm(pts - x_bar, axis=1) <= eta]
-    if filtered.shape[0] == 0:
-        return False
-    return bool(np.linalg.norm(filtered - x, axis=1).min() <= delta)
-
-
-def conditional_expectation(model: DnmModel, x, f) -> float:
-    """Integral of f(y, x) against the predicted measure at x.
-
-    Computed without materializing the mixture: sum over atom measures of
-    (softmax weight) * sum_j w_j f(a_j, x).
-    """
-    weights = predict_weights(model, x)
-    x_arr = np.asarray(x, dtype=float)
-    total = 0.0
-    for wn, atom_measure in zip(weights, model.atoms):
-        vals = np.array([float(f(a, x_arr)) for a in atom_measure.atoms])
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("integrand returned a non-finite value")
-        total += wn * float(atom_measure.weights @ vals)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -399,15 +308,18 @@ def dnm_to_dict(model: DnmModel) -> dict:
 
 
 def dnm_from_dict(data: dict) -> DnmModel:
-    if data.get("format") != "urcd-dnm":
+    if not isinstance(data, dict) or data.get("format") != "urcd-dnm":
         raise ValueError("not a serialized mixture model")
     if data.get("version") != 1:
         raise ValueError(f"unsupported model format version {data.get('version')!r}")
-    atoms = tuple(make_empirical(m["atoms"], m["weights"], renormalize=False)
-                  for m in data["atoms"])
-    return DnmModel(feature_map=_feature_map_from_dict(data["feature_map"]),
-                    classifier=mlp_from_dict(data["classifier"]),
-                    atoms=atoms)
+    try:
+        atoms = tuple(make_empirical(m["atoms"], m["weights"], renormalize=False)
+                      for m in data["atoms"])
+        return DnmModel(feature_map=_feature_map_from_dict(data["feature_map"]),
+                        classifier=mlp_from_dict(data["classifier"]),
+                        atoms=atoms)
+    except KeyError as exc:
+        raise ValueError(f"model is missing the field {exc.args[0]!r}") from exc
 
 
 def save_dnm(model: DnmModel, path) -> None:
@@ -416,5 +328,9 @@ def save_dnm(model: DnmModel, path) -> None:
 
 
 def load_dnm(path) -> DnmModel:
+    """Read a saved model; a malformed file raises ValueError naming it."""
     with open(path) as fh:
-        return dnm_from_dict(json.load(fh))
+        try:
+            return dnm_from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc

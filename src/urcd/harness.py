@@ -310,6 +310,9 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
         data, sampler = generate(gen_cfg)
     except Exception as exc:
         raise RuntimeError(f"[generate] {exc}") from exc
+    if "dnm" in models and h.n_centers >= len(data.train_idx):
+        raise ValueError(f"n_centers ({h.n_centers}) must be smaller than the "
+                         f"training set ({len(data.train_idx)})")
 
     try:
         references = oracle_references(data, sampler, gen_cfg.S, seed)
@@ -436,20 +439,3 @@ def emit_report(report: ExperimentReport, fmt: str, path) -> None:
             fh.write("\n")
         return
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def parse_report_csv(path) -> list:
-    """Read back an emitted CSV into (model, Metrics) pairs."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines[0] != CSV_HEADER:
-        raise ValueError("unexpected report header")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        rows.append((parts[0], Metrics(
-            w1_lo=float(parts[1]), w1=float(parts[2]), w1_hi=float(parts[3]),
-            m_lo=float(parts[4]), m=float(parts[5]), m_hi=float(parts[6]),
-            n_par=int(parts[7]), train_time=float(parts[8]),
-            test_time_ratio=float(parts[9]))))
-    return rows

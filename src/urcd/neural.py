@@ -24,6 +24,10 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
+ADAM_BETA1 = 0.9      # Adam's moment decay rates and denominator offset
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 _ACTIVATIONS = {
     "relu": (lambda z: np.maximum(z, 0.0),
              lambda z: (z > 0.0).astype(float)),  # subgradient 0 at the kink
@@ -88,9 +92,6 @@ class OptimizerState:
     m: np.ndarray
     v: np.ndarray
     learning_rate: float
-    beta1: float
-    beta2: float
-    eps: float
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -226,11 +227,9 @@ def cross_entropy_grad(net: Mlp, X, Y):
     return mean_nll(p, Y), grad
 
 
-def init_adam(net: Mlp, learning_rate: float = 1e-2, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> OptimizerState:
+def init_adam(net: Mlp, learning_rate: float = 1e-2) -> OptimizerState:
     zeros = np.zeros(n_params(net))
-    return OptimizerState(step=0, m=zeros, v=zeros, learning_rate=learning_rate,
-                          beta1=beta1, beta2=beta2, eps=eps)
+    return OptimizerState(step=0, m=zeros, v=zeros, learning_rate=learning_rate)
 
 
 def adam_step(net: Mlp, state: OptimizerState, grad: np.ndarray):
@@ -241,15 +240,14 @@ def adam_step(net: Mlp, state: OptimizerState, grad: np.ndarray):
     if state.m.shape != grad.shape or state.v.shape != grad.shape:
         raise ValueError("optimizer state does not match the network")
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m = b1 * state.m + (1 - b1) * grad
     v = b2 * state.v + (1 - b2) * grad * grad
     mhat = m / (1 - b1 ** t)
     vhat = v / (1 - b2 ** t)
-    params = net.params - state.learning_rate * mhat / (np.sqrt(vhat) + state.eps)
+    params = net.params - state.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return net.with_params(params), OptimizerState(
-        step=t, m=m, v=v, learning_rate=state.learning_rate, beta1=b1, beta2=b2,
-        eps=state.eps)
+        step=t, m=m, v=v, learning_rate=state.learning_rate)
 
 
 def fit_epochs(nets, loss_grad, n: int, cfg: NetConfig, rng):
@@ -271,27 +269,6 @@ def fit_epochs(nets, loss_grad, n: int, cfg: NetConfig, rng):
             nets = tuple(net for net, _ in stepped)
             states = [state for _, state in stepped]
         yield nets
-
-
-def grad_check(net: Mlp, batch, h: float = 1e-5) -> float:
-    """Max relative error of analytic vs central-difference gradients."""
-    if len(batch) == 0:
-        raise ValueError("batch must be non-empty")
-    X = np.array([np.asarray(x, dtype=float) for x, _ in batch])
-    Y = np.array([np.asarray(y, dtype=float) for _, y in batch])
-    _, grad = cross_entropy_grad(net, X, Y)
-
-    def loss_at(idx, step):
-        bumped = net.params.copy()
-        bumped[idx] += step
-        return cross_entropy_grad(net.with_params(bumped), X, Y)[0]
-
-    worst = 0.0
-    for idx, a in enumerate(grad):
-        numeric = (loss_at(idx, h) - loss_at(idx, -h)) / (2 * h)
-        err = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-8)
-        worst = max(worst, err)
-    return worst
 
 
 # ---------------------------------------------------------------------------

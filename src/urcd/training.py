@@ -248,20 +248,29 @@ def load_dataset(path) -> Dataset:
     """Read a JSON-lines dataset file.
 
     The split comes from the companion file when it exists, else from the
-    deterministic 80/20 head/tail rule.
+    deterministic 80/20 head/tail rule.  A malformed record or split raises
+    ValueError naming the file (and the line).
     """
     import os
 
     entries = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            samples = np.asarray(rec["samples"], dtype=float)
-            entries.append((np.asarray(rec["x"], dtype=float),
-                            make_empirical(samples)))
+            try:
+                rec = json.loads(line)
+                if not isinstance(rec, dict) or not {"x", "samples"} <= rec.keys():
+                    raise ValueError('a record needs the fields "x" and "samples"')
+                samples = np.asarray(rec["samples"], dtype=float)
+                if samples.ndim != 2:
+                    raise ValueError('"samples" must be a list of points, '
+                                     'each a list of coordinates')
+                entries.append((np.asarray(rec["x"], dtype=float),
+                                make_empirical(samples)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if not entries:
         raise ValueError(f"no records in {path}")
 
@@ -269,5 +278,8 @@ def load_dataset(path) -> Dataset:
     if os.path.exists(split_path):
         with open(split_path) as fh:
             split = json.load(fh)
+        if not isinstance(split, dict) or not {"train", "test"} <= split.keys():
+            raise ValueError(f'{split_path}: a split needs the fields "train" '
+                             f'and "test"')
         return build_dataset(entries, split["train"], split["test"])
     return build_dataset(entries)

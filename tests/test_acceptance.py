@@ -20,7 +20,6 @@ from urcd.dnm import (
     lambert_w,
     n_epsilon,
     n_quantizer,
-    projection_slack,
 )
 from urcd.harness import HarnessConfig, bca_interval, run_experiment
 from urcd.measures import (
@@ -29,9 +28,10 @@ from urcd.measures import (
     w1_1d,
     w1_exact,
 )
-from urcd.neural import forward_cache, grad_check, init_mlp
+from urcd.neural import forward_cache, init_mlp
 from urcd.training import TrainConfig, build_dataset, train_dnm
 
+from diagnostics import grad_check, projection_slack
 from lp_oracle import lp_oracle
 
 

@@ -4,12 +4,11 @@ import pytest
 from urcd.baselines import (
     FitConfig,
     GaussianMixture,
+    _dgn_head,
     dgn_fit,
     dgn_predict_measure,
-    dgn_predict_params,
     em_fit_gmm,
     em_step,
-    gmm_log_likelihood,
     mc_oracle,
     mdn_fit,
     mdn_predict_measure,
@@ -22,6 +21,8 @@ from urcd.baselines import (
 from urcd.measures import make_empirical, w1_1d
 from urcd.neural import init_mlp, n_params
 from urcd.training import build_dataset
+
+from diagnostics import gmm_log_likelihood
 
 
 def _dataset_from(fn_mean, rng, n=30, s=50, noise=0.2, d=1):
@@ -154,7 +155,7 @@ def test_dgn_constant_mean_recovery():
     data = _dataset_from(lambda x: 1.5, rng, n=24, s=60, noise=0.3)
     model = dgn_fit(data, FitConfig(hidden_dims=(16,), epochs=400,
                                     learning_rate=5e-3, seed=0))
-    errs = [abs(dgn_predict_params(model, x)[0][0] - 1.5)
+    errs = [abs(_dgn_head(model, x)[0][0] - 1.5)
             for x, _ in data.test_entries()]
     assert np.mean(errs) < 0.05
 
@@ -167,7 +168,8 @@ def test_dgn_covariance_always_psd():
 
     model = GaussianNetModel(net=net, out_dim=D)
     for _ in range(50):
-        _, cov = dgn_predict_params(model, rng.normal(size=2))
+        _, factor = _dgn_head(model, rng.normal(size=2))
+        cov = factor @ factor.T
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
 
@@ -177,7 +179,8 @@ def test_dgn_measure_sampling_matches_params():
     model = dgn_fit(data, FitConfig(hidden_dims=(6,), epochs=30, seed=1))
     x = np.array([0.3])
     m = dgn_predict_measure(model, x, 5000, seed=5)
-    mean, cov = dgn_predict_params(model, x)
+    mean, factor = _dgn_head(model, x)
+    cov = factor @ factor.T
     assert abs(m.mean()[0] - mean[0]) < 4 * np.sqrt(cov[0, 0] / 5000) + 1e-6
 
 

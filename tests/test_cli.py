@@ -8,7 +8,9 @@ import pytest
 
 from urcd import cli, harness
 from urcd.cli import main
-from urcd.harness import HarnessConfig, parse_report_csv
+from urcd.harness import HarnessConfig
+
+from diagnostics import parse_report_csv
 
 
 def test_rates_neps(capsys):
@@ -103,6 +105,10 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert main(experiment + ["--n-test", "-1"]) == 2
     assert main(experiment + ["--models", "mean,bogus"]) == 2
     assert "unknown models requested: ['bogus']" in capsys.readouterr().err
+    # more atom measures than training points: refused before anything trains
+    assert main(experiment + ["--models", "dnm", "--n-centers", "10"]) == 2
+    assert ("n_centers (10) must be smaller than the training set"
+            in capsys.readouterr().err)
     # generator settings a task does not support, by gen and by experiment
     for bad in (["--task", "elm", "--d", "5"], ["--task", "elm", "--dim-out", "2"],
                 ["--task", "sde", "--d", "1", "--dim-out", "2"],
@@ -115,6 +121,47 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     for bad in ({"level": 0.0}, {"level": 1.0}, {"test_radius": -0.1}):
         with pytest.raises(ValueError):
             HarnessConfig(**bad)
+
+
+_RECORDS = [{"x": [i / 4], "samples": [[float(i)], [i + 0.5]]} for i in range(5)]
+
+
+@pytest.mark.parametrize("case, where", [
+    ("record without x", "data.jsonl:3"),
+    ("record without samples", "data.jsonl:3"),
+    ("flat samples", "data.jsonl:3"),
+    ("split without train", "data.jsonl.split.json"),
+    ("split without test", "data.jsonl.split.json"),
+    ("model without atoms", "model.json"),
+])
+def test_malformed_input_file_exits_2(tmp_path, capsys, case, where):
+    data, model = tmp_path / "data.jsonl", tmp_path / "model.json"
+    records = [dict(r) for r in _RECORDS]
+    if case == "record without x":
+        del records[2]["x"]
+    elif case == "record without samples":
+        del records[2]["samples"]
+    elif case == "flat samples":
+        records[2]["samples"] = [1.0, 2.0, 3.0]
+    data.write_text("".join(json.dumps(r) + "\n" for r in records))
+    if case.startswith("split"):
+        split = {"train": [0, 1, 2, 3], "test": [4]}
+        del split[case.split()[-1]]
+        (tmp_path / "data.jsonl.split.json").write_text(json.dumps(split))
+    if case == "model without atoms":
+        assert main(["train", "--data", str(data), "--n", "2", "--epochs", "2",
+                     "--hidden", "4", "--out", str(model)]) == 0
+        saved = json.loads(model.read_text())
+        del saved["atoms"]
+        model.write_text(json.dumps(saved))
+        argv = ["eval", "--model", str(model), "--data", str(data)]
+    else:
+        argv = ["train", "--data", str(data), "--n", "2", "--epochs", "2",
+                "--hidden", "4", "--out", str(model)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / where) in err
 
 
 @pytest.mark.parametrize("line", ["batch = 0", "lr = -1", "n = 2",

@@ -7,26 +7,24 @@ from urcd.dnm import (
     DnmModel,
     RateParams,
     affine_feature_map,
-    conditional_expectation,
-    covering_radius,
     dnm_from_dict,
     dnm_predict,
     dnm_to_dict,
     identity_feature_map,
     lambert_w,
     load_dnm,
-    localization_contains,
     n_epsilon,
     n_epsilon_raw,
     n_quantizer,
     n_quantizer_raw,
     predict_weights,
-    projection_slack,
     save_dnm,
     table_feature_map,
 )
-from urcd.measures import integrate, make_empirical, measures_equal, mixture, w1_exact
+from urcd.measures import make_empirical, measures_equal, mixture, w1_exact
 from urcd.neural import Mlp, init_mlp
+
+from diagnostics import covering_radius, projection_slack
 
 
 def _affine_classifier(w, b):
@@ -289,75 +287,6 @@ def test_n_quantizer_monotone_in_eps():
         vals = [n_quantizer_raw(eps, dim, 1.0)
                 for eps in np.linspace(0.05, 0.8, 20)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-# ---------------------------------------------------------------------------
-# localization
-# ---------------------------------------------------------------------------
-
-def test_localization_delta_zero_is_membership():
-    pts = [(0.0,), (1.0,), (2.0,)]
-    assert localization_contains(pts, 0.0, math.inf, (0.0,), (1.0,))
-    assert not localization_contains(pts, 0.0, math.inf, (0.0,), (1.5,))
-
-
-def test_localization_eta_inf_is_plain_fattening():
-    pts = [(0.0,), (10.0,)]
-    assert localization_contains(pts, 2.0, math.inf, (10.0,), (8.5,))
-    assert not localization_contains(pts, 2.0, math.inf, (10.0,), (5.0,))
-
-
-def test_localization_hand_case():
-    pts = [(0.0,), (10.0,)]
-    assert localization_contains(pts, 2.0, 1.0, (0.0,), (1.5,))
-    assert not localization_contains(pts, 2.0, 1.0, (0.0,), (3.0,))
-
-
-def test_localization_anchor_validation():
-    with pytest.raises(ValueError):
-        localization_contains([(0.0,)], 1.0, 1.0, (5.0,), (0.0,))
-
-
-# ---------------------------------------------------------------------------
-# conditional expectation
-# ---------------------------------------------------------------------------
-
-def test_conditional_expectation_normalization():
-    rng = np.random.default_rng(4)
-    atoms = [make_empirical(rng.normal(size=(3, 1))) for _ in range(2)]
-    model = _model(atoms, classifier=init_mlp([1, 4, 2], rng=rng))
-    assert abs(conditional_expectation(model, [0.3], lambda y, x: 1.0) - 1.0) < 1e-12
-
-
-def test_conditional_expectation_linearity():
-    rng = np.random.default_rng(5)
-    atoms = [make_empirical(rng.normal(size=(4, 1))) for _ in range(3)]
-    model = _model(atoms, classifier=init_mlp([1, 5, 3], rng=rng))
-    x = [0.2]
-    got = conditional_expectation(model, x, lambda y, _: float(y[0]))
-    assert abs(got - dnm_predict(model, x).mean()[0]) < 1e-12
-
-
-def test_conditional_expectation_kantorovich_bound():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        atoms = [make_empirical(rng.normal(size=(3, 2))) for _ in range(2)]
-        model = _model(atoms, classifier=init_mlp([2, 4, 2], rng=rng), d=2)
-        x = rng.normal(size=2)
-        target = make_empirical(rng.normal(size=(4, 2)))
-        anchor = rng.normal(size=2)
-        g = lambda y: float(np.linalg.norm(y - anchor))  # 1-Lipschitz
-        got = conditional_expectation(model, x, lambda y, _: g(y))
-        ref = integrate(target, g)
-        gap = w1_exact(dnm_predict(model, x), target).cost
-        assert abs(got - ref) <= gap + 1e-8
-
-
-def test_conditional_expectation_rejects_nan():
-    atoms = [make_empirical([(0.0,)])]
-    model = _model(atoms)
-    with pytest.raises(ValueError):
-        conditional_expectation(model, [0.0], lambda y, x: float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,12 @@ from urcd.harness import (
     emit_report,
     eval_model,
     oracle_references,
-    parse_report_csv,
     run_experiment,
 )
 from urcd.measures import make_empirical
 from urcd.training import build_dataset
+
+from diagnostics import parse_report_csv
 
 MINI_HARNESS = HarnessConfig(n_centers=2, hidden_dims=(6,), epochs=25,
                              n_test=5, bootstrap_b=200, mdn_components=2)

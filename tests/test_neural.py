@@ -13,7 +13,6 @@ from urcd.neural import (
     backprop,
     cross_entropy_grad,
     forward_cache,
-    grad_check,
     init_adam,
     init_mlp,
     mlp_forward,
@@ -22,6 +21,8 @@ from urcd.neural import (
     n_params,
     softmax,
 )
+
+from diagnostics import grad_check
 
 
 def _ce(net, batch):

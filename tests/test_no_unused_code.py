@@ -4,7 +4,9 @@ A name counts as used when some code in ``src/`` or ``perfbench/`` other
 than its own definition refers to it: by name, as an attribute, or as a
 string constant (``perfbench/tracer.py`` names what it traces in strings).
 Tests do not count, so code that only its own tests call shows up here.
-The package's exports and a few diagnostics kept for the tests are exempt.
+Only the package's exports (``urcd.__all__``) are exempt.
+
+Every module-level import in ``src/urcd`` is read by its module, too.
 """
 
 import ast
@@ -15,12 +17,6 @@ import urcd
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "urcd"
-# diagnostics that only the tests exercise, kept on purpose
-TEST_DIAGNOSTICS = {
-    "gmm_log_likelihood", "conditional_expectation", "localization_contains",
-    "covering_radius", "projection_slack", "grad_check", "parse_report_csv",
-    "dgn_predict_params",
-}
 
 
 def _references(node) -> Counter:
@@ -41,7 +37,7 @@ def test_every_public_definition_has_a_caller():
              for folder in (ROOT / "src", ROOT / "perfbench")
              for path in sorted(folder.rglob("*.py"))]
     everywhere = sum((_references(tree) for tree in trees), Counter())
-    exempt = set(urcd.__all__) | TEST_DIAGNOSTICS
+    exempt = set(urcd.__all__)
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -52,3 +48,22 @@ def test_every_public_definition_has_a_caller():
             if everywhere[node.name] == _references(node)[node.name]:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, f"defined but never used outside tests: {unused}"
+
+
+def test_every_module_level_import_is_read():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # names the module reads, and strings it lists (``__all__``)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
+            n.value for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        for node in tree.body:
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, f"imported but never read: {unused}"

@@ -13,7 +13,9 @@ import math
 import pytest
 
 from urcd.cli import main
-from urcd.harness import KNOWN_MODELS, parse_report_csv
+from urcd.harness import KNOWN_MODELS
+
+from diagnostics import parse_report_csv
 
 TASKS = ("heteroscedastic", "mc_dropout", "elm", "sde")
 MODELS = tuple(m for m in KNOWN_MODELS if m != "oracle")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import urcd.measures
 import urcd.training
-from urcd.dnm import covering_radius, dnm_predict, predict_weights
+from urcd.dnm import dnm_predict, predict_weights
 from urcd.measures import make_empirical, measures_equal
 from urcd.neural import (
     cross_entropy_grad,
@@ -28,6 +28,8 @@ from urcd.training import (
     select_centers,
     train_dnm,
 )
+
+from diagnostics import covering_radius
 
 
 def _toy_dataset(rng, n=12, d=1, s=5):
