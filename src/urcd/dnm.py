@@ -15,10 +15,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from urcd.measures import EmpiricalMeasure, make_empirical, mixture
+from urcd.measures import (
+    AtomPool,
+    EmpiricalMeasure,
+    atom_pool,
+    make_empirical,
+    mix_pool,
+)
 from urcd.neural import (
     Mlp,
     mlp_forward,
@@ -134,6 +141,12 @@ class DnmModel:
     def parameter_count(self) -> int:
         return n_params(self.classifier)
 
+    @cached_property
+    def pool(self) -> AtomPool:
+        """The atom measures pooled for ``mix_pool``: built on the first
+        prediction and kept with the model."""
+        return atom_pool(self.atoms)
+
 
 @dataclass(frozen=True)
 class RateParams:
@@ -169,8 +182,10 @@ def predict_weights(model: DnmModel, x) -> np.ndarray:
 
 
 def dnm_predict(model: DnmModel, x) -> EmpiricalMeasure:
-    """Softmax-weighted mixture of the atom measures at input x."""
-    return mixture(predict_weights(model, x), model.atoms)
+    """Softmax-weighted mixture of the atom measures at input x.
+
+    The same ``mixture`` arithmetic, over the model's cached atom pool."""
+    return mix_pool(predict_weights(model, x), model.pool)
 
 
 def n_epsilon_raw(p: RateParams, eps: float) -> float:
@@ -313,8 +328,12 @@ def dnm_from_dict(data: dict) -> DnmModel:
     if data.get("version") != 1:
         raise ValueError(f"unsupported model format version {data.get('version')!r}")
     try:
+        entries = data["atoms"]
+        if not (isinstance(entries, list) and all(isinstance(m, dict) for m in entries)):
+            raise ValueError('"atoms" must be a list of objects with the fields '
+                             '"atoms" and "weights"')
         atoms = tuple(make_empirical(m["atoms"], m["weights"], renormalize=False)
-                      for m in data["atoms"])
+                      for m in entries)
         return DnmModel(feature_map=_feature_map_from_dict(data["feature_map"]),
                         classifier=mlp_from_dict(data["classifier"]),
                         atoms=atoms)

@@ -17,14 +17,23 @@ degenerate pivots and whether the anti-cycling rule fired come back on the
 weights are an assignment problem, which ``w1_exact`` hands to
 ``scipy.optimize.linear_sum_assignment`` instead.
 
+A 1-D W1 is a sweep over the merged sorted atoms of its two measures.
+Each measure sorts its atoms once, on first use (``line_view``), and a
+mixture of a fixed family of measures (a model's atom measures) takes its
+sorted order from their pool (``atom_pool``, ``mix_pool``), so scoring a
+prediction against a reference merges two sorted runs and sorts nothing.
+
 All functions here are pure: they never mutate their inputs and are safe to
-call concurrently.
+call concurrently.  The only state is the sort cache of ``line_view``: it
+is derived from the measure's read-only arrays, and equality, ``asdict``
+and the JSON formats do not see it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +66,22 @@ class EmpiricalMeasure:
     def mean(self) -> np.ndarray:
         """Barycenter sum_j w_j a_j as a (D,) array."""
         return self.weights @ self.atoms
+
+    @cached_property
+    def line_view(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first coordinates of the atoms in ascending order, and their
+        weights: a stable argsort, so tied atoms keep their index order.
+
+        Sorted on first use and kept on the measure (``w1_1d`` reads it).
+        ``mix_pool`` hands its mixtures this view ready-made."""
+        return _sorted_view(self, np.argsort(self.atoms[:, 0], kind="stable"))
+
+
+def _sorted_view(measure: EmpiricalMeasure, order) -> tuple[np.ndarray, np.ndarray]:
+    xs, ws = measure.atoms[:, 0][order], measure.weights[order]
+    xs.flags.writeable = False
+    ws.flags.writeable = False
+    return xs, ws
 
 
 @dataclass(frozen=True)
@@ -379,18 +404,31 @@ def w1_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Wasserstein-1 on the line: integral of |CDF_mu - CDF_nu|.
 
     Merged-breakpoint sweep over the union of the supports; agrees with
-    ``w1_exact`` to 1e-9.
+    ``w1_exact`` to 1e-9.  The two sorted views (``line_view``) are merged
+    rather than the union sorted: nu's j-th sorted atom goes to position
+    ``searchsorted(mu's atoms, it, side="right") + j``, which is the order
+    a stable argsort of mu's atoms followed by nu's gives (on ties, mu's
+    atoms first).  Each atom adds ``w - 0.0`` (mu) or ``0.0 - w`` (nu) to
+    the CDF gap, so the cumulative sum runs over the same sequence, and
+    gives the same bits, as sorting the union would.
     """
     _check_same_dim(mu, nu)
     if mu.dim != 1:
         raise ValueError("w1_1d requires 1-D measures")
-    xs = np.concatenate([mu.atoms[:, 0], nu.atoms[:, 0]])
-    dmu = np.concatenate([mu.weights, np.zeros(nu.n_atoms)])
-    dnu = np.concatenate([np.zeros(mu.n_atoms), nu.weights])
-    order = np.argsort(xs, kind="stable")
-    xs = xs[order]
+    xa, wa = mu.line_view
+    xb, wb = nu.line_view
+    n = xa.size + xb.size
+    at_b = np.searchsorted(xa, xb, side="right") + np.arange(xb.size)
+    at_a = np.ones(n, dtype=bool)
+    at_a[at_b] = False
+    xs = np.empty(n)
+    xs[at_a] = xa
+    xs[at_b] = xb
+    steps = np.empty(n)
+    steps[at_a] = wa - 0.0
+    steps[at_b] = 0.0 - wb
     gap = np.diff(xs)
-    cdf_gap = np.cumsum(dmu[order] - dnu[order])[:-1]
+    cdf_gap = np.cumsum(steps)[:-1]
     return float(np.abs(cdf_gap) @ gap)
 
 
@@ -439,23 +477,66 @@ def w1_sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, reg: float,
     return float(np.sum(P * C))
 
 
-def mixture(beta, measures) -> EmpiricalMeasure:
-    """Convex combination sum_n beta_n * mu_n of empirical measures.
+@dataclass(frozen=True)
+class AtomPool:
+    """Measures mu_1..mu_N laid end to end, to be mixed again and again.
 
-    Atom j of measure n enters with weight beta_n * w_nj; atoms whose
-    mixture weight is exactly zero are dropped.
+    atoms   : (K, D) the atoms of mu_1, then those of mu_2, ...
+    weights : (K,) each atom's weight within its own measure
+    sizes   : (N,) the atom count of each measure
+    order   : for D = 1, the stable argsort of the atoms; None otherwise
     """
-    beta = check_simplex(beta)
+
+    atoms: np.ndarray
+    weights: np.ndarray
+    sizes: np.ndarray
+    order: np.ndarray | None
+
+
+def atom_pool(measures) -> AtomPool:
+    """Pool measures that share an ambient dimension (see ``mix_pool``)."""
     measures = list(measures)
-    if len(measures) != beta.size:
-        raise ValueError(f"{beta.size} coefficients for {len(measures)} measures")
     dims = {m.dim for m in measures}
     if len(dims) != 1:
         raise ValueError("measures must share an ambient dimension")
     atoms = np.concatenate([m.atoms for m in measures], axis=0)
-    weights = np.concatenate([bn * m.weights for bn, m in zip(beta, measures)])
+    order = np.argsort(atoms[:, 0], kind="stable") if dims == {1} else None
+    return AtomPool(atoms=atoms,
+                    weights=np.concatenate([m.weights for m in measures]),
+                    sizes=np.array([m.n_atoms for m in measures]),
+                    order=order)
+
+
+def mix_pool(beta, pool: AtomPool) -> EmpiricalMeasure:
+    """Convex combination sum_n beta_n * mu_n of the pooled measures.
+
+    Atom j of measure n enters with weight beta_n * w_nj, in pool order;
+    atoms whose mixture weight is exactly zero are dropped.  A 1-D
+    mixture gets its ``line_view`` from the pool's order, restricted to
+    the atoms it keeps, so it is never sorted on its own.
+    """
+    beta = check_simplex(beta)
+    if beta.size != pool.sizes.size:
+        raise ValueError(f"{beta.size} coefficients for {pool.sizes.size} measures")
+    weights = np.repeat(beta, pool.sizes) * pool.weights
     keep = weights > 0.0
-    return make_empirical(atoms[keep], weights[keep])
+    atoms, order = pool.atoms, pool.order
+    if not keep.all():
+        atoms, weights = atoms[keep], weights[keep]
+        if order is not None:
+            # the kept atoms in pool order, renumbered among themselves
+            order = (np.cumsum(keep) - 1)[order[keep[order]]]
+    mix = make_empirical(atoms, weights)
+    if order is not None:
+        # seeds the cache of the (frozen) measure's cached_property
+        mix.__dict__["line_view"] = _sorted_view(mix, order)
+    return mix
+
+
+def mixture(beta, measures) -> EmpiricalMeasure:
+    """Convex combination sum_n beta_n * mu_n of empirical measures
+    (``mix_pool`` over their ``atom_pool``)."""
+    return mix_pool(beta, atom_pool(measures))
 
 
 def integrate(mu: EmpiricalMeasure, g) -> float:

@@ -281,5 +281,11 @@ def load_dataset(path) -> Dataset:
         if not isinstance(split, dict) or not {"train", "test"} <= split.keys():
             raise ValueError(f'{split_path}: a split needs the fields "train" '
                              f'and "test"')
+        for key in ("train", "test"):
+            idx = split[key]
+            if not (isinstance(idx, list) and all(type(i) is int for i in idx)):
+                raise ValueError(f'{split_path}: "{key}" must be a list of integers')
+            if not all(0 <= i < len(entries) for i in idx):
+                raise ValueError(f"{split_path}: split indices out of range")
         return build_dataset(entries, split["train"], split["test"])
     return build_dataset(entries)

@@ -124,6 +124,9 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
 
 
 _RECORDS = [{"x": [i / 4], "samples": [[float(i)], [i + 0.5]]} for i in range(5)]
+_BAD_SPLITS = {"split train not a list": {"train": 5},
+               "split test not integers": {"test": [4.0]},
+               "split index out of range": {"test": [9]}}
 
 
 @pytest.mark.parametrize("case, where", [
@@ -132,7 +135,11 @@ _RECORDS = [{"x": [i / 4], "samples": [[float(i)], [i + 0.5]]} for i in range(5)
     ("flat samples", "data.jsonl:3"),
     ("split without train", "data.jsonl.split.json"),
     ("split without test", "data.jsonl.split.json"),
+    ("split train not a list", "data.jsonl.split.json"),
+    ("split test not integers", "data.jsonl.split.json"),
+    ("split index out of range", "data.jsonl.split.json"),
     ("model without atoms", "model.json"),
+    ("model atoms not objects", "model.json"),
 ])
 def test_malformed_input_file_exits_2(tmp_path, capsys, case, where):
     data, model = tmp_path / "data.jsonl", tmp_path / "model.json"
@@ -146,13 +153,19 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, case, where):
     data.write_text("".join(json.dumps(r) + "\n" for r in records))
     if case.startswith("split"):
         split = {"train": [0, 1, 2, 3], "test": [4]}
-        del split[case.split()[-1]]
+        if case.startswith("split without"):
+            del split[case.split()[-1]]
+        else:
+            split.update(_BAD_SPLITS[case])
         (tmp_path / "data.jsonl.split.json").write_text(json.dumps(split))
-    if case == "model without atoms":
+    if case.startswith("model"):
         assert main(["train", "--data", str(data), "--n", "2", "--epochs", "2",
                      "--hidden", "4", "--out", str(model)]) == 0
         saved = json.loads(model.read_text())
-        del saved["atoms"]
+        if case == "model without atoms":
+            del saved["atoms"]
+        else:
+            saved["atoms"] = [[0.0]]
         model.write_text(json.dumps(saved))
         argv = ["eval", "--model", str(model), "--data", str(data)]
     else:

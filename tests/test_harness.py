@@ -6,6 +6,7 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 import urcd.harness
+import urcd.measures
 from urcd.datagen import GeneratorConfig
 from urcd.harness import (
     CSV_HEADER,
@@ -233,6 +234,29 @@ def test_run_experiment_calls_through_rebound_names(monkeypatch):
     assert calls["train_dnm"] == 2
     assert calls["mdn_fit"] == calls["dgn_fit"] == calls["mean_dnn_fit"] == 1
     assert calls["dnm_predict"] > 0
+
+
+def test_1d_run_experiment_scores_each_pair_through_w1_1d(monkeypatch):
+    """``perfbench`` samples its 1-D W1 cross-check by rebinding
+    ``urcd.measures.w1_1d``; every scored 1-D pair must go through it."""
+    calls = {"w1_1d": 0, "pairs": 0}
+    w1_1d, eval_model_ = urcd.measures.w1_1d, urcd.harness.eval_model
+
+    def counting_w1_1d(mu, nu):
+        calls["w1_1d"] += 1
+        return w1_1d(mu, nu)
+
+    def counting_eval_model(predict, data, references):
+        calls["pairs"] += len(data.train_idx) + len(data.test_idx)
+        return eval_model_(predict, data, references)
+
+    monkeypatch.setattr(urcd.measures, "w1_1d", counting_w1_1d)
+    monkeypatch.setattr(urcd.harness, "eval_model", counting_eval_model)
+    gen = GeneratorConfig(task="heteroscedastic", d=1, size=8, S=10, seed=9)
+    run_experiment(gen, ["dnm", "const", "mdn", "dgn", "mean"], seed=9,
+                   harness=MINI_HARNESS)
+    assert calls["pairs"] == 5 * (8 + MINI_HARNESS.n_test)
+    assert calls["w1_1d"] == calls["pairs"]
 
 
 # ---------------------------------------------------------------------------
