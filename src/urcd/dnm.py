@@ -215,12 +215,14 @@ def n_epsilon(p: RateParams, eps: float) -> int:
 
 
 def lambert_w(branch: str, x: float) -> float:
-    """Solve w * exp(w) = x by Halley iteration on the requested branch.
+    """Solve w * exp(w) = x on a real branch, by ``scipy.special.lambertw``.
 
     branch "principal" needs x >= -1/e; branch "minus_one" needs
-    -1/e <= x < 0 and returns the solution with w <= -1.  The residual
-    |w e^w - x| ends below 1e-10 wherever double precision can represent
-    that (|x| up to about 1e4; beyond, it is within a few ulps of x).
+    -1/e <= x < 0 and returns the solution with w <= -1.  Both meet at
+    w = -1 for x = -1/e, where scipy returns nan, so that point is exact.
+    Close to it scipy's minus_one iteration stops early (at x = -1/e + 1e-10
+    it is off by 2e-5), so there both branches take the series in
+    p = +-sqrt(2(e x + 1)) about the branch point.
     """
     if branch not in ("principal", "minus_one"):
         raise ValueError(f"unknown branch {branch!r}")
@@ -231,39 +233,16 @@ def lambert_w(branch: str, x: float) -> float:
         raise ValueError("minus_one branch requires a negative argument")
     if abs(x + _INV_E) < 1e-15:
         return -1.0
+    p = math.sqrt(2.0 * (math.e * x + 1.0))
+    if p < 1e-3:
+        p = p if branch == "principal" else -p
+        return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0
+                                                          - p * 43.0 / 540.0)))
+    # imported here: importing scipy.special from dnm, ahead of harness,
+    # made `import urcd.cli` ~10 ms slower
+    from scipy.special import lambertw
 
-    if branch == "principal":
-        if x > math.e:
-            w = math.log(x) - math.log(math.log(x))
-        elif x >= 0:
-            w = math.log1p(x)
-        else:
-            w = -1.0 + math.sqrt(2.0 * (math.e * x + 1.0))
-    else:
-        if x < -0.25 * _INV_E:
-            w = -1.0 - math.sqrt(2.0 * (math.e * x + 1.0))
-        else:
-            # w ~ log(-x) - log(-log(-x)) as x -> 0^-
-            lx = math.log(-x)
-            w = lx - math.log(-lx)
-
-    best_w, best_resid = w, abs(w * math.exp(w) - x)
-    for _ in range(100):
-        ew = math.exp(w)
-        resid = w * ew - x
-        if abs(resid) < best_resid:
-            best_w, best_resid = w, abs(resid)
-        if abs(resid) < 1e-14 * (1.0 + abs(x)):
-            break
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * resid / (2.0 * wp1)
-        step = resid / denom
-        w -= step
-        if abs(step) < 1e-16 * (1.0 + abs(w)):
-            break
-    if best_resid > max(1e-10, 1e-13 * abs(x)):
-        raise RuntimeError("Lambert iteration failed to converge")
-    return best_w
+    return float(lambertw(x, 0 if branch == "principal" else -1).real)
 
 
 def n_quantizer_raw(eps: float, D: int, M: float) -> float:

@@ -9,18 +9,20 @@ componentwise after every affine layer except the last one.
 same networks under their own losses.  ``cross_entropy_grad`` takes a batch
 as an input array and a one-hot label array, so a trainer builds both once
 per fit and passes row slices; ``mean_nll`` is its loss expression, for a
-loss that needs no gradient.  ``adam_step`` updates the flat vector
-elementwise, so a step costs a handful of numpy operations whatever the
-depth.  ``NetConfig``/``FitConfig`` declare the training settings they share.
+loss that needs no gradient.  ``adam_step`` updates the flat vector and its
+two moment vectors elementwise in place, so a step costs a handful of numpy
+operations whatever the depth.  ``NetConfig``/``FitConfig`` declare the
+training settings they share.
 
-Everything is deterministic: initialization is seeded, and gradient /
-optimizer updates are pure functions returning fresh objects.
+Everything is deterministic: initialization is seeded, and gradients are
+fresh arrays.  Only ``fit_epochs`` writes, and only to its own copies.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,8 +59,7 @@ class Mlp:
     biases     : biases[j] has shape (layer_dims[j+1],)
     activation : one of relu / tanh / sigmoid / identity
     params     : the flat float64 vector they view; the constructor (and so
-                 ``dataclasses.replace``) copies into a new one, while
-                 ``with_params`` wraps a given one
+                 ``dataclasses.replace``) copies into a new one
     """
 
     layer_dims: tuple
@@ -66,32 +67,15 @@ class Mlp:
     biases: tuple
     activation: str = "relu"
     params: np.ndarray = field(init=False, repr=False, compare=False)
-    flat: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, flat):
+    def __post_init__(self):
         arrays = (*self.weights, *self.biases)
-        if flat is None:
-            flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+        flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
         views = _views(flat, [np.shape(a) for a in arrays])
         layers = len(self.weights)
         object.__setattr__(self, "params", flat)
         object.__setattr__(self, "weights", tuple(views[:layers]))
         object.__setattr__(self, "biases", tuple(views[layers:]))
-
-    def with_params(self, params: np.ndarray) -> Mlp:
-        """This network's shape over the flat vector params, taken as is."""
-        return Mlp(self.layer_dims, self.weights, self.biases, self.activation,
-                   flat=params)
-
-
-@dataclass(frozen=True)
-class OptimizerState:
-    """Adam moments of one network, flat in ``Mlp.params`` order."""
-
-    step: int
-    m: np.ndarray
-    v: np.ndarray
-    learning_rate: float
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -227,48 +211,46 @@ def cross_entropy_grad(net: Mlp, X, Y):
     return mean_nll(p, Y), grad
 
 
-def init_adam(net: Mlp, learning_rate: float = 1e-2) -> OptimizerState:
-    zeros = np.zeros(n_params(net))
-    return OptimizerState(step=0, m=zeros, v=zeros, learning_rate=learning_rate)
-
-
-def adam_step(net: Mlp, state: OptimizerState, grad: np.ndarray):
-    """One bias-corrected Adam update of ``net.params`` by the flat gradient
-    grad; returns (new net, new state).  Inputs are not modified."""
-    if np.shape(grad) != net.params.shape:
+def adam_step(params: np.ndarray, m: np.ndarray, v: np.ndarray,
+              grad: np.ndarray, t: int, learning_rate: float) -> None:
+    """Bias-corrected Adam update number t of the flat vector params by the
+    flat gradient grad, written in place into params and its moments m, v."""
+    if np.shape(grad) != params.shape:
         raise ValueError("gradient shape does not match the network")
-    if state.m.shape != grad.shape or state.v.shape != grad.shape:
+    if m.shape != params.shape or v.shape != params.shape:
         raise ValueError("optimizer state does not match the network")
-    t = state.step + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    m = b1 * state.m + (1 - b1) * grad
-    v = b2 * state.v + (1 - b2) * grad * grad
+    m *= b1
+    m += (1 - b1) * grad
+    v *= b2
+    v += (1 - b2) * grad * grad
     mhat = m / (1 - b1 ** t)
     vhat = v / (1 - b2 ** t)
-    params = net.params - state.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
-    return net.with_params(params), OptimizerState(
-        step=t, m=m, v=v, learning_rate=state.learning_rate)
+    params -= learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def fit_epochs(nets, loss_grad, n: int, cfg: NetConfig, rng):
     """Minibatch Adam over n training rows; yields the networks after each epoch.
 
     loss_grad(nets, rows) returns one flat gradient per network for the index
-    array rows.  Each network keeps its own Adam state.  Rows are reshuffled
-    every epoch only when a batch is smaller than n.
+    array rows.  Adam steps copies of the given networks in place, each with
+    its own moments, and every epoch yields fresh copies of them, so neither
+    the networks passed in nor those yielded are written to.  Rows are
+    reshuffled every epoch only when a batch is smaller than n.
     """
-    nets = tuple(nets)
-    states = [init_adam(net, learning_rate=cfg.learning_rate) for net in nets]
+    nets = tuple(dataclasses.replace(net) for net in nets)
+    moments = [(np.zeros_like(net.params), np.zeros_like(net.params))
+               for net in nets]
     batch = min(cfg.batch_size or n, n)
+    t = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(n) if batch < n else np.arange(n)
         for start in range(0, n, batch):
             grads = loss_grad(nets, order[start:start + batch])
-            stepped = [adam_step(net, state, g)
-                       for net, state, g in zip(nets, states, grads)]
-            nets = tuple(net for net, _ in stepped)
-            states = [state for _, state in stepped]
-        yield nets
+            t += 1
+            for net, (m, v), g in zip(nets, moments, grads):
+                adam_step(net.params, m, v, g, t, cfg.learning_rate)
+        yield tuple(dataclasses.replace(net) for net in nets)
 
 
 # ---------------------------------------------------------------------------

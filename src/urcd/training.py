@@ -60,6 +60,9 @@ class Dataset:
         all_idx = set(self.train_idx) | set(self.test_idx)
         if not all_idx <= set(range(len(self.entries))):
             raise ValueError("split indices out of range")
+        for name, idx in (("train", self.train_idx), ("test", self.test_idx)):
+            if len(set(idx)) < len(idx):
+                raise ValueError(f"the {name} split repeats an index")
 
     @property
     def input_dim(self) -> int:
@@ -87,7 +90,7 @@ def build_dataset(entries, train_idx=None, test_idx=None) -> Dataset:
     """
     ents = tuple((np.asarray(x, dtype=float).ravel(), m) for x, m in entries)
     if train_idx is None:
-        cut = max(2, int(0.8 * len(ents)))
+        cut = min(len(ents), max(2, int(0.8 * len(ents))))
         train_idx = tuple(range(cut))
         test_idx = tuple(range(cut, len(ents)))
     return Dataset(entries=ents, train_idx=tuple(train_idx),
@@ -249,7 +252,9 @@ def load_dataset(path) -> Dataset:
 
     The split comes from the companion file when it exists, else from the
     deterministic 80/20 head/tail rule.  A malformed record or split raises
-    ValueError naming the file (and the line).
+    ValueError naming the file (and the line), and so does a split the
+    records cannot fill: one the split file names, or the default one of a
+    single record.
     """
     import os
 
@@ -263,19 +268,30 @@ def load_dataset(path) -> Dataset:
                 rec = json.loads(line)
                 if not isinstance(rec, dict) or not {"x", "samples"} <= rec.keys():
                     raise ValueError('a record needs the fields "x" and "samples"')
+                x = np.asarray(rec["x"], dtype=float).ravel()
+                if x.size == 0 or not np.all(np.isfinite(x)):
+                    raise ValueError('"x" must be a non-empty list of finite numbers')
                 samples = np.asarray(rec["samples"], dtype=float)
                 if samples.ndim != 2:
                     raise ValueError('"samples" must be a list of points, '
                                      'each a list of coordinates')
-                entries.append((np.asarray(rec["x"], dtype=float),
-                                make_empirical(samples)))
+                target = make_empirical(samples)
+                if entries and (x.size, target.dim) != (
+                        entries[0][0].size, entries[0][1].dim):
+                    raise ValueError(
+                        f'"x" of dimension {x.size} and samples of dimension '
+                        f'{target.dim}, but the first record has '
+                        f'{entries[0][0].size} and {entries[0][1].dim}')
+                entries.append((x, target))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if not entries:
         raise ValueError(f"no records in {path}")
 
     split_path = str(path) + ".split.json"
+    where, split = path, {"train": None, "test": None}
     if os.path.exists(split_path):
+        where = split_path
         with open(split_path) as fh:
             split = json.load(fh)
         if not isinstance(split, dict) or not {"train", "test"} <= split.keys():
@@ -285,7 +301,7 @@ def load_dataset(path) -> Dataset:
             idx = split[key]
             if not (isinstance(idx, list) and all(type(i) is int for i in idx)):
                 raise ValueError(f'{split_path}: "{key}" must be a list of integers')
-            if not all(0 <= i < len(entries) for i in idx):
-                raise ValueError(f"{split_path}: split indices out of range")
+    try:
         return build_dataset(entries, split["train"], split["test"])
-    return build_dataset(entries)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc

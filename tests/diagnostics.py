@@ -1,6 +1,8 @@
 """Reference checks the tests compare the package against: gradients, hull
 slack, covering radius, GMM likelihood, and reading a CSV report back."""
 
+import dataclasses
+
 import numpy as np
 
 from urcd.baselines import GaussianMixture, _log_gauss_diag
@@ -19,9 +21,9 @@ def grad_check(net: Mlp, batch, h: float = 1e-5) -> float:
     _, grad = cross_entropy_grad(net, X, Y)
 
     def loss_at(idx, step):
-        bumped = net.params.copy()
-        bumped[idx] += step
-        return cross_entropy_grad(net.with_params(bumped), X, Y)[0]
+        bumped = dataclasses.replace(net)
+        bumped.params[idx] += step
+        return cross_entropy_grad(bumped, X, Y)[0]
 
     worst = 0.0
     for idx, a in enumerate(grad):

@@ -126,18 +126,25 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
 _RECORDS = [{"x": [i / 4], "samples": [[float(i)], [i + 0.5]]} for i in range(5)]
 _BAD_SPLITS = {"split train not a list": {"train": 5},
                "split test not integers": {"test": [4.0]},
-               "split index out of range": {"test": [9]}}
+               "split index out of range": {"test": [9]},
+               "split repeats an index": {"train": [0, 1, 1], "test": [2]}}
 
 
 @pytest.mark.parametrize("case, where", [
     ("record without x", "data.jsonl:3"),
     ("record without samples", "data.jsonl:3"),
     ("flat samples", "data.jsonl:3"),
+    ("x not finite", "data.jsonl:3"),
+    ("x empty", "data.jsonl:3"),
+    ("x of another dimension", "data.jsonl:3"),
+    ("samples of another dimension", "data.jsonl:3"),
+    ("one record", "data.jsonl"),
     ("split without train", "data.jsonl.split.json"),
     ("split without test", "data.jsonl.split.json"),
     ("split train not a list", "data.jsonl.split.json"),
     ("split test not integers", "data.jsonl.split.json"),
     ("split index out of range", "data.jsonl.split.json"),
+    ("split repeats an index", "data.jsonl.split.json"),
     ("model without atoms", "model.json"),
     ("model atoms not objects", "model.json"),
 ])
@@ -150,6 +157,16 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, case, where):
         del records[2]["samples"]
     elif case == "flat samples":
         records[2]["samples"] = [1.0, 2.0, 3.0]
+    elif case == "x not finite":
+        records[2]["x"] = [float("nan")]
+    elif case == "x empty":
+        records[2]["x"] = []
+    elif case == "x of another dimension":
+        records[2]["x"] = [0.5, 0.5]
+    elif case == "samples of another dimension":
+        records[2]["samples"] = [[1.0, 2.0]]
+    elif case == "one record":
+        records = records[:1]
     data.write_text("".join(json.dumps(r) + "\n" for r in records))
     if case.startswith("split"):
         split = {"train": [0, 1, 2, 3], "test": [4]}

@@ -243,6 +243,14 @@ def test_lambert_residuals_both_branches():
         assert w <= -1.0
 
 
+def test_lambert_near_branch_point():
+    # the two branches part as +-sqrt(2(e x + 1)) just above -1/e
+    for d in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
+        x = -math.exp(-1.0) + d
+        for branch in ("principal", "minus_one"):
+            assert abs(lambert_w(branch, x) - _lambert_bisect(branch, x)) < 1e-9
+
+
 def test_lambert_domain_errors():
     with pytest.raises(ValueError):
         lambert_w("principal", -1.0)

@@ -1,10 +1,11 @@
 """Bit-level contract of one training step.
 
-``adam_step`` updates a network's flat parameter vector, and ``mdn_fit``
-matches the targets of a whole minibatch at once.  The property tests
-compare both with the per-layer Adam update and the per-row greedy matching
-they replaced, which are kept below as the reference, with
-``np.array_equal``.
+``adam_step`` updates a network's flat parameter vector in place, and
+``mdn_fit`` matches the targets of a whole minibatch at once.  The property
+tests compare both with the per-layer Adam update and the per-row greedy
+matching they replaced, which are kept below as the reference, with
+``np.array_equal``.  ``fit_epochs`` runs those in-place steps on copies of
+its own, which another property test checks.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from urcd.baselines import _greedy_match, _mdn_output_grad
-from urcd.neural import Mlp, adam_step, init_adam, softmax
+from urcd.neural import Mlp, NetConfig, adam_step, fit_epochs, softmax
 
 # ---------------------------------------------------------------------------
 # reference: per-layer Adam
@@ -61,37 +62,69 @@ def _flat(arrays):
 @given(_net_and_grads())
 def test_flat_adam_matches_per_layer_update(case):
     net, grads, lr = case
-    state = init_adam(net, learning_rate=lr)
-    params = [*net.weights, *net.biases]
+    m, v = np.zeros_like(net.params), np.zeros_like(net.params)
+    params = [a.copy() for a in (*net.weights, *net.biases)]
     ms = [np.zeros_like(p) for p in params]
     vs = [np.zeros_like(p) for p in params]
     for t, g in enumerate(grads, 1):
-        net, state = adam_step(net, state, _flat(g))
+        adam_step(net.params, m, v, _flat(g), t, lr)
         params, ms, vs = _adam_per_layer(params, g, ms, vs, t, lr)
-        assert state.step == t
         assert len(net.weights) == len(net.biases) == len(net.layer_dims) - 1
         for got, want in zip((*net.weights, *net.biases), params):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
         assert np.array_equal(net.params, _flat(params))
-        assert np.array_equal(state.m, _flat(ms))
-        assert np.array_equal(state.v, _flat(vs))
+        assert np.array_equal(m, _flat(ms))
+        assert np.array_equal(v, _flat(vs))
 
 
-@given(_net_and_grads())
-def test_adam_step_leaves_its_inputs_alone(case):
-    net, grads, lr = case
-    state = init_adam(net, learning_rate=lr)
-    for g in map(_flat, grads):
-        before = [a.copy() for a in (*net.weights, *net.biases, net.params,
-                                     state.m, state.v, g)]
-        new_net, new_state = adam_step(net, state, g)
-        # a further step on the result must not write through to it either
-        adam_step(new_net, new_state, g)
-        after = (*net.weights, *net.biases, net.params, state.m, state.v, g)
-        assert all(np.array_equal(a, b) for a, b in zip(before, after))
-        assert state.step == new_state.step - 1
-        net, state = new_net, new_state
+@st.composite
+def _fit_case(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    nets = []
+    for _ in range(draw(st.integers(1, 3))):
+        dims = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+        nets.append(Mlp(layer_dims=tuple(dims),
+                        weights=tuple(rng.normal(size=(a, b))
+                                      for a, b in zip(dims[:-1], dims[1:])),
+                        biases=tuple(rng.normal(size=b) for b in dims[1:])))
+    n = draw(st.integers(1, 8))
+    cfg = NetConfig(epochs=draw(st.integers(1, 4)),
+                    batch_size=draw(st.none() | st.integers(1, 8)),
+                    learning_rate=draw(st.sampled_from([1e-3, 0.3])))
+    return nets, n, cfg, seed
+
+
+@given(_fit_case())
+def test_fit_epochs_writes_only_its_own_copies(case):
+    nets, n, cfg, seed = case
+    before = [[a.copy() for a in (*net.weights, *net.biases, net.params)]
+              for net in nets]
+    grad_rng = np.random.default_rng(seed)
+
+    def loss_grad(current, rows):
+        return [grad_rng.normal(size=net.params.size) for net in current]
+
+    yielded, snapshots = [], []
+    for epoch_nets in fit_epochs(nets, loss_grad, n, cfg,
+                                 np.random.default_rng(seed)):
+        yielded.append(epoch_nets)
+        snapshots.append([net.params.copy() for net in epoch_nets])
+    assert len(yielded) == cfg.epochs
+    # the networks passed in are never written to ...
+    for net, saved in zip(nets, before):
+        after = (*net.weights, *net.biases, net.params)
+        assert all(np.array_equal(a, b) for a, b in zip(saved, after))
+    # ... nor a yielded one by a later step
+    for epoch_nets, saved in zip(yielded, snapshots):
+        assert all(np.array_equal(net.params, p)
+                   for net, p in zip(epoch_nets, saved))
+    # and no two of them share memory
+    vectors = [net.params for net in nets]
+    vectors += [net.params for epoch_nets in yielded for net in epoch_nets]
+    for i, a in enumerate(vectors):
+        assert not any(np.shares_memory(a, b) for b in vectors[i + 1:])
 
 
 # ---------------------------------------------------------------------------

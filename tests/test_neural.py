@@ -13,7 +13,6 @@ from urcd.neural import (
     backprop,
     cross_entropy_grad,
     forward_cache,
-    init_adam,
     init_mlp,
     mlp_forward,
     mlp_from_dict,
@@ -206,12 +205,6 @@ def test_params_are_one_vector_behind_weights_and_biases():
     assert np.array_equal(swapped.params[6:], net.params[6:])
     assert not np.shares_memory(swapped.params, net.params)
     assert np.array_equal(swapped.weights[0], np.zeros((2, 3)))
-    # with_params wraps a vector as is
-    vec = np.arange(net.params.size, dtype=float)
-    wrapped = net.with_params(vec)
-    assert wrapped.params is vec
-    assert np.array_equal(wrapped.biases[1], [vec[-1]])
-    assert mlp_forward(wrapped, [0.5, -1.0]).shape == (1,)
 
 
 def test_grad_check_linear_net():
@@ -255,16 +248,22 @@ def _batch_away_from_kinks(net, rng, n, d, n_classes, margin=1e-3):
             return batch
 
 
+def _moments(net):
+    """Fresh zero Adam moments for net."""
+    return np.zeros_like(net.params), np.zeros_like(net.params)
+
+
 def test_adam_zero_gradient_is_identity():
     rng = np.random.default_rng(6)
     net = init_mlp([2, 3, 2], rng=rng)
-    state = init_adam(net, learning_rate=0.05)
     _, grad = _ce(
         net, [(np.zeros(2), np.array([0.5, 0.5]))])
     zero = np.zeros_like(grad)
-    new_net, new_state = adam_step(net, state, zero)
-    assert new_state.step == 1
-    for a, b in zip(net.weights, new_net.weights):
+    stepped = dataclasses.replace(net)
+    m, v = _moments(net)
+    adam_step(stepped.params, m, v, zero, 1, 0.05)
+    assert not m.any() and not v.any()
+    for a, b in zip(net.weights, stepped.weights):
         assert np.array_equal(a, b)
 
 
@@ -273,11 +272,11 @@ def test_adam_first_step_is_signed_lr():
     rng = np.random.default_rng(7)
     net = init_mlp([2, 2], rng=rng)
     lr = 0.01
-    state = init_adam(net, learning_rate=lr)
     g = np.array([[0.5, -2.0], [1.0, -0.25]])
     grad = np.concatenate([g.ravel(), np.zeros(2)])
-    new_net, _ = adam_step(net, state, grad)
-    update = new_net.weights[0] - net.weights[0]
+    stepped = dataclasses.replace(net)
+    adam_step(stepped.params, *_moments(net), grad, 1, lr)
+    update = stepped.weights[0] - net.weights[0]
     assert np.allclose(update, -lr * np.sign(g), atol=1e-6)
 
 
@@ -286,12 +285,13 @@ def test_adam_deterministic():
     net = init_mlp([2, 3], rng=rng)
     batch = _random_batch(rng, 4, 2, 3)
     _, grads = _ce(net, batch)
-    state = init_adam(net)
-    n1, s1 = adam_step(net, state, grads)
-    n2, s2 = adam_step(net, state, grads)
+    n1, n2 = dataclasses.replace(net), dataclasses.replace(net)
+    s1, s2 = _moments(net), _moments(net)
+    adam_step(n1.params, *s1, grads, 1, 1e-2)
+    adam_step(n2.params, *s2, grads, 1, 1e-2)
     for a, b in zip(n1.weights, n2.weights):
         assert np.array_equal(a, b)
-    assert s1.step == s2.step
+    assert all(np.array_equal(a, b) for a, b in zip(s1, s2))
 
 
 def test_adam_shape_mismatch():
@@ -311,10 +311,13 @@ def test_adam_shape_mismatch():
     ]
     for target, bad in cases:
         with pytest.raises(ValueError):
-            adam_step(target, init_adam(target), bad)
-    # the optimizer state of another network
-    with pytest.raises(ValueError):
-        adam_step(deep, init_adam(net), deep_grad)
+            adam_step(target.params, *_moments(target), bad, 1, 1e-2)
+    # the moments of another network, or one of them
+    m, v = _moments(net)
+    deep_m, deep_v = _moments(deep)
+    for moments in ((m, v), (deep_m, v), (m, deep_v)):
+        with pytest.raises(ValueError):
+            adam_step(deep.params, *moments, deep_grad, 1, 1e-2)
 
 
 def test_loss_decreases_on_separable_problem():
@@ -326,11 +329,11 @@ def test_loss_decreases_on_separable_problem():
     labels[20:, 1] = 1.0
     batch = list(zip(xs, labels))
     net = init_mlp([1, 8, 2], rng=rng)
-    state = init_adam(net, learning_rate=0.05)
+    m, v = _moments(net)
     loss0, _ = _ce(net, batch)
-    for _ in range(200):
+    for t in range(1, 201):
         _, grad = _ce(net, batch)
-        net, state = adam_step(net, state, grad)
+        adam_step(net.params, m, v, grad, t, 0.05)
     loss_final, _ = _ce(net, batch)
     assert loss_final < loss0
 

@@ -1,4 +1,5 @@
-"""Every top-level public function and class in ``src/urcd`` has a caller.
+"""Every top-level public function and class in ``src/urcd``, and every
+public method of its classes, has a caller.
 
 A name counts as used when some code in ``src/`` or ``perfbench/`` other
 than its own definition refers to it: by name, as an attribute, or as a
@@ -32,22 +33,38 @@ def _references(node) -> Counter:
     return found
 
 
-def test_every_public_definition_has_a_caller():
+def _unused(definitions) -> list:
+    """The public (path, node) definitions nothing outside them refers to."""
     trees = [ast.parse(path.read_text())
              for folder in (ROOT / "src", ROOT / "perfbench")
              for path in sorted(folder.rglob("*.py"))]
     everywhere = sum((_references(tree) for tree in trees), Counter())
     exempt = set(urcd.__all__)
-    unused = []
+    # references inside the definition itself (recursion) do not count
+    return [f"{path.name}:{node.lineno} {node.name}"
+            for path, node in definitions
+            if not node.name.startswith("_") and node.name not in exempt
+            and everywhere[node.name] == _references(node)[node.name]]
+
+
+def _module_bodies():
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_") or node.name in exempt):
-                continue
-            # references inside the definition itself (recursion) do not count
-            if everywhere[node.name] == _references(node)[node.name]:
-                unused.append(f"{path.name}:{node.lineno} {node.name}")
+            yield path, node
+
+
+def test_every_public_definition_has_a_caller():
+    unused = _unused((path, node) for path, node in _module_bodies()
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
     assert not unused, f"defined but never used outside tests: {unused}"
+
+
+def test_every_public_method_has_a_caller():
+    unused = _unused((path, method) for path, node in _module_bodies()
+                     if isinstance(node, ast.ClassDef)
+                     for method in node.body
+                     if isinstance(method, ast.FunctionDef))
+    assert not unused, f"methods never used outside tests: {unused}"
 
 
 def test_every_module_level_import_is_read():
