@@ -4,6 +4,11 @@ plain mean regressor, and the Monte-Carlo oracle.
 The continuous-output models are made comparable to empirical-measure
 predictors by sampling: each one can emit an empirical measure of fresh
 draws from its predicted law, seeded and reproducible.
+
+The three trained models are one network each, and one helper
+(``_fit_network``) trains them under their own output gradients.  The MDN
+is a single ``Mlp`` whose last affine layer emits the mixture parameters,
+as in Bishop's mixture density networks.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from urcd.measures import EmpiricalMeasure, make_empirical
 from urcd.neural import (
     FitConfig,
     Mlp,
-    activation_fns,
     backprop,
     fit_epochs,
     forward_cache,
@@ -110,24 +114,35 @@ def sample_gmm(gmm: GaussianMixture, n_samples: int,
 
 
 # ---------------------------------------------------------------------------
-# shared squared-error trainer
+# shared network trainer
 # ---------------------------------------------------------------------------
 
-def _fit_squared_error(data, Y, cfg: FitConfig) -> Mlp:
-    """Adam on mean squared error from the training inputs to the rows of Y;
-    returns the trained network."""
+def _fit_network(data, hidden_dims, out_dim: int, output_grad,
+                 cfg: FitConfig) -> Mlp:
+    """Minibatch Adam on a seeded network from the training inputs to out_dim
+    outputs; returns the trained network.
+
+    output_grad(out, rows) is the gradient of the loss, averaged over the
+    index array rows, w.r.t. the network outputs out of those rows.
+    """
     rng = np.random.default_rng(cfg.seed)
     X = data.train_inputs()
-    net = init_mlp([X.shape[1], *cfg.hidden_dims, Y.shape[1]],
+    net = init_mlp([X.shape[1], *hidden_dims, out_dim],
                    activation=cfg.activation, rng=rng)
 
-    def loss_grad(nets, rows):
-        out, pre, post = forward_cache(nets[0], X[rows])
-        return (backprop(nets[0], pre, post, 2.0 * (out - Y[rows]) / rows.size),)
+    def loss_grad(net, rows):
+        out, pre, post = forward_cache(net, X[rows])
+        return backprop(net, pre, post, output_grad(out, rows))
 
-    for (net,) in fit_epochs((net,), loss_grad, X.shape[0], cfg, rng):
+    for net in fit_epochs(net, loss_grad, X.shape[0], cfg, rng):
         pass
     return net
+
+
+def _fit_squared_error(data, Y, cfg: FitConfig) -> Mlp:
+    """Mean squared error from the training inputs to the rows of Y."""
+    return _fit_network(data, cfg.hidden_dims, Y.shape[1],
+                        lambda out, rows: 2.0 * (out - Y[rows]) / rows.size, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -136,32 +151,22 @@ def _fit_squared_error(data, Y, cfg: FitConfig) -> Mlp:
 
 @dataclass(frozen=True)
 class MdnModel:
-    """Trunk network plus an affine head emitting mixture parameters.
+    """One network whose last affine layer emits the mixture parameters.
 
-    The head output is split as [logits (K) | means (K*D) | log-stds (K*D)];
-    trunk features pass through the trunk's activation before the head.
+    The output is split as [logits (K) | means (K*D) | log-stds (K*D)].
     """
 
-    trunk: Mlp
-    head: Mlp
+    net: Mlp
     n_components: int
     out_dim: int
 
     def parameter_count(self) -> int:
-        return n_params(self.trunk) + n_params(self.head)
-
-
-def _mdn_features(model: MdnModel, X):
-    out, pre, post = forward_cache(model.trunk, X)
-    act, dact = activation_fns(model.trunk.activation)
-    return act(out), dact(out), pre, post
+        return n_params(self.net)
 
 
 def mdn_predict_params(model: MdnModel, x) -> GaussianMixture:
     """Predicted mixture parameters at a single input."""
-    x = np.asarray(x, dtype=float)
-    feats, _, _, _ = _mdn_features(model, x[None, :])
-    o = mlp_forward(model.head, feats[0])
+    o = mlp_forward(model.net, np.asarray(x, dtype=float))
     K, D = model.n_components, model.out_dim
     return GaussianMixture(weights=softmax(o[:K]),
                            means=o[K:K + K * D].reshape(K, D),
@@ -195,9 +200,10 @@ def _greedy_match(pred_means, targ_means):
 
 
 def _mdn_output_grad(out, t_weights, t_means, t_log_stds):
-    """Gradient of the MDN loss, averaged over the rows, w.r.t. the head output.
+    """Gradient of the MDN loss, averaged over the rows, w.r.t. the network
+    output.
 
-    out : (B, K + 2KD) head outputs; the targets of the same rows are
+    out : (B, K + 2KD) network outputs; the targets of the same rows are
     t_weights (B, K), t_means and t_log_stds (B, K, D).  Target components
     are first re-ordered to match the predicted means.
     """
@@ -224,8 +230,6 @@ def mdn_fit(data, n_components: int, cfg: FitConfig) -> MdnModel:
     currently predicted means (``_greedy_match``, a whole minibatch at
     once).  Deterministic per seed.
     """
-    rng = np.random.default_rng(cfg.seed)
-    X = data.train_inputs()
     D = data.output_dim
     K = n_components
 
@@ -245,23 +249,12 @@ def mdn_fit(data, n_components: int, cfg: FitConfig) -> MdnModel:
     t_means = np.array([t.means for t in targets])         # (N, K, D)
     t_log_stds = np.array([t.log_stds for t in targets])   # (N, K, D)
 
-    hidden = cfg.hidden_dims if cfg.hidden_dims else (max(8, 2 * X.shape[1]),)
-    trunk = init_mlp([X.shape[1], *hidden], activation=cfg.activation, rng=rng)
-    head = init_mlp([hidden[-1], K + 2 * K * D], activation="identity", rng=rng)
-
-    def loss_grad(nets, rows):
-        model = MdnModel(*nets, n_components=K, out_dim=D)
-        feats, dfeats, pre, post = _mdn_features(model, X[rows])
-        out, h_pre, h_post = forward_cache(model.head, feats)
-        d_out = _mdn_output_grad(out, t_weights[rows], t_means[rows],
-                                 t_log_stds[rows])
-        d_feats = (d_out @ model.head.weights[0].T) * dfeats
-        return (backprop(model.trunk, pre, post, d_feats),
-                backprop(model.head, h_pre, h_post, d_out))
-
-    for nets in fit_epochs((trunk, head), loss_grad, X.shape[0], cfg, rng):
-        pass
-    return MdnModel(*nets, n_components=K, out_dim=D)
+    hidden = cfg.hidden_dims if cfg.hidden_dims else (max(8, 2 * data.input_dim),)
+    net = _fit_network(
+        data, hidden, K + 2 * K * D,
+        lambda out, rows: _mdn_output_grad(out, t_weights[rows], t_means[rows],
+                                           t_log_stds[rows]), cfg)
+    return MdnModel(net=net, n_components=K, out_dim=D)
 
 
 def mdn_predict_measure(model: MdnModel, x, n_samples: int,

@@ -251,7 +251,6 @@ def _ball_test_inputs(data: Dataset, sampler, n_samples: int, n_test: int,
 class _Model(NamedTuple):
     fit: Callable        # (data, HarnessConfig, shared settings) -> model
     predict: Callable    # (model, x, n_samples, seed) -> EmpiricalMeasure
-    mixes_atoms: bool    # predictions mix atom measures: check the hull
 
 
 # The lambdas look up ``train_dnm``, ``dnm_predict``, ... when called, so a
@@ -259,17 +258,16 @@ class _Model(NamedTuple):
 _MODELS = {
     "dnm": _Model(lambda data, h, shared: train_dnm(
         data, TrainConfig(**shared, n_centers=h.n_centers))[0],
-        lambda model, x, n, seed: dnm_predict(model, x), True),
+        lambda model, x, n, seed: dnm_predict(model, x)),
     "const": _Model(lambda data, h, shared: train_dnm(
         data, TrainConfig(**shared, n_centers=1))[0],
-        lambda model, x, n, seed: dnm_predict(model, x), True),
+        lambda model, x, n, seed: dnm_predict(model, x)),
     "mdn": _Model(lambda data, h, shared: mdn_fit(
-        data, h.mdn_components, FitConfig(**shared)), mdn_predict_measure, False),
+        data, h.mdn_components, FitConfig(**shared)), mdn_predict_measure),
     "dgn": _Model(lambda data, h, shared: dgn_fit(data, FitConfig(**shared)),
-                  dgn_predict_measure, False),
+                  dgn_predict_measure),
     "mean": _Model(lambda data, h, shared: mean_dnn_fit(data, FitConfig(**shared)),
-                   lambda model, x, n, seed: mean_dnn_predict_measure(model, x),
-                   False),
+                   lambda model, x, n, seed: mean_dnn_predict_measure(model, x)),
     "oracle": None,    # the reference itself: never trained, W1 = M = 0
 }
 KNOWN_MODELS = tuple(_MODELS)
@@ -281,14 +279,6 @@ def _split_interval(samples, h: HarnessConfig, seed):
     if len(samples) == 1:
         return samples[0], samples[0]
     return bca_interval(samples, h.level, h.bootstrap_b, seed)
-
-
-def _check_hull(predict, data: Dataset):
-    """Spot check: mixture predictions must carry simplex weights."""
-    for i in list(data.train_idx)[:3]:
-        pred = predict(data.entries[i][0])
-        if abs(pred.weights.sum() - 1.0) > 1e-9 or pred.weights.min() < 0:
-            raise RuntimeError("prediction left the atom hull (internal bug)")
 
 
 def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
@@ -353,8 +343,6 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
         def predict(x):
             return spec.predict(model, x, gen_cfg.S, _pred_seed(seed, x))
 
-        if spec.mixes_atoms:
-            _check_hull(predict, data)
         try:
             test_time = 0.0
             if h.timings:

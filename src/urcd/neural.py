@@ -5,14 +5,15 @@ biases view one flat vector ``params`` (weights, then biases), the layout
 of its gradients too.  The forward map applies the activation
 componentwise after every affine layer except the last one.
 ``forward_cache``/``backprop`` expose the reverse-mode core, and
-``fit_epochs`` is the one minibatch-Adam loop, so other modules train the
-same networks under their own losses.  ``cross_entropy_grad`` takes a batch
-as an input array and a one-hot label array, so a trainer builds both once
-per fit and passes row slices; ``mean_nll`` is its loss expression, for a
-loss that needs no gradient.  ``adam_step`` updates the flat vector and its
-two moment vectors elementwise in place, so a step costs a handful of numpy
-operations whatever the depth.  ``NetConfig``/``FitConfig`` declare the
-training settings they share.
+``fit_epochs`` is the one minibatch-Adam loop: it trains one network, so
+other modules train the same networks under their own losses.
+``cross_entropy_grad`` takes a batch as an input array and a one-hot label
+array, so a trainer builds both once per fit and passes row slices;
+``mean_nll`` is its loss expression, for a loss that needs no gradient.
+``adam_step`` updates the flat vector and its two moment vectors
+elementwise in place, so a step costs a handful of numpy operations
+whatever the depth.  ``NetConfig``/``FitConfig`` declare the training
+settings they share.
 
 Everything is deterministic: initialization is seeded, and gradients are
 fresh arrays.  Only ``fit_epochs`` writes, and only to its own copies.
@@ -100,13 +101,6 @@ class FitConfig(NetConfig):
     """Settings for one seeded fit."""
 
     seed: int = 0
-
-
-def activation_fns(name: str):
-    """(function, derivative) pair for an activation tag."""
-    if name not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {name!r}")
-    return _ACTIVATIONS[name]
 
 
 def init_mlp(layer_dims, activation: str = "relu",
@@ -229,28 +223,26 @@ def adam_step(params: np.ndarray, m: np.ndarray, v: np.ndarray,
     params -= learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
-def fit_epochs(nets, loss_grad, n: int, cfg: NetConfig, rng):
-    """Minibatch Adam over n training rows; yields the networks after each epoch.
+def fit_epochs(net: Mlp, loss_grad, n: int, cfg: NetConfig, rng):
+    """Minibatch Adam over n training rows; yields the network after each epoch.
 
-    loss_grad(nets, rows) returns one flat gradient per network for the index
-    array rows.  Adam steps copies of the given networks in place, each with
-    its own moments, and every epoch yields fresh copies of them, so neither
-    the networks passed in nor those yielded are written to.  Rows are
-    reshuffled every epoch only when a batch is smaller than n.
+    loss_grad(net, rows) returns the flat gradient for the index array rows.
+    Adam steps a copy of the given network in place, and every epoch yields
+    a fresh copy of it, so neither the network passed in nor those yielded
+    are written to.  Rows are reshuffled every epoch only when a batch is
+    smaller than n.
     """
-    nets = tuple(dataclasses.replace(net) for net in nets)
-    moments = [(np.zeros_like(net.params), np.zeros_like(net.params))
-               for net in nets]
+    net = dataclasses.replace(net)
+    m, v = np.zeros_like(net.params), np.zeros_like(net.params)
     batch = min(cfg.batch_size or n, n)
     t = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(n) if batch < n else np.arange(n)
         for start in range(0, n, batch):
-            grads = loss_grad(nets, order[start:start + batch])
+            grad = loss_grad(net, order[start:start + batch])
             t += 1
-            for net, (m, v), g in zip(nets, moments, grads):
-                adam_step(net.params, m, v, g, t, cfg.learning_rate)
-        yield tuple(dataclasses.replace(net) for net in nets)
+            adam_step(net.params, m, v, grad, t, cfg.learning_rate)
+        yield dataclasses.replace(net)
 
 
 # ---------------------------------------------------------------------------

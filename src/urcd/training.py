@@ -208,13 +208,13 @@ def train_dnm(data: Dataset, cfg: TrainConfig):
     else:
         step_losses, losses = [], []
 
-        def loss_grad(nets, rows):
-            loss, grad = cross_entropy_grad(nets[0], inputs[rows], labels[rows])
+        def loss_grad(net, rows):
+            loss, grad = cross_entropy_grad(net, inputs[rows], labels[rows])
             step_losses.append(loss)
-            return (grad,)
+            return grad
 
         full_batch = min(cfg.batch_size or n, n) == n
-        for (net,) in fit_epochs((net,), loss_grad, n, cfg, rng):
+        for net in fit_epochs(net, loss_grad, n, cfg, rng):
             if not full_batch:
                 loss, logits = forward_loss(net)
                 losses.append(loss)

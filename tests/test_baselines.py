@@ -116,7 +116,8 @@ def test_mdn_parameter_count():
     trunk = (d * 7 + 7) + (7 * 5 + 5)
     head = 5 * (K + 2 * K * D) + (K + 2 * K * D)
     assert model.parameter_count() == trunk + head
-    assert n_params(model.trunk) == trunk
+    assert n_params(model.net) == trunk + head
+    assert model.net.layer_dims == (d, 7, 5, K + 2 * K * D)
 
 
 def test_mdn_measure_degenerate_mixture():

@@ -269,6 +269,21 @@ def test_numeric_failure_in_reference_draws_exits_3(tmp_path, capsys,
     assert "[reference] math domain error" in capsys.readouterr().err
 
 
+def test_prediction_failure_on_a_train_point_exits_3(tmp_path, capsys,
+                                                     monkeypatch):
+    """A mixing model's prediction error is an eval-stage runtime failure,
+    whichever point it happens on, the first training point included."""
+    def broken(*args, **kwargs):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr(harness, "dnm_predict", broken)
+    assert main(["experiment", "--task", "heteroscedastic", "--size", "8",
+                 "--samples", "6", "--models", "dnm", "--epochs", "5",
+                 "--hidden", "4", "--n-centers", "2", "--bootstrap", "100",
+                 "--report", str(tmp_path / "r.csv")]) == 3
+    assert "[eval:dnm] math domain error" in capsys.readouterr().err
+
+
 def test_exit_code_3_on_runtime_failure(tmp_path, capsys):
     report = tmp_path / "no_such_dir" / "report.csv"
     code = main(["experiment", "--task", "heteroscedastic", "--d", "1",

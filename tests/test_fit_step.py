@@ -82,47 +82,41 @@ def test_flat_adam_matches_per_layer_update(case):
 def _fit_case(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    nets = []
-    for _ in range(draw(st.integers(1, 3))):
-        dims = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
-        nets.append(Mlp(layer_dims=tuple(dims),
-                        weights=tuple(rng.normal(size=(a, b))
-                                      for a, b in zip(dims[:-1], dims[1:])),
-                        biases=tuple(rng.normal(size=b) for b in dims[1:])))
+    dims = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    net = Mlp(layer_dims=tuple(dims),
+              weights=tuple(rng.normal(size=(a, b))
+                            for a, b in zip(dims[:-1], dims[1:])),
+              biases=tuple(rng.normal(size=b) for b in dims[1:]))
     n = draw(st.integers(1, 8))
     cfg = NetConfig(epochs=draw(st.integers(1, 4)),
                     batch_size=draw(st.none() | st.integers(1, 8)),
                     learning_rate=draw(st.sampled_from([1e-3, 0.3])))
-    return nets, n, cfg, seed
+    return net, n, cfg, seed
 
 
 @given(_fit_case())
 def test_fit_epochs_writes_only_its_own_copies(case):
-    nets, n, cfg, seed = case
-    before = [[a.copy() for a in (*net.weights, *net.biases, net.params)]
-              for net in nets]
+    net, n, cfg, seed = case
+    before = [a.copy() for a in (*net.weights, *net.biases, net.params)]
     grad_rng = np.random.default_rng(seed)
 
     def loss_grad(current, rows):
-        return [grad_rng.normal(size=net.params.size) for net in current]
+        return grad_rng.normal(size=current.params.size)
 
     yielded, snapshots = [], []
-    for epoch_nets in fit_epochs(nets, loss_grad, n, cfg,
-                                 np.random.default_rng(seed)):
-        yielded.append(epoch_nets)
-        snapshots.append([net.params.copy() for net in epoch_nets])
+    for epoch_net in fit_epochs(net, loss_grad, n, cfg,
+                                np.random.default_rng(seed)):
+        yielded.append(epoch_net)
+        snapshots.append(epoch_net.params.copy())
     assert len(yielded) == cfg.epochs
-    # the networks passed in are never written to ...
-    for net, saved in zip(nets, before):
-        after = (*net.weights, *net.biases, net.params)
-        assert all(np.array_equal(a, b) for a, b in zip(saved, after))
+    # the network passed in is never written to ...
+    after = (*net.weights, *net.biases, net.params)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
     # ... nor a yielded one by a later step
-    for epoch_nets, saved in zip(yielded, snapshots):
-        assert all(np.array_equal(net.params, p)
-                   for net, p in zip(epoch_nets, saved))
+    assert all(np.array_equal(epoch_net.params, p)
+               for epoch_net, p in zip(yielded, snapshots))
     # and no two of them share memory
-    vectors = [net.params for net in nets]
-    vectors += [net.params for epoch_nets in yielded for net in epoch_nets]
+    vectors = [net.params] + [epoch_net.params for epoch_net in yielded]
     for i, a in enumerate(vectors):
         assert not any(np.shares_memory(a, b) for b in vectors[i + 1:])
 

@@ -1,7 +1,8 @@
 """Bit-level contract of the trainers.
 
 ``tests/data/golden_fits.json`` pins the SHA-256 of the trained parameter
-bytes (every weight, then every bias, of each network in order) that
+bytes (every weight, then every bias; the MDN's in the order of the trunk
+and head networks it was once split into) that
 ``train_dnm``, ``mdn_fit``, ``dgn_fit`` and ``mean_dnn_fit`` return on tiny
 generated data.  Every case trains with a batch smaller than the training
 set, so the per-epoch shuffle is on.  The MDN cases cover D = 2 and targets
@@ -94,24 +95,28 @@ _LOG_CASES = {
 }
 
 
-def _networks(kind: str, data, fit: dict):
+def _hashed_arrays(kind: str, data, fit: dict) -> list:
+    """The trained arrays in hash order: every weight, then every bias."""
     fit = dict(fit)
     if kind == "dnm":
-        model, _ = train_dnm(data, TrainConfig(**fit))
-        return (model.classifier,)
-    if kind == "mdn":
+        net = train_dnm(data, TrainConfig(**fit))[0].classifier
+    elif kind == "mdn":
         k = fit.pop("n_components")
-        model = mdn_fit(data, k, FitConfig(**fit))
-        return (model.trunk, model.head)
-    fitter = {"dgn": dgn_fit, "mean": mean_dnn_fit}[kind]
-    return (fitter(data, FitConfig(**fit)).net,)
+        net = mdn_fit(data, k, FitConfig(**fit)).net
+        # the MDN was once a trunk network and a one-layer head, hashed in
+        # that order: the hidden layers' arrays, then the output layer's
+        return [*net.weights[:-1], *net.biases[:-1],
+                net.weights[-1], net.biases[-1]]
+    else:
+        fitter = {"dgn": dgn_fit, "mean": mean_dnn_fit}[kind]
+        net = fitter(data, FitConfig(**fit)).net
+    return [*net.weights, *net.biases]
 
 
-def _params_hash(nets) -> str:
+def _params_hash(arrays) -> str:
     digest = hashlib.sha256()
-    for net in nets:
-        for arr in (*net.weights, *net.biases):
-            digest.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr, dtype=float).tobytes())
     return digest.hexdigest()
 
 
@@ -119,14 +124,15 @@ def _fit_hash(kind: str, gen: dict, fit: dict) -> str:
     data, _ = generate(GeneratorConfig(**gen))
     batch = fit["batch_size"]
     assert batch < len(data.train_entries()), "the shuffle must be on"
-    return _params_hash(_networks(kind, data, fit))
+    return _params_hash(_hashed_arrays(kind, data, fit))
 
 
 def _log_entry(gen: dict, fit: dict) -> dict:
     data, _ = generate(GeneratorConfig(**gen))
     model, log = train_dnm(data, TrainConfig(**fit))
     return {"config": {"trainer": "dnm", "generator": gen, "fit": fit},
-            "sha256": _params_hash((model.classifier,)),
+            "sha256": _params_hash([*model.classifier.weights,
+                                    *model.classifier.biases]),
             "epoch_losses": [float(v).hex() for v in log.epoch_losses],
             "final_accuracy": float(log.final_accuracy).hex()}
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urcd import neural
 from urcd.neural import (
     Mlp,
-    activation_fns,
     adam_step,
     backprop,
     cross_entropy_grad,
@@ -158,7 +158,7 @@ def test_cross_entropy_arrays_match_pair_version_bitwise(seed, n, d, hidden,
 def _per_layer_backprop(net, pre, post, d_out):
     """The earlier backprop, which returned one new array per weight and
     bias; kept as a reference, flattened weights first, then biases."""
-    _, dact = activation_fns(net.activation)
+    _, dact = neural._ACTIVATIONS[net.activation]
     gw = [None] * len(net.weights)
     gb = [None] * len(net.biases)
     delta = d_out

@@ -1,11 +1,12 @@
-"""Every top-level public function and class in ``src/urcd``, and every
-public method of its classes, has a caller.
+"""Every top-level function and class in ``src/urcd``, public or private,
+and every public method of its classes, has a caller.
 
 A name counts as used when some code in ``src/`` or ``perfbench/`` other
 than its own definition refers to it: by name, as an attribute, or as a
 string constant (``perfbench/tracer.py`` names what it traces in strings).
-Tests do not count, so code that only its own tests call shows up here.
-Only the package's exports (``urcd.__all__``) are exempt.
+Tests do not count, so code that only its own tests call shows up here,
+and so does a private helper left behind when its last caller goes.  Only
+the package's exports (``urcd.__all__``) are exempt.
 
 Every module-level import in ``src/urcd`` is read by its module, too.
 """
@@ -34,7 +35,7 @@ def _references(node) -> Counter:
 
 
 def _unused(definitions) -> list:
-    """The public (path, node) definitions nothing outside them refers to."""
+    """The (path, node) definitions nothing outside them refers to."""
     trees = [ast.parse(path.read_text())
              for folder in (ROOT / "src", ROOT / "perfbench")
              for path in sorted(folder.rglob("*.py"))]
@@ -43,7 +44,7 @@ def _unused(definitions) -> list:
     # references inside the definition itself (recursion) do not count
     return [f"{path.name}:{node.lineno} {node.name}"
             for path, node in definitions
-            if not node.name.startswith("_") and node.name not in exempt
+            if node.name not in exempt
             and everywhere[node.name] == _references(node)[node.name]]
 
 
@@ -53,17 +54,28 @@ def _module_bodies():
             yield path, node
 
 
+def _module_definitions(private: bool):
+    return ((path, node) for path, node in _module_bodies()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") == private)
+
+
 def test_every_public_definition_has_a_caller():
-    unused = _unused((path, node) for path, node in _module_bodies()
-                     if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    unused = _unused(_module_definitions(private=False))
     assert not unused, f"defined but never used outside tests: {unused}"
+
+
+def test_every_private_definition_has_a_caller():
+    unused = _unused(_module_definitions(private=True))
+    assert not unused, f"private, and never used outside tests: {unused}"
 
 
 def test_every_public_method_has_a_caller():
     unused = _unused((path, method) for path, node in _module_bodies()
                      if isinstance(node, ast.ClassDef)
                      for method in node.body
-                     if isinstance(method, ast.FunctionDef))
+                     if isinstance(method, ast.FunctionDef)
+                     and not method.name.startswith("_"))
     assert not unused, f"methods never used outside tests: {unused}"
 
 

@@ -188,11 +188,11 @@ def _train_dnm_full_loop(data, cfg):
     net = init_mlp([data.input_dim, *cfg.hidden_dims, cfg.n_centers],
                    activation=cfg.activation, rng=rng)
 
-    def loss_grad(nets, rows):
-        return (cross_entropy_grad(nets[0], inputs[rows], labels[rows])[1],)
+    def loss_grad(net, rows):
+        return cross_entropy_grad(net, inputs[rows], labels[rows])[1]
 
     losses = []
-    for (net,) in fit_epochs((net,), loss_grad, len(inputs), cfg, rng):
+    for net in fit_epochs(net, loss_grad, len(inputs), cfg, rng):
         logits, _, _ = forward_cache(net, inputs)
         losses.append(mean_nll(softmax(logits), labels))
     predictions = forward_cache(net, inputs)[0].argmax(axis=1)
