@@ -9,12 +9,16 @@ package is built on.
 
 The exact solver is a transportation simplex that starts from a least-cost
 basis and keeps its basis as a rooted spanning tree between pivots, in the
-manner of the network simplex (Bonneel et al. 2011): a pivot finds its
-cycle by walking up to a common ancestor and recomputes the potentials of
-the one subtree it re-hangs, not of the whole tree.  Its pivot count,
-degenerate pivots and whether the anti-cycling rule fired come back on the
-``TransportPlan``.  Two measures with the same number of atoms and uniform
-weights are an assignment problem, which ``w1_exact`` hands to
+manner of the network simplex (Bonneel et al. 2011): each node keeps its
+parent, depth and parent-edge flow in lists; a pivot finds its cycle by
+walking up to a common ancestor, reverses the parent pointers from the
+entering cell to the cut, and shifts the potentials of the one subtree it
+re-hangs by a single constant.  Pricing is by candidate list: one numpy
+pass over all cells keeps the most negative few, and the next pivots
+re-price only those, in Python.  Its pivot count, degenerate pivots and
+whether the anti-cycling rule fired come back on the ``TransportPlan``.
+Two measures with the same number of atoms and uniform weights are an
+assignment problem, which ``w1_exact`` hands to
 ``scipy.optimize.linear_sum_assignment`` instead.
 
 A 1-D W1 is a sweep over the merged sorted atoms of its two measures.
@@ -31,6 +35,7 @@ and the JSON formats do not see it.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -197,8 +202,8 @@ def _least_cost_start(a, b, cost):
     row_open, col_open = [True] * k, [True] * m
     rows, cols = k, m
     flow = {}
-    for cell in np.argsort(cost, axis=None, kind="stable").tolist():
-        i, j = divmod(cell, m)
+    order = np.argsort(cost, axis=None, kind="stable")
+    for i, j in zip((order // m).tolist(), (order % m).tolist()):
         if not (row_open[i] and col_open[j]):
             continue
         t = min(ra[i], rb[j])
@@ -216,126 +221,178 @@ def _least_cost_start(a, b, cost):
     return flow
 
 
-def _hang(top, nbrs, parent, depth, pot, c, k):
-    """Set parent, depth and potential below node `top`, whose own are set.
-
-    A child y of x gets ``pot[y] = cost(x, y) - pot[x]``: every potential
-    is computed along its path from the root."""
-    stack = [top]
-    while stack:
-        x = stack.pop()
-        px = parent[x]
-        for y in nbrs[x]:
-            if y != px:
-                parent[y] = x
-                depth[y] = depth[x] + 1
-                pot[y] = (c[x][y - k] if x < k else c[y][x - k]) - pot[x]
-                stack.append(y)
-
-
 def _solve_transport(a, b, cost):
     """Minimize <F, cost> over couplings of marginals a, b.
 
     Returns ``(F, pivots, degenerate_pivots, bland)``.  Transportation
     simplex from a least-cost starting basis (``_least_cost_start``), with
-    a Dantzig entering rule (first argmin of the reduced-cost
-    matrix) and a Bland fallback once the objective has not fallen by more
-    than `tol` for 100 pivots (degenerate pivots cannot cycle under Bland's
-    rule).  Supplies/demands must be strictly positive.
+    candidate-list pricing and a Bland fallback once the objective has not
+    fallen by more than `tol` for 100 pivots (degenerate pivots cannot
+    cycle under Bland's rule).  Supplies/demands must be strictly positive.
 
     Nodes 0..k-1 are the sources and k..k+m-1 the sinks; the basis cells
-    are the edges of a spanning tree rooted at source 0, kept between
-    pivots as a parent, a depth and a neighbour set per node.  The
-    potentials (duals) hang off the root: ``pot[0] = 0`` and a child gets
-    ``cost - pot[parent]``.  A pivot walks from the entering cell's sink
-    and source up to their common ancestor, which lists the cycle's tree
-    path from sink to source; every other cell, starting at the sink's,
-    loses flow, and the first of them with the least flow leaves.  Removing it cuts one subtree off the tree; that
-    subtree is re-hung from the entering cell's endpoint inside it, and
-    only its parents, depths and potentials are recomputed.  Every
-    potential is thus the same expression along the same root path as a
-    full dual pass from the root computes, so the duals, the reduced costs,
-    the pivots and the flows are bit for bit those of recomputing every
-    potential on every pivot.  The stall test reads the objective's fall
-    as -theta * reduced cost; a re-sum of the objective gives the same up
-    to rounding of order (k + m) * eps * max cost, far below `tol`.
+    are the edges of a spanning tree rooted at source 0.  Each node keeps,
+    in lists, its parent, its depth and the flow on the edge to its parent,
+    and the neighbour set it walks subtrees by.  The potentials (duals)
+    satisfy ``cost[i, j] = pot[i] - pot[k + j]`` on every tree edge: the
+    sinks' potentials are stored negated, so cell (i, j) prices at
+    ``cost[i, j] - pot[i] + pot[k + j]``.
+
+    Pricing.  A full pricing computes the reduced costs of all k*m cells in
+    numpy and keeps the `L` most negative, sorted by reduced cost, ties in
+    row-major order; the first of them enters.  `L` is half of sqrt(k*m),
+    and at least 24.  The next pivots re-price only the kept cells, in
+    Python, and the most negative enters (the first in list order on
+    ties).  A fresh full pricing is made once none of them is below -`tol`,
+    or after `L` pivots; the solve ends when a full pricing finds no cell
+    below -`tol`.  Under Bland's rule every pivot prices in full and takes
+    the first violating cell in row-major order.
+
+    A pivot walks from the entering cell's sink and source up to their
+    common ancestor, which lists the cycle's tree path from sink to source;
+    every other cell, starting at the sink's, loses flow, and the first of
+    them with the least flow leaves.  Removing it cuts one subtree off the
+    tree.  The parent pointers on the path from the entering endpoint
+    inside it up to the cut are reversed, so that the subtree hangs from
+    the entering cell, and one walk over the subtree sets its depths and
+    shifts all its potentials by the entering cell's reduced cost (down
+    when the subtree holds the sink, up when it holds the source).  The
+    stall test reads the objective's fall as -theta * reduced cost.
     """
     k, m = cost.shape
-    flow = _least_cost_start(a, b, cost)
+    n = k + m
+    start = _least_cost_start(a, b, cost)
     c = cost.tolist()
-    nbrs = [set() for _ in range(k + m)]
-    for i, j in flow:
+    nbrs = [set() for _ in range(n)]
+    for i, j in start:
         nbrs[i].add(k + j)
         nbrs[k + j].add(i)
-    parent = [-1] * (k + m)
-    depth = [0] * (k + m)
-    pot = [0.0] * (k + m)
-    _hang(0, nbrs, parent, depth, pot, c, k)
-
-    def up_cell(x):
-        return (x, parent[x] - k) if x < k else (parent[x], x - k)
+    parent = [-1] * n
+    depth = [0] * n
+    pot = [0.0] * n
+    up = [0.0] * n                    # flow on the edge to the parent
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in nbrs[x]:
+            if y != parent[x]:
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                if x < k:
+                    pot[y] = pot[x] - c[x][y - k]
+                    up[y] = start[(x, y - k)]
+                else:
+                    pot[y] = pot[x] + c[y][x - k]
+                    up[y] = start[(y, x - k)]
+                stack.append(y)
 
     tol = 1e-12 * (1.0 + float(cost.max(initial=0.0)))
+    n_cands = max(24, math.isqrt(k * m) // 2)       # L in the docstring
     bland = False
     stall = 0
     pivots = degenerate = 0
     max_iters = 50 * (k + m) ** 2 + 1000
 
-    reduced = np.empty_like(cost)     # priced in place: no k*m allocation per pivot
+    # priced in place, no k*m allocation per pivot; C order, so `flat` is a view
+    reduced = np.empty((k, m))
+    flat = reduced.reshape(-1)
+    costs = cost.reshape(-1)
+    cands = []                        # (i, k + j, cost) of the kept cells
+    age = n_cands                     # pivots since the last full pricing
     for _ in range(max_iters):
-        duals = np.array(pot)
-        np.subtract(cost, duals[:k, None], out=reduced)
-        reduced -= duals[None, k:]
-        if bland:
-            viol = np.argwhere(reduced < -tol)
-            if viol.size == 0:
-                break
-            ei, ej = int(viol[0, 0]), int(viol[0, 1])
+        r = 0.0
+        if not bland and age < n_cands:
+            for cell in cands:
+                rc = cell[2] - pot[cell[0]] + pot[cell[1]]
+                if rc < r:
+                    r, best = rc, cell
+        if r < -tol:
+            age += 1
         else:
-            flat = int(np.argmin(reduced))
-            ei, ej = divmod(flat, m)
-            if reduced[ei, ej] >= -tol:
+            duals = np.array(pot)
+            np.subtract(cost, duals[:k, None], out=reduced)
+            reduced += duals[None, k:]
+            idx = np.flatnonzero(flat < -tol)
+            if idx.size == 0:
                 break
+            if bland:
+                idx = idx[:1]             # the first violating cell, row-major
+            else:
+                vals = flat[idx]
+                if idx.size > 4 * n_cands:
+                    # drop what cannot be among the L most negative; ties stay
+                    keep = vals <= np.partition(vals, n_cands - 1)[n_cands - 1]
+                    idx, vals = idx[keep], vals[keep]
+                # stable: equal reduced costs stay in row-major order
+                idx = idx[np.argsort(vals, kind="stable")[:n_cands]]
+            cands = list(zip((idx // m).tolist(), (idx % m + k).tolist(),
+                             costs[idx].tolist()))
+            best = cands[0]
+            age = 1
+            r = best[2] - pot[best[0]] + pot[best[1]]
+        ei, kj = best[0], best[1]
 
-        # unique cycle: entering cell plus the tree path sink -> source
-        x, y = k + ej, ei
+        # unique cycle: entering cell plus the tree path sink -> source; the
+        # path nodes are listed by the tree edge to their parent
+        x, y = kj, ei
         sink_side, source_side = [], []
         while x != y:
             if depth[x] >= depth[y]:
-                sink_side.append(up_cell(x))
+                sink_side.append(x)
                 x = parent[x]
             else:
-                source_side.append(up_cell(y))
+                source_side.append(y)
                 y = parent[y]
-        path = sink_side + source_side[::-1]
-        theta = min(flow[cell] for cell in path[0::2])
-        out = next(t for t in range(0, len(path), 2) if flow[path[t]] == theta)
-        leave = path[out]
+        # the minus cells: edges walked from a sink to a source
+        theta = math.inf
+        for x in sink_side[0::2]:
+            if up[x] < theta:
+                theta, cut = up[x], x
+        cut_sink = True
+        for y in reversed(source_side[0::2]):
+            if up[y] < theta:
+                theta, cut = up[y], y
+                cut_sink = False
+        if theta > 0.0:
+            for x in sink_side[0::2]:
+                up[x] -= theta
+            for x in sink_side[1::2]:
+                up[x] += theta
+            for y in source_side[0::2]:
+                up[y] -= theta
+            for y in source_side[1::2]:
+                up[y] += theta
 
-        sign = -1.0
-        for cell in path:
-            flow[cell] += sign * theta
-            sign = -sign
-        flow[(ei, ej)] = theta
-        del flow[leave]
-
-        li, lj = leave
-        nbrs[li].discard(k + lj)
-        nbrs[k + lj].discard(li)
-        nbrs[ei].add(k + ej)
-        nbrs[k + ej].add(ei)
         # the cut-off subtree holds the entering endpoint on the leaving side
-        top, below = (k + ej, ei) if out < len(sink_side) else (ei, k + ej)
-        parent[top] = below
-        depth[top] = depth[below] + 1
-        pot[top] = c[ei][ej] - pot[below]
-        _hang(top, nbrs, parent, depth, pot, c, k)
+        inner, outer, shift = (kj, ei, -r) if cut_sink else (ei, kj, r)
+        nbrs[cut].discard(parent[cut])
+        nbrs[parent[cut]].discard(cut)
+        nbrs[ei].add(kj)
+        nbrs[kj].add(ei)
+        x, above, flow = inner, outer, theta
+        while True:
+            next_x, next_flow = parent[x], up[x]
+            parent[x], up[x] = above, flow
+            if x == cut:
+                break
+            x, above, flow = next_x, x, next_flow
+        depth[inner] = depth[outer] + 1
+        pot[inner] += shift
+        stack = [inner]
+        while stack:
+            x = stack.pop()
+            px, dy = parent[x], depth[x] + 1
+            for y in nbrs[x]:
+                if y != px:
+                    depth[y] = dy
+                    pot[y] += shift
+                    stack.append(y)
 
         pivots += 1
         if theta == 0.0:
             degenerate += 1
-        # the objective falls by -theta * reduced; the first pivot never stalls
-        if pivots == 1 or theta * reduced[ei, ej] < -tol:
+        # the objective falls by -theta * r; the first pivot never stalls
+        if pivots == 1 or theta * r < -tol:
             stall = 0
         else:
             stall += 1
@@ -345,9 +402,12 @@ def _solve_transport(a, b, cost):
         raise RuntimeError("transport solver failed to converge (internal bug)")
 
     F = np.zeros((k, m))
-    for (i, j), val in flow.items():
-        if val > 0.0:
-            F[i, j] = val
+    for x in range(1, n):
+        if up[x] > 0.0:
+            if x < k:
+                F[x, parent[x] - k] = up[x]
+            else:
+                F[parent[x], x - k] = up[x]
     return F, pivots, degenerate, bland
 
 

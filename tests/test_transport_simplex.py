@@ -1,15 +1,16 @@
-"""The spanning-tree transportation simplex against the solver it replaced.
+"""The transportation simplex against the solver it replaced, and HiGHS.
 
-``_former_solve_transport`` is the earlier solver, which recomputed the
-duals, the cycle and the objective from scratch on every pivot; it is kept
-here only as a reference, with counters added.  It starts from the
-north-west corner, as it did, or from a starting flow it is given.  From
-the production least-cost start, the tree-keeping solver must make the same
-pivots and return the same coupling bit for bit; from the north-west
-corner, the former solver may reach another optimal vertex, so only the
-costs must agree, to 1e-12 (see ``_close``).  Everything must agree with
-the HiGHS LP.  Equal-size uniform pairs are assignment problems, which ``w1_exact``
-solves without the simplex.
+``_former_solve_transport`` is an earlier solver, which recomputed the
+duals, the cycle and the objective from scratch on every pivot and took
+the first most negative cell of the whole cost matrix; it is kept here only
+as a reference, with counters added.  It starts from the north-west
+corner, as it did, or from a starting flow it is given.  The present
+solver prices a short candidate list, so it makes other pivots and may
+reach another optimal vertex: only the costs must agree with the former
+solver, to 1e-12 (see ``_close``), from either start.  Its own pivot
+counts are pinned on fixed fixtures.  Everything must agree with the
+HiGHS LP.  Equal-size uniform pairs are assignment problems, which
+``w1_exact`` solves without the simplex.
 """
 
 from unittest import mock
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from urcd.measures import (_distance_matrix, _least_cost_start, _solve_transport,
                            make_empirical, w1_exact)
 
-from lp_oracle import lp_oracle
+from lp_oracle import lp_oracle, lp_transport
 
 
 def _former_northwest_corner(a, b):
@@ -182,44 +183,34 @@ def _is_assignment(mu, nu):
     return a.size == b.size and np.all(a == a[0]) and np.all(b == b[0])
 
 
-def _former_w1_exact(mu, nu, least_cost):
-    """``w1_exact``'s zero-weight handling around the former solver, started
-    from the least-cost basis or from the north-west corner."""
-    a, b, cost, ia, ib = _positive(mu, nu)
+def _former_cost(a, b, cost, least_cost):
+    """The former solver's cost, from the least-cost basis or from the
+    north-west corner."""
     start = _least_cost_start(a, b, cost) if least_cost else None
-    sub, *stats = _former_solve_transport(a, b, cost, start)
-    coupling = np.zeros((mu.n_atoms, nu.n_atoms))
-    coupling[np.ix_(ia, ib)] = sub
-    return coupling, stats
+    F, *_ = _former_solve_transport(a, b, cost, start)
+    return float(np.sum(F * cost))
 
 
-def _assert_same_as_former(mu, nu):
-    """Simplex pairs: the least-cost former solver bit for bit.  Assignment
-    pairs: no pivots.  Both: the north-west former solver's cost."""
+def _assert_same_cost_as_former(mu, nu):
+    """``w1_exact`` against the former solver, from both starts, on the
+    atoms of positive weight.  Assignment pairs make no pivots."""
     plan = w1_exact(mu, nu)
     if _is_assignment(mu, nu):
         assert (plan.pivots, plan.degenerate_pivots, plan.bland) == (0, 0, False)
-    else:
-        coupling, stats = _former_w1_exact(mu, nu, least_cost=True)
-        assert np.array_equal(plan.coupling, coupling)
-        assert [plan.pivots, plan.degenerate_pivots, plan.bland] == stats
-    nw_coupling, _ = _former_w1_exact(mu, nu, least_cost=False)
-    cost = _distance_matrix(mu, nu)
-    assert _close(plan.cost, float(np.sum(nw_coupling * cost)), cost)
+    a, b, cost, *_ = _positive(mu, nu)
+    for least_cost in (True, False):
+        assert _close(plan.cost, _former_cost(a, b, cost, least_cost),
+                      _distance_matrix(mu, nu))
     return plan
 
 
-def _assert_solve_same_as_former(a, b, cost):
-    """``_solve_transport`` against the former solver: bit for bit from the
-    least-cost start, the cost from the north-west corner.  Returns the
-    stats."""
+def _assert_solve_same_cost_as_former(a, b, cost):
+    """``_solve_transport`` against the former solver's cost, from both
+    starts.  Returns the stats."""
     F, *stats = _solve_transport(a, b, cost)
-    old_F, *old_stats = _former_solve_transport(a, b, cost,
-                                                _least_cost_start(a, b, cost))
-    assert np.array_equal(F, old_F)
-    assert stats == old_stats
-    nw_F, *_ = _former_solve_transport(a, b, cost)
-    assert _close(float(np.sum(F * cost)), float(np.sum(nw_F * cost)), cost)
+    for least_cost in (True, False):
+        assert _close(float(np.sum(F * cost)), _former_cost(a, b, cost, least_cost),
+                      cost)
     return stats
 
 
@@ -286,7 +277,7 @@ def _near_additive(rng, k, m):
 
 
 # ---------------------------------------------------------------------------
-# same pivots, same coupling
+# the former solver's costs, and pinned pivot counts
 # ---------------------------------------------------------------------------
 
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),
@@ -301,21 +292,36 @@ def test_solve_transport_matches_former_solver(k, m, seed, square_uniform):
         b = rng.uniform(0.01, 1.0, size=m)
         a, b = a / a.sum(), b / b.sum()
     cost = rng.uniform(0.0, 3.0, size=(k, m))
-    _assert_solve_same_as_former(a, b, cost)
+    _assert_solve_same_cost_as_former(a, b, cost)
 
 
 @settings(max_examples=200)
 @given(_PAIRS)
 def test_w1_exact_matches_former_solver(pair):
-    _assert_same_as_former(*pair)
+    _assert_same_cost_as_former(*pair)
 
 
-def test_pivot_counts_match_former_solver():
+def _bland_fixture(seed):
+    """Flows of ~1e-13.5 to 1e-11 put theta * reduced cost near the stall
+    threshold, so when Bland's rule starts decides the pivots.  Nearly
+    additive costs keep the least-cost start far enough from the optimum
+    for the stall counter to run out."""
+    rng = np.random.default_rng(seed)
+    k, m = rng.integers(5, 31, size=2)
+    scale = 10.0 ** rng.uniform(-13.5, -11)
+    a = rng.uniform(0.5, 2, size=k) * scale
+    b = rng.uniform(0.5, 2, size=m) * scale
+    a[rng.integers(k)] = b[rng.integers(m)] = 1.0
+    a, b = a / a.sum(), b / b.sum()
+    return a, b, _near_additive(rng, k, m)
+
+
+def test_pivot_counts_are_pinned():
     rng = np.random.default_rng(3)
-    gauss = _assert_same_as_former(make_empirical(rng.normal(size=(40, 2))),
-                                   make_empirical(rng.normal(size=(30, 2)),
-                                                  rng.dirichlet(np.ones(30))))
-    assert (gauss.pivots, gauss.degenerate_pivots, gauss.bland) == (41, 0, False)
+    gauss = _assert_same_cost_as_former(make_empirical(rng.normal(size=(40, 2))),
+                                        make_empirical(rng.normal(size=(30, 2)),
+                                                       rng.dirichlet(np.ones(30))))
+    assert (gauss.pivots, gauss.degenerate_pivots, gauss.bland) == (46, 0, False)
 
     # equal-size uniform pairs are assignments in w1_exact, so the simplex
     # is pinned on them directly; on repeated atoms the least-cost start
@@ -323,14 +329,14 @@ def test_pivot_counts_match_former_solver():
     pool = rng.normal(size=(4, 2))
     mu = make_empirical(pool[rng.integers(0, 4, size=40)])
     nu = make_empirical(pool[rng.integers(0, 4, size=40)])
-    assert _assert_solve_same_as_former(mu.weights, nu.weights,
-                                        _distance_matrix(mu, nu)) == [0, 0, False]
-    plan = _assert_same_as_former(mu, nu)
+    assert _assert_solve_same_cost_as_former(mu.weights, nu.weights,
+                                             _distance_matrix(mu, nu)) == [0, 0, False]
+    plan = _assert_same_cost_as_former(mu, nu)
     assert (plan.pivots, plan.degenerate_pivots, plan.bland) == (0, 0, False)
     # uniform, unequal sizes: the simplex, with degenerate pivots
-    unequal = _assert_same_as_former(make_empirical(rng.normal(size=(50, 2))),
-                                     make_empirical(rng.normal(size=(25, 2))))
-    assert (unequal.pivots, unequal.degenerate_pivots, unequal.bland) == (35, 29, False)
+    unequal = _assert_same_cost_as_former(make_empirical(rng.normal(size=(50, 2))),
+                                          make_empirical(rng.normal(size=(25, 2))))
+    assert (unequal.pivots, unequal.degenerate_pivots, unequal.bland) == (46, 37, False)
 
     # all but one atom on each side carry ~1e-14: the pivots move too little
     # mass to count as progress, so Bland's rule takes over
@@ -340,26 +346,64 @@ def test_pivot_counts_match_former_solver():
     a[0] = b[-1] = 1.0
     a, b = a / a.sum(), b / b.sum()
     cost = _near_additive(rng, 30, 30)
-    assert _assert_solve_same_as_former(a, b, cost) == [120, 0, True]
+    assert _assert_solve_same_cost_as_former(a, b, cost) == [128, 0, True]
+    F, *_ = _solve_transport(a, b, cost)
+    assert abs(float(np.sum(F * cost)) - lp_transport(a, b, cost)) < 1e-8
 
 
-def test_stall_rule_matches_former_solver():
-    """Flows of ~1e-13.5 to 1e-11 put theta * reduced cost near the stall
-    threshold, so when Bland's rule starts decides the pivots.  Nearly
-    additive costs keep the least-cost start far enough from the optimum
-    for the stall counter to run out."""
-    blands = 0
+def test_stall_rule_hands_over_to_bland():
+    """The near-additive fixtures: the same costs as the former solver and
+    HiGHS, Bland's rule on three of them, and pinned pivot totals."""
+    totals = np.zeros(3, dtype=int)
+    blands = []
     for seed in range(80):
-        rng = np.random.default_rng(seed)
-        k, m = rng.integers(5, 31, size=2)
-        scale = 10.0 ** rng.uniform(-13.5, -11)
-        a = rng.uniform(0.5, 2, size=k) * scale
-        b = rng.uniform(0.5, 2, size=m) * scale
-        a[rng.integers(k)] = b[rng.integers(m)] = 1.0
-        a, b = a / a.sum(), b / b.sum()
-        stats = _assert_solve_same_as_former(a, b, _near_additive(rng, k, m))
-        blands += stats[2]
-    assert blands > 0
+        a, b, cost = _bland_fixture(seed)
+        stats = _assert_solve_same_cost_as_former(a, b, cost)
+        F, *_ = _solve_transport(a, b, cost)
+        assert abs(float(np.sum(F * cost)) - lp_transport(a, b, cost)) < 1e-8
+        totals += stats
+        if stats[2]:
+            blands.append(seed)
+    assert blands == [10, 13, 55]
+    assert totals.tolist() == [3809, 0, 3]
+
+
+def test_degenerate_inputs_pivot_counts():
+    """Pivot counts, which do not depend on the host as a time bound would,
+    on two larger fixtures: Dirichlet weights on 500 x 100 Gaussian atoms,
+    and uniform weights on 200 x 200 atoms drawn from 20 distinct points
+    (an assignment in ``w1_exact``, so the simplex is run directly)."""
+    rng = np.random.default_rng(0)
+    mu = make_empirical(rng.normal(size=(500, 2)), rng.dirichlet(np.ones(500)))
+    nu = make_empirical(rng.normal(size=(100, 2)), rng.dirichlet(np.ones(100)))
+    plan = w1_exact(mu, nu)
+    assert (plan.pivots, plan.degenerate_pivots, plan.bland) == (667, 0, False)
+    assert abs(plan.cost - lp_oracle(mu, nu)) < 1e-8
+
+    rng = np.random.default_rng(1)
+    pool = rng.normal(size=(20, 2))
+    mu = make_empirical(pool[rng.integers(0, 20, size=200)])
+    nu = make_empirical(pool[rng.integers(0, 20, size=200)])
+    cost = _distance_matrix(mu, nu)
+    F, *stats = _solve_transport(mu.weights, nu.weights, cost)
+    assert stats == [483, 472, False]
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    assert _close(float(np.sum(F * cost)), float(cost[rows, cols].sum()) / 200, cost)
+
+
+@settings(max_examples=200)
+@given(_PAIRS)
+def test_simplex_plan_is_a_tree_and_matches_lp(pair):
+    """On the atoms of positive weight: at most k + m - 1 cells carry mass,
+    no more degenerate pivots than pivots, and the cost of HiGHS.  The
+    memory layout of the cost matrix does not matter."""
+    mu, nu = pair
+    a, b, cost, *_ = _positive(mu, nu)
+    F, pivots, degenerate, _ = _solve_transport(a, b, cost)
+    assert np.count_nonzero(F) <= a.size + b.size - 1
+    assert 0 <= degenerate <= pivots
+    assert abs(float(np.sum(F * cost)) - lp_transport(a, b, cost)) < 1e-8
+    assert np.array_equal(_solve_transport(a, b, np.asfortranarray(cost))[0], F)
 
 
 # ---------------------------------------------------------------------------
