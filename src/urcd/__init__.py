@@ -14,29 +14,21 @@ Core entry points:
 from urcd.measures import (
     EmpiricalMeasure,
     TransportPlan,
-    integrate,
     make_empirical,
-    measures_equal,
     mixture,
-    sample,
     w1_1d,
     w1_cost,
     w1_exact,
-    w1_sinkhorn,
 )
 
 __all__ = [
     "EmpiricalMeasure",
     "TransportPlan",
-    "integrate",
     "make_empirical",
-    "measures_equal",
     "mixture",
-    "sample",
     "w1_1d",
     "w1_cost",
     "w1_exact",
-    "w1_sinkhorn",
 ]
 
 __version__ = "0.1.0"

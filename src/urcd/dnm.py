@@ -308,9 +308,11 @@ def dnm_from_dict(data: dict) -> DnmModel:
         raise ValueError(f"unsupported model format version {data.get('version')!r}")
     try:
         entries = data["atoms"]
-        if not (isinstance(entries, list) and all(isinstance(m, dict) for m in entries)):
+        if not (isinstance(entries, list) and all(
+                isinstance(m, dict) and isinstance(m.get("weights"), list)
+                for m in entries)):
             raise ValueError('"atoms" must be a list of objects with the fields '
-                             '"atoms" and "weights"')
+                             '"atoms" and "weights", the weights a list')
         atoms = tuple(make_empirical(m["atoms"], m["weights"], renormalize=False)
                       for m in entries)
         return DnmModel(feature_map=_feature_map_from_dict(data["feature_map"]),
@@ -318,6 +320,8 @@ def dnm_from_dict(data: dict) -> DnmModel:
                         atoms=atoms)
     except KeyError as exc:
         raise ValueError(f"model is missing the field {exc.args[0]!r}") from exc
+    except TypeError as exc:            # a JSON value of the wrong type
+        raise ValueError(f"model has a field of the wrong type: {exc}") from exc
 
 
 def save_dnm(model: DnmModel, path) -> None:

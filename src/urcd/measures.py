@@ -3,9 +3,8 @@
 An empirical measure is a set of atoms (points in R^D) together with a
 probability weight vector.  This module provides the exact Wasserstein-1
 distance (solved as a balanced transportation problem on the bipartite atom
-graph), the fast 1-D closed form, an entropically regularized approximation,
-and the mixture / integration / sampling operations everything else in the
-package is built on.
+graph), the fast 1-D closed form, and the mixture operation everything else
+in the package is built on.
 
 The exact solver is a transportation simplex that starts from a least-cost
 basis and keeps its basis as a rooted spanning tree between pivots, in the
@@ -36,7 +35,6 @@ and the JSON formats do not see it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,8 +51,7 @@ class EmpiricalMeasure:
     atoms   : (k, D) array, one row per support point
     weights : (k,) probability vector (entries in [0, 1], sum 1)
 
-    Coincident atoms are permitted and are deliberately not merged; merging
-    happens only inside the equality predicate ``measures_equal``.
+    Coincident atoms are permitted and are deliberately not merged.
     """
 
     atoms: np.ndarray
@@ -155,24 +152,6 @@ def make_empirical(points, weights=None, renormalize: bool = True) -> EmpiricalM
     atoms.flags.writeable = False
     w.flags.writeable = False
     return EmpiricalMeasure(atoms=atoms, weights=w)
-
-
-def measures_equal(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
-                   tol: float = 1e-12) -> bool:
-    """Equality as weighted atom multisets, merging coincident atoms."""
-    if mu.dim != nu.dim:
-        return False
-
-    def merged(m):
-        acc: dict[bytes, float] = {}
-        for row, w in zip(m.atoms, m.weights):
-            key = row.tobytes()
-            acc[key] = acc.get(key, 0.0) + w
-        return acc
-
-    a, b = merged(mu), merged(nu)
-    keys = set(a) | set(b)
-    return all(abs(a.get(key, 0.0) - b.get(key, 0.0)) <= tol for key in keys)
 
 
 def _check_same_dim(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
@@ -492,51 +471,6 @@ def w1_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     return float(np.abs(cdf_gap) @ gap)
 
 
-def w1_sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, reg: float,
-                max_iters: int = 10000, tol: float = 1e-9) -> float:
-    """Entropically regularized transport cost <pi, C> (entropy excluded).
-
-    Alternating dual-potential updates in the log domain, so small `reg`
-    does not underflow.  Stops when the worst marginal violation of the
-    implicit plan drops below `tol`; hitting the iteration cap raises a
-    RuntimeWarning rather than failing silently.
-    """
-    _check_same_dim(mu, nu)
-    if reg <= 0:
-        raise ValueError("reg must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-
-    ia, a = _positive_part(mu)
-    ib, b = _positive_part(nu)
-    C = _distance_matrix(mu, nu)[np.ix_(ia, ib)]
-    loga = np.log(a)
-    logb = np.log(b)
-
-    def logsumexp(M, axis):
-        mx = M.max(axis=axis, keepdims=True)
-        return (mx + np.log(np.exp(M - mx).sum(axis=axis, keepdims=True))).squeeze(axis)
-
-    f = np.zeros(a.size)
-    g = np.zeros(b.size)
-    converged = False
-    for _ in range(max_iters):
-        f = -reg * logsumexp((g[None, :] - C) / reg + logb[None, :], axis=1)
-        g = -reg * logsumexp((f[:, None] - C) / reg + loga[:, None], axis=0)
-        logP = (f[:, None] + g[None, :] - C) / reg + loga[:, None] + logb[None, :]
-        P = np.exp(logP)
-        err = max(np.abs(P.sum(axis=1) - a).max(), np.abs(P.sum(axis=0) - b).max())
-        if err < tol:
-            converged = True
-            break
-    if not converged:
-        warnings.warn(
-            f"sinkhorn hit max_iters={max_iters} with marginal violation {err:.3e}",
-            RuntimeWarning,
-        )
-    return float(np.sum(P * C))
-
-
 @dataclass(frozen=True)
 class AtomPool:
     """Measures mu_1..mu_N laid end to end, to be mixed again and again.
@@ -597,22 +531,6 @@ def mixture(beta, measures) -> EmpiricalMeasure:
     """Convex combination sum_n beta_n * mu_n of empirical measures
     (``mix_pool`` over their ``atom_pool``)."""
     return mix_pool(beta, atom_pool(measures))
-
-
-def integrate(mu: EmpiricalMeasure, g) -> float:
-    """Integral sum_j w_j g(a_j) of a scalar function over the measure."""
-    vals = np.array([float(g(atom)) for atom in mu.atoms])
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand returned a non-finite value at an atom")
-    return float(mu.weights @ vals)
-
-
-def sample(mu: EmpiricalMeasure, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k i.i.d. categorical draws from the atoms; (k, D) array."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    idx = rng.choice(mu.n_atoms, size=k, p=mu.weights)
-    return mu.atoms[idx].copy()
 
 
 def w1_cost(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:

@@ -261,13 +261,21 @@ def mlp_to_dict(net: Mlp) -> dict:
 
 
 def mlp_from_dict(data: dict) -> Mlp:
-    if data.get("format") != "urcd-mlp":
+    """Rebuild a saved network; a malformed one raises ValueError."""
+    if not isinstance(data, dict) or data.get("format") != "urcd-mlp":
         raise ValueError("not a serialized network")
     if data.get("version") != 1:
         raise ValueError(f"unsupported network format version {data.get('version')!r}")
-    return Mlp(
-        layer_dims=tuple(data["layer_dims"]),
-        weights=tuple(np.array(w, dtype=float) for w in data["weights"]),
-        biases=tuple(np.array(b, dtype=float) for b in data["biases"]),
-        activation=data["activation"],
-    )
+    dims = data["layer_dims"]
+    if not (isinstance(dims, list) and len(dims) >= 2
+            and all(type(d) is int and d >= 1 for d in dims)):
+        raise ValueError("layer_dims must list at least two positive integers")
+    if data["activation"] not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {data['activation']!r}")
+    weights = tuple(np.array(w, dtype=float) for w in data["weights"])
+    biases = tuple(np.array(b, dtype=float) for b in data["biases"])
+    shapes = [(a, b) for a, b in zip(dims, dims[1:])] + [(d,) for d in dims[1:]]
+    if [a.shape for a in (*weights, *biases)] != shapes:
+        raise ValueError(f"weight and bias shapes do not match layer_dims {dims}")
+    return Mlp(layer_dims=tuple(dims), weights=weights, biases=biases,
+               activation=data["activation"])

@@ -283,7 +283,7 @@ def load_dataset(path) -> Dataset:
                         f'{target.dim}, but the first record has '
                         f'{entries[0][0].size} and {entries[0][1].dim}')
                 entries.append((x, target))
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:   # TypeError: x or samples not numbers
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if not entries:
         raise ValueError(f"no records in {path}")
@@ -293,7 +293,10 @@ def load_dataset(path) -> Dataset:
     if os.path.exists(split_path):
         where = split_path
         with open(split_path) as fh:
-            split = json.load(fh)
+            try:
+                split = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"{split_path}: {exc}") from exc
         if not isinstance(split, dict) or not {"train", "test"} <= split.keys():
             raise ValueError(f'{split_path}: a split needs the fields "train" '
                              f'and "test"')

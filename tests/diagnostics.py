@@ -1,5 +1,6 @@
-"""Reference checks the tests compare the package against: gradients, hull
-slack, covering radius, GMM likelihood, and reading a CSV report back."""
+"""Reference checks the tests compare the package against: measure equality,
+gradients, hull slack, covering radius, GMM likelihood, and reading a CSV
+report back."""
 
 import dataclasses
 
@@ -8,8 +9,26 @@ import numpy as np
 from urcd.baselines import GaussianMixture, _log_gauss_diag
 from urcd.dnm import DnmModel, dnm_predict
 from urcd.harness import CSV_HEADER, Metrics
-from urcd.measures import mixture, w1_cost
+from urcd.measures import EmpiricalMeasure, mixture, w1_cost
 from urcd.neural import Mlp, cross_entropy_grad
+
+
+def measures_equal(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
+                   tol: float = 1e-12) -> bool:
+    """Equality as weighted atom multisets, merging coincident atoms."""
+    if mu.dim != nu.dim:
+        return False
+
+    def merged(m):
+        acc: dict[bytes, float] = {}
+        for row, w in zip(m.atoms, m.weights):
+            key = row.tobytes()
+            acc[key] = acc.get(key, 0.0) + w
+        return acc
+
+    a, b = merged(mu), merged(nu)
+    keys = set(a) | set(b)
+    return all(abs(a.get(key, 0.0) - b.get(key, 0.0)) <= tol for key in keys)
 
 
 def grad_check(net: Mlp, batch, h: float = 1e-5) -> float:

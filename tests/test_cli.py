@@ -128,6 +128,20 @@ _BAD_SPLITS = {"split train not a list": {"train": 5},
                "split test not integers": {"test": [4.0]},
                "split index out of range": {"test": [9]},
                "split repeats an index": {"train": [0, 1, 1], "test": [2]}}
+_BAD_MODELS = {
+    "model without atoms": lambda m: m.pop("atoms"),
+    "model atoms not objects": lambda m: m.update(atoms=[[0.0]]),
+    "model atom weights null": lambda m: m["atoms"][0].update(weights=None),
+    "model feature map not an object": lambda m: m.update(feature_map=[]),
+    "model classifier not an object": lambda m: m.update(classifier="x"),
+    "model weights not a list": lambda m: m["classifier"].update(weights=5),
+    "model activation unknown":
+        lambda m: m["classifier"].update(activation="bogus"),
+    "model weight of the wrong shape":
+        lambda m: m["classifier"]["biases"][0].pop(),
+    "model layer_dims not integers":
+        lambda m: m["classifier"].update(layer_dims=[1, "a", 2]),
+}
 
 
 @pytest.mark.parametrize("case, where", [
@@ -137,6 +151,7 @@ _BAD_SPLITS = {"split train not a list": {"train": 5},
     ("x not finite", "data.jsonl:3"),
     ("x empty", "data.jsonl:3"),
     ("x of another dimension", "data.jsonl:3"),
+    ("x an object", "data.jsonl:3"),
     ("samples of another dimension", "data.jsonl:3"),
     ("one record", "data.jsonl"),
     ("split without train", "data.jsonl.split.json"),
@@ -145,8 +160,8 @@ _BAD_SPLITS = {"split train not a list": {"train": 5},
     ("split test not integers", "data.jsonl.split.json"),
     ("split index out of range", "data.jsonl.split.json"),
     ("split repeats an index", "data.jsonl.split.json"),
-    ("model without atoms", "model.json"),
-    ("model atoms not objects", "model.json"),
+    ("split not JSON", "data.jsonl.split.json"),
+    *((case, "model.json") for case in _BAD_MODELS),
 ])
 def test_malformed_input_file_exits_2(tmp_path, capsys, case, where):
     data, model = tmp_path / "data.jsonl", tmp_path / "model.json"
@@ -163,6 +178,8 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, case, where):
         records[2]["x"] = []
     elif case == "x of another dimension":
         records[2]["x"] = [0.5, 0.5]
+    elif case == "x an object":
+        records[2]["x"] = {"a": 1}
     elif case == "samples of another dimension":
         records[2]["samples"] = [[1.0, 2.0]]
     elif case == "one record":
@@ -172,17 +189,15 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, case, where):
         split = {"train": [0, 1, 2, 3], "test": [4]}
         if case.startswith("split without"):
             del split[case.split()[-1]]
-        else:
+        elif case in _BAD_SPLITS:
             split.update(_BAD_SPLITS[case])
-        (tmp_path / "data.jsonl.split.json").write_text(json.dumps(split))
+        text = "{" if case == "split not JSON" else json.dumps(split)
+        (tmp_path / "data.jsonl.split.json").write_text(text)
     if case.startswith("model"):
         assert main(["train", "--data", str(data), "--n", "2", "--epochs", "2",
                      "--hidden", "4", "--out", str(model)]) == 0
         saved = json.loads(model.read_text())
-        if case == "model without atoms":
-            del saved["atoms"]
-        else:
-            saved["atoms"] = [[0.0]]
+        _BAD_MODELS[case](saved)
         model.write_text(json.dumps(saved))
         argv = ["eval", "--model", str(model), "--data", str(data)]
     else:

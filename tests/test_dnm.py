@@ -21,10 +21,10 @@ from urcd.dnm import (
     save_dnm,
     table_feature_map,
 )
-from urcd.measures import make_empirical, measures_equal, mixture, w1_exact
+from urcd.measures import make_empirical, mixture, w1_exact
 from urcd.neural import Mlp, init_mlp
 
-from diagnostics import covering_radius, projection_slack
+from diagnostics import covering_radius, measures_equal, projection_slack
 
 
 def _affine_classifier(w, b):

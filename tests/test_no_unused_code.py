@@ -5,8 +5,9 @@ A name counts as used when some code in ``src/`` or ``perfbench/`` other
 than its own definition refers to it: by name, as an attribute, or as a
 string constant (``perfbench/tracer.py`` names what it traces in strings).
 Tests do not count, so code that only its own tests call shows up here,
-and so does a private helper left behind when its last caller goes.  Only
-the package's exports (``urcd.__all__``) are exempt.
+and so does a private helper left behind when its last caller goes.  An
+``__all__`` listing calls nothing and does not count either: every export
+of ``urcd`` needs a real caller.
 
 Every module-level import in ``src/urcd`` is read by its module, too.
 """
@@ -14,8 +15,6 @@ Every module-level import in ``src/urcd`` is read by its module, too.
 import ast
 import pathlib
 from collections import Counter
-
-import urcd
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "urcd"
@@ -34,18 +33,22 @@ def _references(node) -> Counter:
     return found
 
 
+def _is_export_list(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
 def _unused(definitions) -> list:
     """The (path, node) definitions nothing outside them refers to."""
     trees = [ast.parse(path.read_text())
              for folder in (ROOT / "src", ROOT / "perfbench")
              for path in sorted(folder.rglob("*.py"))]
-    everywhere = sum((_references(tree) for tree in trees), Counter())
-    exempt = set(urcd.__all__)
+    everywhere = sum((_references(node) for tree in trees for node in tree.body
+                      if not _is_export_list(node)), Counter())
     # references inside the definition itself (recursion) do not count
     return [f"{path.name}:{node.lineno} {node.name}"
             for path, node in definitions
-            if node.name not in exempt
-            and everywhere[node.name] == _references(node)[node.name]]
+            if everywhere[node.name] == _references(node)[node.name]]
 
 
 def _module_bodies():
