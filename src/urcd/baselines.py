@@ -51,9 +51,6 @@ class GaussianMixture:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.means
-
 
 # ---------------------------------------------------------------------------
 # EM for diagonal Gaussian mixtures

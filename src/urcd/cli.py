@@ -211,6 +211,12 @@ def _cmd_train(args, cfg) -> int:
 def _cmd_eval(args, cfg) -> int:
     model = load_dnm(args.model)
     data = load_dataset(args.data)
+    dims = (model.classifier.layer_dims[0], model.output_dim)
+    if (data.input_dim, data.output_dim) != dims:
+        raise ValueError(
+            f"{args.model} maps R^{dims[0]} to measures on R^{dims[1]}, but "
+            f"{args.data} has inputs in R^{data.input_dim} and targets in "
+            f"R^{data.output_dim}")
     res = eval_model(lambda x: dnm_predict(model, x), data,
                      [target for _, target in data.entries])
     print("split,points,W1,M")

@@ -110,12 +110,6 @@ def entry_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(master_seed), int(index)))
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(int(seed))
-
-
 def _blocks(size: int, doubles_per_draw: int):
     """(start, count) runs covering draws 0..size-1, each of about
     _BLOCK_DOUBLES doubles of per-draw work."""
@@ -158,7 +152,7 @@ class HeteroscedasticSampler:
     net: Mlp
 
     def draw(self, x, size, seed):
-        rng = _rng(seed)
+        rng = np.random.default_rng(seed)
         x = np.asarray(x, dtype=float)
         loc = mlp_forward(self.net, x)[0]
         scale = math.sqrt(np.linalg.norm(x) / 2.0)   # Laplace variance 2 b^2 = ||x||
@@ -207,7 +201,7 @@ class DropoutSampler:
     rate: float
 
     def draw(self, x, size, seed):
-        rng = _rng(seed)
+        rng = np.random.default_rng(seed)
         x = np.asarray(x, dtype=float)
         weights, biases = self.net.weights, self.net.biases
         widths = [w.size for w in weights]
@@ -296,7 +290,7 @@ class ElmSampler:
         return self.features(theta, X) @ coef
 
     def draw(self, x, size, seed):
-        rng = _rng(seed)
+        rng = np.random.default_rng(seed)
         x = np.atleast_2d(np.asarray(x, dtype=float))
         dims = [self.train_X.shape[1]] + [self.width] * self.depth
         shapes = list(zip(dims[:-1], dims[1:]))
@@ -393,7 +387,7 @@ class SdeSampler:
         return tx
 
     def draw(self, tx, size, seed):
-        rng = _rng(seed)
+        rng = np.random.default_rng(seed)
         tx = np.asarray(tx, dtype=float).ravel()
         t, x0 = float(tx[0]), tx[1:]
         if t < 0.0:

@@ -1,9 +1,11 @@
 """Classifier-gated mixtures of empirical measures, with their rates.
 
-A model maps an input x to a probability measure by feeding phi(x) through
-a dense classifier, softmax-ing the logits, and mixing a fixed family of
-atom measures with those weights.  Every prediction therefore lies in the
-convex hull of the atom measures by construction.
+A model maps an input x in R^d to a probability measure by feeding x
+through a dense classifier, softmax-ing the logits, and mixing a fixed
+family of atom measures with those weights.  Every prediction therefore
+lies in the convex hull of the atom measures by construction.  The paper's
+feature map phi is the identity on R^d: the model file records it as
+{"kind": "identity", "input_dim": d} and refuses any other record.
 
 Also here: closed-form atom-count calculators for Hoelder-regular targets,
 a Lambert-W evaluator backing the 1-D quantizer count, and the model's JSON
@@ -39,86 +41,14 @@ _INV_E = math.exp(-1.0)
 
 
 @dataclass(frozen=True)
-class FeatureMap:
-    """Injective feature map from the input space into R^m.
-
-    kind = "identity"        : x -> x
-    kind = "affine"          : x -> A x + offset, A of full column rank
-    kind = "table"           : finite lookup keyed on exact coordinates
-
-    Injectivity is what makes the classifier able to separate inputs; for
-    affine maps it is checked numerically at construction.
-    """
-
-    kind: str
-    input_dim: int
-    matrix: np.ndarray | None = None
-    offset: np.ndarray | None = None
-    table: dict | None = None
-
-    def output_dim(self) -> int:
-        if self.kind == "identity":
-            return self.input_dim
-        if self.kind == "affine":
-            return self.matrix.shape[0]
-        return len(next(iter(self.table.values())))
-
-    def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.input_dim,):
-            raise ValueError(
-                f"input of shape {x.shape}, feature map expects ({self.input_dim},)")
-        if self.kind == "identity":
-            return x
-        if self.kind == "affine":
-            return self.matrix @ x + self.offset
-        key = tuple(float(c) for c in x)
-        if key not in self.table:
-            raise ValueError("input not present in the feature lookup table")
-        return np.asarray(self.table[key], dtype=float)
-
-
-def identity_feature_map(input_dim: int) -> FeatureMap:
-    return FeatureMap(kind="identity", input_dim=int(input_dim))
-
-
-def affine_feature_map(matrix, offset=None) -> FeatureMap:
-    A = np.atleast_2d(np.asarray(matrix, dtype=float))
-    b = np.zeros(A.shape[0]) if offset is None else np.asarray(offset, dtype=float)
-    if b.shape != (A.shape[0],):
-        raise ValueError("offset length must match the matrix row count")
-    if min(A.shape) == 0 or np.linalg.svd(A, compute_uv=False).min() <= 1e-10:
-        raise ValueError("affine feature map must have full column rank")
-    return FeatureMap(kind="affine", input_dim=A.shape[1], matrix=A, offset=b)
-
-
-def table_feature_map(table: dict) -> FeatureMap:
-    if not table:
-        raise ValueError("feature table must be non-empty")
-    items = {tuple(float(c) for c in k): np.asarray(v, dtype=float)
-             for k, v in table.items()}
-    dims = {v.shape for v in items.values()}
-    if len(dims) != 1:
-        raise ValueError("feature table values must share a dimension")
-    seen = set()
-    for v in items.values():
-        key = v.tobytes()
-        if key in seen:
-            raise ValueError("feature table is not injective")
-        seen.add(key)
-    input_dim = len(next(iter(items)))
-    return FeatureMap(kind="table", input_dim=input_dim, table=items)
-
-
-@dataclass(frozen=True)
 class DnmModel:
-    """Feature map + classifier + atom measures.
+    """Classifier + atom measures.
 
-    The classifier output dimension must equal the number of atom measures,
-    and the atom measures must share one ambient dimension.
+    The classifier reads an input x in R^d directly; its output dimension
+    must equal the number of atom measures, and the atom measures must
+    share one ambient dimension.
     """
 
-    feature_map: FeatureMap
     classifier: Mlp
     atoms: tuple
 
@@ -127,12 +57,6 @@ class DnmModel:
             raise ValueError("classifier output dimension must match the atom count")
         if len({m.dim for m in self.atoms}) != 1:
             raise ValueError("atom measures must share an ambient dimension")
-        if self.classifier.layer_dims[0] != self.feature_map.output_dim():
-            raise ValueError("classifier input must match the feature dimension")
-
-    @property
-    def n_atoms(self) -> int:
-        return len(self.atoms)
 
     @property
     def output_dim(self) -> int:
@@ -177,8 +101,7 @@ class RateParams:
 
 def predict_weights(model: DnmModel, x) -> np.ndarray:
     """The simplex weights the model assigns to its atom measures at x."""
-    feats = model.feature_map.apply(x)
-    return softmax(mlp_forward(model.classifier, feats))
+    return softmax(mlp_forward(model.classifier, x))
 
 
 def dnm_predict(model: DnmModel, x) -> EmpiricalMeasure:
@@ -269,32 +192,12 @@ def n_quantizer(eps: float, D: int, M: float) -> int:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _feature_map_to_dict(fm: FeatureMap) -> dict:
-    data = {"kind": fm.kind, "input_dim": fm.input_dim}
-    if fm.kind == "affine":
-        data["matrix"] = fm.matrix.tolist()
-        data["offset"] = fm.offset.tolist()
-    elif fm.kind == "table":
-        data["table"] = [[list(k), v.tolist()] for k, v in fm.table.items()]
-    return data
-
-
-def _feature_map_from_dict(data: dict) -> FeatureMap:
-    kind = data["kind"]
-    if kind == "identity":
-        return identity_feature_map(data["input_dim"])
-    if kind == "affine":
-        return affine_feature_map(data["matrix"], data["offset"])
-    if kind == "table":
-        return table_feature_map({tuple(k): v for k, v in data["table"]})
-    raise ValueError(f"unknown feature map kind {kind!r}")
-
-
 def dnm_to_dict(model: DnmModel) -> dict:
     return {
         "format": "urcd-dnm",
         "version": 1,
-        "feature_map": _feature_map_to_dict(model.feature_map),
+        "feature_map": {"kind": "identity",
+                        "input_dim": model.classifier.layer_dims[0]},
         "classifier": mlp_to_dict(model.classifier),
         "atoms": [{"atoms": m.atoms.tolist(), "weights": m.weights.tolist()}
                   for m in model.atoms],
@@ -315,9 +218,11 @@ def dnm_from_dict(data: dict) -> DnmModel:
                              '"atoms" and "weights", the weights a list')
         atoms = tuple(make_empirical(m["atoms"], m["weights"], renormalize=False)
                       for m in entries)
-        return DnmModel(feature_map=_feature_map_from_dict(data["feature_map"]),
-                        classifier=mlp_from_dict(data["classifier"]),
-                        atoms=atoms)
+        classifier = mlp_from_dict(data["classifier"])
+        identity = {"kind": "identity", "input_dim": classifier.layer_dims[0]}
+        if data["feature_map"] != identity:
+            raise ValueError(f'"feature_map" must be {json.dumps(identity)}')
+        return DnmModel(classifier=classifier, atoms=atoms)
     except KeyError as exc:
         raise ValueError(f"model is missing the field {exc.args[0]!r}") from exc
     except TypeError as exc:            # a JSON value of the wrong type

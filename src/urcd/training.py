@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from urcd.dnm import DnmModel, identity_feature_map
+from urcd.dnm import DnmModel
 from urcd.measures import make_empirical
 from urcd.neural import (
     FitConfig,
@@ -226,8 +226,7 @@ def train_dnm(data: Dataset, cfg: TrainConfig):
 
     accuracy = float((logits.argmax(axis=1) == labels.argmax(axis=1)).mean())
 
-    model = DnmModel(feature_map=identity_feature_map(d), classifier=net,
-                     atoms=atoms)
+    model = DnmModel(classifier=net, atoms=atoms)
     log = TrainingLog(center_indices=tuple(centers),
                       epoch_losses=tuple(losses), final_accuracy=accuracy)
     return model, log

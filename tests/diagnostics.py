@@ -82,7 +82,7 @@ def projection_slack(model: DnmModel, targets, grid_resolution: int):
     sup_hull_dist) where the hull distance is estimated by exhaustive
     search over a simplex grid; only tractable for up to 3 atom measures.
     """
-    n = model.n_atoms
+    n = len(model.atoms)
     if n > 3:
         raise ValueError("hull grid search supports at most 3 atom measures")
     if grid_resolution < 1:

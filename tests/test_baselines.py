@@ -102,8 +102,8 @@ def test_mdn_single_component_tracks_mean():
     cfg = FitConfig(hidden_dims=(16,), epochs=800, learning_rate=5e-3, seed=1)
     model = mdn_fit(data, 1, cfg)
     tol = 3 * std / np.sqrt(s)
-    errs = [abs(mdn_predict_params(model, x).mean()[0] - float(x[0]))
-            for x, _ in data.train_entries()]
+    gmms = [(mdn_predict_params(model, x), x) for x, _ in data.train_entries()]
+    errs = [abs((gmm.weights @ gmm.means)[0] - float(x[0])) for gmm, x in gmms]
     assert np.mean(errs) < tol
 
 
@@ -141,8 +141,9 @@ def test_mdn_measure_clt_and_determinism():
     gmm = mdn_predict_params(model, x)
     second_moment = (gmm.weights @ (np.exp(2 * gmm.log_stds[:, 0])
                                     + gmm.means[:, 0] ** 2))
-    std = np.sqrt(second_moment - gmm.mean()[0] ** 2)
-    assert abs(m.mean()[0] - gmm.mean()[0]) < 4 * std / np.sqrt(n_samples)
+    gmm_mean = gmm.weights @ gmm.means
+    std = np.sqrt(second_moment - gmm_mean[0] ** 2)
+    assert abs(m.mean()[0] - gmm_mean[0]) < 4 * std / np.sqrt(n_samples)
     again = mdn_predict_measure(model, x, n_samples, seed=11)
     assert np.array_equal(m.atoms, again.atoms)
 

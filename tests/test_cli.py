@@ -133,6 +133,10 @@ _BAD_MODELS = {
     "model atoms not objects": lambda m: m.update(atoms=[[0.0]]),
     "model atom weights null": lambda m: m["atoms"][0].update(weights=None),
     "model feature map not an object": lambda m: m.update(feature_map=[]),
+    "model feature map affine": lambda m: m["feature_map"].update(
+        kind="affine", matrix=[[1.0]], offset=[0.0]),
+    "model feature map input_dim wrong":
+        lambda m: m["feature_map"].update(input_dim=2),
     "model classifier not an object": lambda m: m.update(classifier="x"),
     "model weights not a list": lambda m: m["classifier"].update(weights=5),
     "model activation unknown":
@@ -142,6 +146,9 @@ _BAD_MODELS = {
     "model layer_dims not integers":
         lambda m: m["classifier"].update(layer_dims=[1, "a", 2]),
 }
+# data of another input (d) or target (D) dimension than the model's
+_MISMATCHED_DATA = {"eval d mismatch": {"x": [0.5, 0.5], "samples": [[1.0]]},
+                    "eval D mismatch": {"x": [0.5], "samples": [[1.0, 2.0]]}}
 
 
 @pytest.mark.parametrize("case, where", [
@@ -162,6 +169,7 @@ _BAD_MODELS = {
     ("split repeats an index", "data.jsonl.split.json"),
     ("split not JSON", "data.jsonl.split.json"),
     *((case, "model.json") for case in _BAD_MODELS),
+    *((case, "data.jsonl") for case in _MISMATCHED_DATA),
 ])
 def test_malformed_input_file_exits_2(tmp_path, capsys, case, where):
     data, model = tmp_path / "data.jsonl", tmp_path / "model.json"
@@ -193,12 +201,15 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, case, where):
             split.update(_BAD_SPLITS[case])
         text = "{" if case == "split not JSON" else json.dumps(split)
         (tmp_path / "data.jsonl.split.json").write_text(text)
-    if case.startswith("model"):
+    if case.startswith(("model", "eval")):
         assert main(["train", "--data", str(data), "--n", "2", "--epochs", "2",
                      "--hidden", "4", "--out", str(model)]) == 0
-        saved = json.loads(model.read_text())
-        _BAD_MODELS[case](saved)
-        model.write_text(json.dumps(saved))
+        if case in _MISMATCHED_DATA:
+            data.write_text((json.dumps(_MISMATCHED_DATA[case]) + "\n") * 3)
+        else:
+            saved = json.loads(model.read_text())
+            _BAD_MODELS[case](saved)
+            model.write_text(json.dumps(saved))
         argv = ["eval", "--model", str(model), "--data", str(data)]
     else:
         argv = ["train", "--data", str(data), "--n", "2", "--epochs", "2",
@@ -207,6 +218,8 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, case, where):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(tmp_path / where) in err
+    if case in _MISMATCHED_DATA:
+        assert str(model) in err
 
 
 @pytest.mark.parametrize("line", ["batch = 0", "lr = -1", "n = 2",

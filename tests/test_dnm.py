@@ -6,11 +6,9 @@ import pytest
 from urcd.dnm import (
     DnmModel,
     RateParams,
-    affine_feature_map,
     dnm_from_dict,
     dnm_predict,
     dnm_to_dict,
-    identity_feature_map,
     lambert_w,
     load_dnm,
     n_epsilon,
@@ -19,7 +17,6 @@ from urcd.dnm import (
     n_quantizer_raw,
     predict_weights,
     save_dnm,
-    table_feature_map,
 )
 from urcd.measures import make_empirical, mixture, w1_exact
 from urcd.neural import Mlp, init_mlp
@@ -38,28 +35,7 @@ def _model(atoms, classifier=None, d=1):
     n = len(atoms)
     if classifier is None:
         classifier = _affine_classifier(np.zeros((d, n)), np.zeros(n))
-    return DnmModel(feature_map=identity_feature_map(d), classifier=classifier,
-                    atoms=tuple(atoms))
-
-
-# ---------------------------------------------------------------------------
-# feature maps
-# ---------------------------------------------------------------------------
-
-def test_affine_feature_map_rank_check():
-    with pytest.raises(ValueError):
-        affine_feature_map([[1.0, 2.0], [2.0, 4.0]])
-    fm = affine_feature_map([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
-    assert np.allclose(fm.apply([1.0, 1.0]), [1.0, 2.0, 3.0])
-
-
-def test_table_feature_map_injectivity():
-    with pytest.raises(ValueError):
-        table_feature_map({(0.0,): [1.0], (1.0,): [1.0]})
-    fm = table_feature_map({(0.0,): [1.0, 0.0], (1.0,): [0.0, 1.0]})
-    assert np.allclose(fm.apply([1.0]), [0.0, 1.0])
-    with pytest.raises(ValueError):
-        fm.apply([2.0])
+    return DnmModel(classifier=classifier, atoms=tuple(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +80,7 @@ def test_prediction_weights_in_simplex():
 def test_model_shape_validation():
     atoms = (make_empirical([(0.0,)]), make_empirical([(1.0,)]))
     with pytest.raises(ValueError):
-        DnmModel(feature_map=identity_feature_map(1),
-                 classifier=_affine_classifier([[1.0]], [0.0]), atoms=atoms)
+        DnmModel(classifier=_affine_classifier([[1.0]], [0.0]), atoms=atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urcd.dnm import DnmModel, dnm_predict, identity_feature_map, predict_weights
+from urcd.dnm import DnmModel, dnm_predict, predict_weights
 from urcd.measures import check_simplex, make_empirical, mixture, w1_1d
 from urcd.neural import Mlp
 
@@ -120,8 +120,7 @@ def _model(atom_measures, bias, slope):
                      weights=(np.asarray(slope, dtype=float).reshape(1, n),),
                      biases=(np.asarray(bias, dtype=float),),
                      activation="identity")
-    return DnmModel(feature_map=identity_feature_map(1), classifier=classifier,
-                    atoms=tuple(atom_measures))
+    return DnmModel(classifier=classifier, atoms=tuple(atom_measures))
 
 
 _BIASES = st.sampled_from([0.0, 0.0, 1.5, -2.0, 30.0, -745.0, -800.0, -1e4])

@@ -74,7 +74,7 @@ def test_golden_draw_bytes():
 # ---------------------------------------------------------------------------
 
 def _dropout_loop(sampler: DropoutSampler, x, size, seed):
-    rng = datagen._rng(seed)
+    rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
     out = np.empty((size, sampler.net.layer_dims[-1]))
     for s in range(size):
@@ -87,7 +87,7 @@ def _dropout_loop(sampler: DropoutSampler, x, size, seed):
 
 
 def _elm_loop(sampler: ElmSampler, x, size, seed):
-    rng = datagen._rng(seed)
+    rng = np.random.default_rng(seed)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     dims = [sampler.train_X.shape[1]] + [sampler.width] * sampler.depth
     out = np.empty((size, sampler.train_Y.shape[1]))
