@@ -98,12 +98,8 @@ _NET = (
     _row("--batch", "batch_size", int, key="batch_size"),
     _row("--lr", "learning_rate", float, key="learning_rate"),
 )
-_TRAIN = (
-    _row("--n", "n_centers", int, key="n_centers"), *_NET,
-    _row("--activation", "activation"), _SEED,
-    _row("--strategy", "center_strategy",
-         choices=("greedy_medoids", "exhaustive")),
-)
+_TRAIN = (_row("--n", "n_centers", int, key="n_centers"), *_NET,
+          _row("--activation", "activation"), _SEED)
 # the experiment's own settings; it reads the generator settings too
 _EXPERIMENT = (
     _row("--models", "models",
@@ -176,11 +172,8 @@ def _given(args, cfg: dict, table) -> dict:
 
 def _gen_config(args, cfg) -> GeneratorConfig:
     given = _given(args, cfg, _GEN)
-    task = given.get("task")
-    if task is None:
+    if "task" not in given:
         raise ConfigError("a task is required (--task)")
-    d = given.setdefault("d", 11 if task == "elm" else 1)
-    given.setdefault("D", d if task == "sde" else 1)
     return GeneratorConfig(**given)
 
 

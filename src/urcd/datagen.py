@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from urcd.measures import make_empirical
-from urcd.neural import Mlp, mlp_forward
+from urcd.neural import Mlp, check_finite, mlp_forward
 from urcd.training import Dataset, build_dataset
 
 TASKS = ("heteroscedastic", "mc_dropout", "elm", "sde")
@@ -34,8 +34,8 @@ _BLOCK_DOUBLES = 2 ** 16
 @dataclass(frozen=True)
 class GeneratorConfig:
     task: str
-    d: int = 1
-    D: int = 1
+    d: int | None = None         # None: 11 for elm, else 1
+    D: int | None = None         # None: d for sde, else 1
     size: int = 100              # number of inputs
     S: int = 1000                # samples per input
     seed: int = 0
@@ -61,6 +61,11 @@ class GeneratorConfig:
     x_max: float = 1.0
 
     def __post_init__(self):
+        if self.d is None:
+            object.__setattr__(self, "d", 11 if self.task == "elm" else 1)
+        if self.D is None:
+            object.__setattr__(self, "D", self.d if self.task == "sde" else 1)
+        check_finite(self)
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}; choose from {TASKS}")
         if self.size < 2 or self.S < 2:

@@ -30,6 +30,7 @@ from urcd.measures import (
 )
 from urcd.neural import (
     Mlp,
+    check_finite,
     mlp_forward,
     mlp_from_dict,
     mlp_to_dict,
@@ -89,6 +90,7 @@ class RateParams:
     d: int
 
     def __post_init__(self):
+        check_finite(self)
         if self.A <= 0 or self.B <= 0:
             raise ValueError("Hoelder constants must be positive")
         if not (0 < self.alpha <= 1 and 0 < self.beta <= 1):
@@ -113,8 +115,10 @@ def dnm_predict(model: DnmModel, x) -> EmpiricalMeasure:
 
 def n_epsilon_raw(p: RateParams, eps: float) -> float:
     """Pre-ceiling atom-count bound, strictly monotone in its arguments."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, not {eps}")
+    if p.diam == 0:     # a point needs one atom, also where inv_phi underflows to 0
+        return 0.0
     omega_phi_diam = p.B * p.diam ** p.beta
     inv_f = (eps / 4.0 / p.A) ** (1.0 / p.alpha)
     inv_phi = (inv_f / p.B) ** (1.0 / p.beta)
@@ -132,9 +136,9 @@ def n_epsilon(p: RateParams, eps: float) -> int:
     The count is meaningful when eps is small relative to the target
     map's total oscillation (at most 4, and at most four times what the
     moduli can ever produce); that condition involves the unknown target
-    and is the caller's responsibility -- only eps > 0 is enforced here.
+    and is the caller's responsibility -- only a finite eps > 0 is enforced.
     """
-    return max(1, math.ceil(n_epsilon_raw(p, eps)))
+    return max(1, _ceil_count("N(eps)", n_epsilon_raw, p, eps))
 
 
 def lambert_w(branch: str, x: float) -> float:
@@ -170,8 +174,8 @@ def lambert_w(branch: str, x: float) -> float:
 
 def n_quantizer_raw(eps: float, D: int, M: float) -> float:
     """Pre-ceiling quantizer atom count for measures supported in a radius-M ball."""
-    if eps <= 0 or M <= 0 or D < 1:
-        raise ValueError("need eps > 0, M > 0, D >= 1")
+    if not (0 < eps < math.inf and 0 < M < math.inf) or D < 1:
+        raise ValueError(f"need finite eps > 0, finite M > 0, D >= 1: {eps}, {M}, {D}")
     r = 4.0 * M * math.sqrt(D / (2.0 * (D + 1.0)))
     quarter = eps / 4.0
     if D == 1:
@@ -185,7 +189,15 @@ def n_quantizer_raw(eps: float, D: int, M: float) -> float:
 
 def n_quantizer(eps: float, D: int, M: float) -> int:
     """Uniform-atom count so that quantizers can cover any law on the M-ball."""
-    return math.ceil(n_quantizer_raw(eps, D, M))
+    return _ceil_count("N_Q", n_quantizer_raw, eps, D, M)
+
+
+def _ceil_count(name: str, raw, *args) -> int:
+    """ceil(raw(*args)); a count past the float range raises ValueError."""
+    try:
+        return math.ceil(raw(*args))
+    except (OverflowError, ZeroDivisionError):   # inf, or a bound that underflowed to 0
+        raise ValueError(f"the atom count {name} exceeds the float range") from None
 
 
 # ---------------------------------------------------------------------------

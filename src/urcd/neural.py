@@ -79,6 +79,13 @@ class Mlp:
         object.__setattr__(self, "biases", tuple(views[layers:]))
 
 
+def check_finite(config) -> None:
+    """Refuse a config dataclass holding a NaN or infinite float field."""
+    for name, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
+
+
 @dataclass(frozen=True, kw_only=True)
 class NetConfig:
     """Network shape and minibatch-Adam settings shared by every trainer."""
@@ -90,6 +97,7 @@ class NetConfig:
     learning_rate: float = 1e-2
 
     def __post_init__(self):
+        check_finite(self)
         if self.epochs < 1 or self.learning_rate <= 0:
             raise ValueError("epochs and learning_rate must be positive")
         if self.batch_size is not None and self.batch_size < 1:

@@ -20,9 +20,7 @@ split.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +36,6 @@ from urcd.neural import (
     mean_nll,
     softmax,
 )
-
-EXHAUSTIVE_SUBSET_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -99,15 +95,14 @@ def build_dataset(entries, train_idx=None, test_idx=None) -> Dataset:
 
 @dataclass(frozen=True, kw_only=True)
 class TrainConfig(FitConfig):
+    """Network and optimiser settings plus the atom count of a mixture-model fit."""
+
     n_centers: int
-    center_strategy: str = "greedy_medoids"
 
     def __post_init__(self):
         super().__post_init__()
         if self.n_centers < 1:
             raise ValueError("n_centers must be >= 1")
-        if self.center_strategy not in ("greedy_medoids", "exhaustive"):
-            raise ValueError(f"unknown center strategy {self.center_strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -117,38 +112,18 @@ class TrainingLog:
     final_accuracy: float
 
 
-def _medoid_objective(dist: np.ndarray, subset) -> float:
-    """Sum over inputs of the distance to the nearest chosen center."""
-    return float(dist[:, list(subset)].min(axis=1).sum())
-
-
-def select_centers(inputs, n_centers: int, strategy: str = "greedy_medoids"):
+def select_centers(inputs, n_centers: int):
     """Choose distinct training indices whose points cover the inputs.
 
-    The covering objective is sum_x min_n ||x - c_n||.  "exhaustive"
-    enumerates all index subsets (refused above 1e5 subsets) and returns
-    the lexicographically first minimizer; "greedy_medoids" adds one index
-    at a time, each minimizing the objective given the centers already
-    chosen, ties broken by lowest index.  Both are deterministic.
+    Greedy medoids: add one index at a time, each minimizing the medoid
+    objective sum_x min_n ||x - c_n|| given the centers already chosen, ties
+    broken by lowest index.  Deterministic.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     n = inputs.shape[0]
     if not 1 <= n_centers < n:
         raise ValueError(f"need 1 <= n_centers < {n}")
     dist = np.linalg.norm(inputs[:, None, :] - inputs[None, :, :], axis=2)
-
-    if strategy == "exhaustive":
-        if math.comb(n, n_centers) > EXHAUSTIVE_SUBSET_CAP:
-            raise ValueError("too many subsets for exhaustive center selection")
-        best, best_cost = None, np.inf
-        for subset in itertools.combinations(range(n), n_centers):
-            cost = _medoid_objective(dist, subset)
-            if cost < best_cost - 1e-12:
-                best, best_cost = subset, cost
-        return list(best)
-
-    if strategy != "greedy_medoids":
-        raise ValueError(f"unknown center strategy {strategy!r}")
     chosen: list[int] = []
     current = np.full(n, np.inf)
     for _ in range(n_centers):
@@ -183,7 +158,7 @@ def train_dnm(data: Dataset, cfg: TrainConfig):
         raise ValueError("n_centers must be smaller than the training set")
     rng = np.random.default_rng(cfg.seed)
 
-    centers = select_centers(inputs, cfg.n_centers, cfg.center_strategy)
+    centers = select_centers(inputs, cfg.n_centers)
     train = data.train_entries()
     atoms = tuple(train[c][1] for c in centers)
     labels = assign_labels(inputs, centers)

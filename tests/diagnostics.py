@@ -1,8 +1,9 @@
 """Reference checks the tests compare the package against: measure equality,
-gradients, hull slack, covering radius, GMM likelihood, and reading a CSV
-report back."""
+gradients, hull slack, covering radius, the exact medoid centers, GMM
+likelihood, and reading a CSV report back."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -59,6 +60,20 @@ def covering_radius(atoms, targets) -> float:
     if not atoms or not targets:
         raise ValueError("atoms and targets must be non-empty")
     return max(min(w1_cost(t, a) for a in atoms) for t in targets)
+
+
+def medoid_centers(inputs, n_centers: int) -> list:
+    """The lexicographically first index subset minimizing the medoid
+    objective sum_x min_n ||x - c_n||, by enumerating every subset; the
+    oracle for greedy center selection on small inputs."""
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    dist = np.linalg.norm(inputs[:, None, :] - inputs[None, :, :], axis=2)
+    best, best_cost = None, np.inf
+    for subset in itertools.combinations(range(len(inputs)), n_centers):
+        cost = float(dist[:, list(subset)].min(axis=1).sum())
+        if cost < best_cost - 1e-12:
+            best, best_cost = subset, cost
+    return list(best)
 
 
 def _simplex_grid(n: int, resolution: int):

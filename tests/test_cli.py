@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,10 @@ from diagnostics import parse_report_csv
 def test_rates_neps(capsys):
     assert main(["rates", "--neps", "--eps", "1", "--d", "1"]) == 0
     assert capsys.readouterr().out.strip() == "16"
+    # diam 0: one atom, even where the bound's inverse moduli underflow to 0
+    assert main(["rates", "--neps", "--eps", "1e-300", "--hoelder-alpha", "0.5",
+                 "--diam", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
 
 
 def test_rates_nq(capsys):
@@ -118,9 +123,40 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
         assert main(["gen", "--size", "8", "--samples", "5",
                      "--out", str(out)] + bad) == 2
     assert "error" in capsys.readouterr().err
-    for bad in ({"level": 0.0}, {"level": 1.0}, {"test_radius": -0.1}):
+    # settings that are not finite, refused before anything runs
+    for bad, field in ((["--lr", "nan"], "learning_rate"),
+                       (["--lr", "inf"], "learning_rate"),
+                       (["--task", "sde", "--t-max", "nan"], "t_max"),
+                       (["--task", "sde", "--drift-a1", "inf"], "drift_a1")):
+        assert main(experiment + bad) == 2
+        assert f"error: {field} must be finite" in capsys.readouterr().err
+    for bad in ({"level": 0.0}, {"level": 1.0}, {"test_radius": -0.1},
+                {"test_radius": math.nan}):
         with pytest.raises(ValueError):
             HarnessConfig(**bad)
+    # centers have one rule: no flag or config key picks another
+    train = ["train", "--data", str(out), "--n", "2",
+             "--out", str(tmp_path / "m.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(train + ["--strategy", "greedy_medoids"])
+    assert exc.value.code == 2
+    config = tmp_path / "strategy.cfg"
+    config.write_text("strategy = greedy_medoids\n")
+    assert main(["--config", str(config)] + train) == 2
+    assert "unknown config key 'strategy'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    (["--neps", "--eps", "1e-300", "--d", "3"], "N(eps) exceeds"),
+    (["--nq", "--eps", "1e-300", "--dim-out", "3"], "N_Q exceeds"),
+    (["--neps", "--eps", "1", "--hoelder-a", "inf"], "A must be finite"),
+    (["--neps", "--eps", "1", "--diam", "inf"], "diam must be finite"),
+    (["--neps", "--eps", "nan"], "eps must be positive and finite"),
+])
+def test_rates_out_of_range_exits_2(capsys, argv, quantity):
+    assert main(["rates"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and quantity in err
 
 
 _RECORDS = [{"x": [i / 4], "samples": [[float(i)], [i + 0.5]]} for i in range(5)]

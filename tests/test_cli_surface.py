@@ -51,7 +51,6 @@ TRAIN_CASES = NET_CASES + [
     ("--n", "n_centers", "3", "n_centers", 3),
     ("--activation", "activation", "tanh", "activation", "tanh"),
     ("--seed", "seed", "4", "seed", 4),
-    ("--strategy", "strategy", "exhaustive", "center_strategy", "exhaustive"),
 ]
 EXPERIMENT_CASES = NET_CASES + [
     ("--n-centers", "n_centers", "3", "n_centers", 3),
@@ -321,8 +320,6 @@ SURFACE = {
         (("--n",), "n_centers", *INT),
         (("--out",), "out", None, None, None, True, None, "_StoreAction"),
         (("--seed",), "seed", *INT),
-        (("--strategy",), "strategy", None, ("greedy_medoids", "exhaustive"),
-         None, False, None, "_StoreAction"),
     ]),
     "eval": [
         (("--data",), "data", None, None, None, True, None, "_StoreAction"),

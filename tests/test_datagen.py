@@ -35,6 +35,20 @@ def test_config_validation():
         GeneratorConfig(task="elm", d=11, elm_width=0)
 
 
+def test_task_fills_in_its_own_dimensions():
+    elm = GeneratorConfig(task="elm", size=10, S=3, elm_width=4)
+    sde = GeneratorConfig(task="sde", d=2, size=4, S=3, n_steps=5)
+    assert (elm.d, elm.D) == (11, 1)
+    assert (sde.d, sde.D) == (2, 2)
+    for cfg in (elm, sde):
+        data, _ = generate(cfg)
+        assert data.output_dim == cfg.D
+    for wrong in ({"task": "elm", "d": 5}, {"task": "elm", "D": 2},
+                  {"task": "sde", "d": 2, "D": 1}, {"task": "sde", "D": 2}):
+        with pytest.raises(ValueError):
+            GeneratorConfig(**wrong)
+
+
 # ---------------------------------------------------------------------------
 # heteroscedastic
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ import math
 import pytest
 
 from urcd.cli import main
+from urcd.datagen import TASKS
 from urcd.harness import KNOWN_MODELS
 
 from diagnostics import parse_report_csv
 
-TASKS = ("heteroscedastic", "mc_dropout", "elm", "sde")
 MODELS = tuple(m for m in KNOWN_MODELS if m != "oracle")
 # the heteroscedastic and ELM tasks are scalar-valued
 UNSUPPORTED = {("heteroscedastic", 2), ("elm", 2)}

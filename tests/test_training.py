@@ -29,7 +29,7 @@ from urcd.training import (
     train_dnm,
 )
 
-from diagnostics import covering_radius, measures_equal
+from diagnostics import covering_radius, measures_equal, medoid_centers
 
 
 def _toy_dataset(rng, n=12, d=1, s=5):
@@ -45,15 +45,9 @@ def _toy_dataset(rng, n=12, d=1, s=5):
 # center selection
 # ---------------------------------------------------------------------------
 
-def test_select_centers_exhaustive_drop_one():
-    # {0, 10} and {1, 10} tie at cost 1; lexicographic order keeps index 0
-    inputs = [(0.0,), (1.0,), (10.0,)]
-    assert select_centers(inputs, 2, "exhaustive") == [0, 2]
-
-
 def test_select_centers_one_per_cluster():
     inputs = [(0.0,), (0.0,), (0.0,), (10.0,), (10.0,), (10.0,)]
-    picked = select_centers(inputs, 2, "exhaustive")
+    picked = select_centers(inputs, 2)
     values = sorted(inputs[i][0] for i in picked)
     assert values == [0.0, 10.0]
 
@@ -70,8 +64,8 @@ def test_select_centers_greedy_vs_exhaustive():
         def objective(subset):
             return dist[:, list(subset)].min(axis=1).sum()
 
-        greedy = select_centers(inputs, k, "greedy_medoids")
-        exact = select_centers(inputs, k, "exhaustive")
+        greedy = select_centers(inputs, k)
+        exact = medoid_centers(inputs, k)
         assert len(set(greedy)) == k
         assert objective(greedy) >= objective(exact) - 1e-12
         if abs(objective(greedy) - objective(exact)) < 1e-12:
@@ -82,12 +76,9 @@ def test_select_centers_greedy_vs_exhaustive():
 def test_select_centers_validation():
     inputs = [(0.0,), (1.0,)]
     with pytest.raises(ValueError):
-        select_centers(inputs, 2, "greedy_medoids")
+        select_centers(inputs, 2)
     with pytest.raises(ValueError):
-        select_centers(inputs, 0, "greedy_medoids")
-    many = np.random.default_rng(1).normal(size=(40, 1))
-    with pytest.raises(ValueError):
-        select_centers(many, 10, "exhaustive")   # comb(40, 10) is way over the cap
+        select_centers(inputs, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +174,7 @@ def _train_dnm_full_loop(data, cfg):
     and its reuse of full-batch step losses."""
     inputs = data.train_inputs()
     rng = np.random.default_rng(cfg.seed)
-    centers = select_centers(inputs, cfg.n_centers, cfg.center_strategy)
+    centers = select_centers(inputs, cfg.n_centers)
     labels = assign_labels(inputs, centers)
     net = init_mlp([data.input_dim, *cfg.hidden_dims, cfg.n_centers],
                    activation=cfg.activation, rng=rng)
@@ -283,7 +274,7 @@ def test_covering_radius_non_increasing_over_nested_greedy_sets():
         targets = [m for _, m in train]
         radii = []
         for n_centers in (1, 2, 4):
-            idx = select_centers(inputs, n_centers, "greedy_medoids")
+            idx = select_centers(inputs, n_centers)
             atoms = [train[i][1] for i in idx]
             radii.append(covering_radius(atoms, targets))
         diffs.append(radii[0] - radii[1])
