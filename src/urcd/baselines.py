@@ -20,8 +20,8 @@ import numpy as np
 
 from urcd.measures import EmpiricalMeasure, make_empirical
 from urcd.neural import (
-    FitConfig,
     Mlp,
+    NetConfig,
     backprop,
     fit_epochs,
     forward_cache,
@@ -115,14 +115,14 @@ def sample_gmm(gmm: GaussianMixture, n_samples: int,
 # ---------------------------------------------------------------------------
 
 def _fit_network(data, hidden_dims, out_dim: int, output_grad,
-                 cfg: FitConfig) -> Mlp:
+                 cfg: NetConfig, seed: int) -> Mlp:
     """Minibatch Adam on a seeded network from the training inputs to out_dim
     outputs; returns the trained network.
 
     output_grad(out, rows) is the gradient of the loss, averaged over the
     index array rows, w.r.t. the network outputs out of those rows.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     X = data.train_inputs()
     net = init_mlp([X.shape[1], *hidden_dims, out_dim],
                    activation=cfg.activation, rng=rng)
@@ -136,10 +136,11 @@ def _fit_network(data, hidden_dims, out_dim: int, output_grad,
     return net
 
 
-def _fit_squared_error(data, Y, cfg: FitConfig) -> Mlp:
+def _fit_squared_error(data, Y, cfg: NetConfig, seed: int) -> Mlp:
     """Mean squared error from the training inputs to the rows of Y."""
     return _fit_network(data, cfg.hidden_dims, Y.shape[1],
-                        lambda out, rows: 2.0 * (out - Y[rows]) / rows.size, cfg)
+                        lambda out, rows: 2.0 * (out - Y[rows]) / rows.size,
+                        cfg, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +220,8 @@ def _mdn_output_grad(out, t_weights, t_means, t_log_stds):
     return d_out
 
 
-def mdn_fit(data, n_components: int, cfg: FitConfig) -> MdnModel:
+def mdn_fit(data, n_components: int, cfg: NetConfig = NetConfig(),
+            seed: int = 0) -> MdnModel:
     """Fit per-input mixture targets by EM, then regress the parameters.
 
     Squared error on means and log-stds, cross-entropy on the weights,
@@ -234,7 +236,7 @@ def mdn_fit(data, n_components: int, cfg: FitConfig) -> MdnModel:
     for _, measure in data.train_entries():
         # seed the EM init from the sample content so identical target
         # measures receive identical mixture decompositions
-        content_seed = (cfg.seed * 1_000_003 + zlib.crc32(measure.atoms.tobytes())) % 2**32
+        content_seed = (seed * 1_000_003 + zlib.crc32(measure.atoms.tobytes())) % 2**32
         n = min(K, measure.n_atoms)
         gmm = em_fit_gmm(measure.atoms, n, iters=EM_ITERS, seed=content_seed)
         if n < K:    # pad tiny targets by repeating the last component, weight 0
@@ -250,7 +252,7 @@ def mdn_fit(data, n_components: int, cfg: FitConfig) -> MdnModel:
     net = _fit_network(
         data, hidden, K + 2 * K * D,
         lambda out, rows: _mdn_output_grad(out, t_weights[rows], t_means[rows],
-                                           t_log_stds[rows]), cfg)
+                                           t_log_stds[rows]), cfg, seed)
     return MdnModel(net=net, n_components=K, out_dim=D)
 
 
@@ -290,7 +292,7 @@ def _dgn_head(model: GaussianNetModel, x):
     return o[:D], o[D:].reshape(D, D)
 
 
-def dgn_fit(data, cfg: FitConfig) -> GaussianNetModel:
+def dgn_fit(data, cfg: NetConfig = NetConfig(), seed: int = 0) -> GaussianNetModel:
     """Regress per-input sample mean and covariance Cholesky factor."""
     D = data.output_dim
     targets = []
@@ -300,7 +302,7 @@ def dgn_fit(data, cfg: FitConfig) -> GaussianNetModel:
         cov = (measure.weights[:, None] * diff).T @ diff
         L = np.linalg.cholesky(cov + VARIANCE_FLOOR * np.eye(D))
         targets.append(np.concatenate([m, L.ravel()]))
-    net = _fit_squared_error(data, np.array(targets), cfg)
+    net = _fit_squared_error(data, np.array(targets), cfg, seed)
     return GaussianNetModel(net=net, out_dim=D)
 
 
@@ -326,10 +328,10 @@ class MeanDnnModel:
         return n_params(self.net)
 
 
-def mean_dnn_fit(data, cfg: FitConfig) -> MeanDnnModel:
+def mean_dnn_fit(data, cfg: NetConfig = NetConfig(), seed: int = 0) -> MeanDnnModel:
     """Squared-error regression onto the empirical means of the targets."""
     Y = np.array([m.mean() for _, m in data.train_entries()])
-    return MeanDnnModel(net=_fit_squared_error(data, Y, cfg),
+    return MeanDnnModel(net=_fit_squared_error(data, Y, cfg, seed),
                         out_dim=data.output_dim)
 
 

@@ -41,7 +41,8 @@ from urcd.harness import (
     metrics_csv_row,
     run_experiment,
 )
-from urcd.training import TrainConfig, load_dataset, save_dataset, train_dnm
+from urcd.neural import NetConfig
+from urcd.training import load_dataset, save_dataset, train_dnm
 
 
 class ConfigError(Exception):
@@ -191,9 +192,10 @@ def _cmd_train(args, cfg) -> int:
     given = _given(args, cfg, _TRAIN)
     if "n_centers" not in given:
         raise ConfigError("the atom count is required (--n)")
-    train_cfg = TrainConfig(**given)
+    n_centers, seed = given.pop("n_centers"), given.pop("seed", 0)
+    net_cfg = NetConfig(**given)
     data = load_dataset(args.data)
-    model, log = train_dnm(data, train_cfg)
+    model, log = train_dnm(data, n_centers, net_cfg, seed)
     save_dnm(model, args.out)
     print(f"trained on {len(data.train_idx)} points; "
           f"final loss {log.epoch_losses[-1]:.6g}; "

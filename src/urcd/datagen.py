@@ -22,6 +22,7 @@ from urcd.neural import Mlp, check_finite, mlp_forward
 from urcd.training import Dataset, build_dataset
 
 TASKS = ("heteroscedastic", "mc_dropout", "elm", "sde")
+ELM_SPARSITY = 0.75   # the elm task's probability that a random parameter is zeroed
 # the SDE task's coefficient catalog
 _DRIFTS = ("zero", "constant", "linear", "ou")
 _DIFFUSIONS = ("constant", "linear")
@@ -48,7 +49,6 @@ class GeneratorConfig:
     elm_depth: int = 1
     elm_lambda: float = 1e-3
     elm_M: float = 1.0
-    elm_sparsity: float = 0.75   # probability that a random parameter is zeroed
     # SDE marginals task
     sde_drift: str = "ou"        # zero | constant | linear | ou
     sde_diffusion: str = "constant"
@@ -102,7 +102,7 @@ class GeneratorConfig:
         elif self.task == "elm":
             extra = (f" elm_width={self.elm_width} elm_depth={self.elm_depth}"
                      f" elm_lambda={self.elm_lambda} elm_M={self.elm_M}"
-                     f" elm_sparsity={self.elm_sparsity}")
+                     f" elm_sparsity={ELM_SPARSITY}")
         else:
             extra = (f" drift={self.sde_drift}({self.drift_a0},{self.drift_a1})"
                      f" diffusion={self.sde_diffusion}({self.diffusion_b0},{self.diffusion_b1})"
@@ -347,7 +347,7 @@ def gen_elm(cfg: GeneratorConfig):
     sampler = ElmSampler(train_X=inputs[:cut], train_Y=targets[:cut],
                          width=cfg.elm_width, depth=cfg.elm_depth,
                          lam=cfg.elm_lambda, M=cfg.elm_M,
-                         sparsity=cfg.elm_sparsity)
+                         sparsity=ELM_SPARSITY)
     return _build(cfg, inputs, sampler, n_train=cut), sampler
 
 

@@ -177,6 +177,8 @@ def n_quantizer_raw(eps: float, D: int, M: float) -> float:
     if not (0 < eps < math.inf and 0 < M < math.inf) or D < 1:
         raise ValueError(f"need finite eps > 0, finite M > 0, D >= 1: {eps}, {M}, {D}")
     r = 4.0 * M * math.sqrt(D / (2.0 * (D + 1.0)))
+    if not math.isfinite(r):    # M near the float maximum; read by _ceil_count
+        raise OverflowError("the quantizer radius exceeds the float range")
     quarter = eps / 4.0
     if D == 1:
         arg = -math.e * quarter / r

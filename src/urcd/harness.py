@@ -27,7 +27,6 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from urcd.baselines import (
-    FitConfig,
     dgn_fit,
     dgn_predict_measure,
     mc_oracle,
@@ -40,7 +39,7 @@ from urcd.datagen import GeneratorConfig, generate
 from urcd.dnm import dnm_predict
 from urcd.measures import w1_cost
 from urcd.neural import NetConfig
-from urcd.training import Dataset, TrainConfig, build_dataset, train_dnm
+from urcd.training import Dataset, build_dataset, train_dnm
 
 ZERO_FLOOR = 1e-20   # reported values below this print as 0
 
@@ -54,15 +53,14 @@ _STREAM_BOOT = 499979
 class HarnessConfig(NetConfig):
     """Defaults for the experiment driver; every field is overridable.
 
-    The network and optimiser fields come from NetConfig and are passed on
-    to every trained model."""
+    The config is itself the NetConfig of every trained model, which gets
+    the experiment's seed."""
 
     n_centers: int = 10
     mdn_components: int = 3
     n_test: int = 100
     test_radius: float = 0.1
     bootstrap_b: int = 1000
-    level: float = 0.95
     timings: bool = False
 
     def __post_init__(self):
@@ -73,8 +71,6 @@ class HarnessConfig(NetConfig):
             raise ValueError("n_test and test_radius must be >= 0")
         if self.bootstrap_b < 100:
             raise ValueError("bootstrap_b must be at least 100")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -249,24 +245,21 @@ def _ball_test_inputs(data: Dataset, sampler, n_samples: int, n_test: int,
 
 
 class _Model(NamedTuple):
-    fit: Callable        # (data, HarnessConfig, shared settings) -> model
+    fit: Callable        # (data, HarnessConfig, seed) -> model
     predict: Callable    # (model, x, n_samples, seed) -> EmpiricalMeasure
 
 
 # The lambdas look up ``train_dnm``, ``dnm_predict``, ... when called, so a
 # rebinding of those module-level names reaches every entry.
 _MODELS = {
-    "dnm": _Model(lambda data, h, shared: train_dnm(
-        data, TrainConfig(**shared, n_centers=h.n_centers))[0],
-        lambda model, x, n, seed: dnm_predict(model, x)),
-    "const": _Model(lambda data, h, shared: train_dnm(
-        data, TrainConfig(**shared, n_centers=1))[0],
-        lambda model, x, n, seed: dnm_predict(model, x)),
-    "mdn": _Model(lambda data, h, shared: mdn_fit(
-        data, h.mdn_components, FitConfig(**shared)), mdn_predict_measure),
-    "dgn": _Model(lambda data, h, shared: dgn_fit(data, FitConfig(**shared)),
-                  dgn_predict_measure),
-    "mean": _Model(lambda data, h, shared: mean_dnn_fit(data, FitConfig(**shared)),
+    "dnm": _Model(lambda data, h, seed: train_dnm(data, h.n_centers, h, seed)[0],
+                  lambda model, x, n, seed: dnm_predict(model, x)),
+    "const": _Model(lambda data, h, seed: train_dnm(data, 1, h, seed)[0],
+                    lambda model, x, n, seed: dnm_predict(model, x)),
+    "mdn": _Model(lambda data, h, seed: mdn_fit(data, h.mdn_components, h, seed),
+                  mdn_predict_measure),
+    "dgn": _Model(lambda data, h, seed: dgn_fit(data, h, seed), dgn_predict_measure),
+    "mean": _Model(lambda data, h, seed: mean_dnn_fit(data, h, seed),
                    lambda model, x, n, seed: mean_dnn_predict_measure(model, x)),
     "oracle": None,    # the reference itself: never trained, W1 = M = 0
 }
@@ -274,11 +267,11 @@ KNOWN_MODELS = tuple(_MODELS)
 
 
 def _split_interval(samples, h: HarnessConfig, seed):
-    """BCa interval for a split's mean.  A one-point split (``n_test`` = 1)
+    """BCa 95 % interval for a split's mean; a one-point split (``n_test`` = 1)
     has nothing to resample, so its interval is the point itself."""
     if len(samples) == 1:
         return samples[0], samples[0]
-    return bca_interval(samples, h.level, h.bootstrap_b, seed)
+    return bca_interval(samples, 0.95, h.bootstrap_b, seed)
 
 
 def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
@@ -322,8 +315,6 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
                       np.random.SeedSequence((seed, _STREAM_PRED, i)))
         oracle_test_time = max(time.perf_counter() - t0, 1e-12)
 
-    shared = {f.name: getattr(h, f.name) for f in dataclasses.fields(NetConfig)}
-    shared["seed"] = seed
     rows = []
     for name in models:
         spec = _MODELS[name]
@@ -335,7 +326,7 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
             continue
         try:
             t0 = time.perf_counter()
-            model = spec.fit(data, h, shared)
+            model = spec.fit(data, h, seed)
             train_time = time.perf_counter() - t0
         except Exception as exc:
             raise RuntimeError(f"[train:{name}] {exc}") from exc

@@ -12,8 +12,8 @@ array, so a trainer builds both once per fit and passes row slices;
 ``mean_nll`` is its loss expression, for a loss that needs no gradient.
 ``adam_step`` updates the flat vector and its two moment vectors
 elementwise in place, so a step costs a handful of numpy operations
-whatever the depth.  ``NetConfig``/``FitConfig`` declare the training
-settings they share.
+whatever the depth.  ``NetConfig`` declares the network and optimiser
+settings every trainer shares; a trainer takes its seed on its own.
 
 Everything is deterministic: initialization is seeded, and gradients are
 fresh arrays.  Only ``fit_epochs`` writes, and only to its own copies.
@@ -102,13 +102,6 @@ class NetConfig:
             raise ValueError("epochs and learning_rate must be positive")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be positive when given")
-
-
-@dataclass(frozen=True, kw_only=True)
-class FitConfig(NetConfig):
-    """Settings for one seeded fit."""
-
-    seed: int = 0
 
 
 def init_mlp(layer_dims, activation: str = "relu",

@@ -28,7 +28,7 @@ import numpy as np
 from urcd.dnm import DnmModel
 from urcd.measures import make_empirical
 from urcd.neural import (
-    FitConfig,
+    NetConfig,
     cross_entropy_grad,
     fit_epochs,
     forward_cache,
@@ -93,18 +93,6 @@ def build_dataset(entries, train_idx=None, test_idx=None) -> Dataset:
                    test_idx=tuple(test_idx or ()))
 
 
-@dataclass(frozen=True, kw_only=True)
-class TrainConfig(FitConfig):
-    """Network and optimiser settings plus the atom count of a mixture-model fit."""
-
-    n_centers: int
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.n_centers < 1:
-            raise ValueError("n_centers must be >= 1")
-
-
 @dataclass(frozen=True)
 class TrainingLog:
     center_indices: tuple
@@ -147,24 +135,23 @@ def assign_labels(train_inputs, center_indices) -> np.ndarray:
     return labels
 
 
-def train_dnm(data: Dataset, cfg: TrainConfig):
-    """Fit a mixture model: pick centers, freeze their target measures as
-    the atoms, and train the classifier on nearest-center labels.
+def train_dnm(data: Dataset, n_centers: int, cfg: NetConfig = NetConfig(),
+              seed: int = 0):
+    """Fit a mixture model of n_centers atoms: pick centers (``select_centers``
+    refuses n_centers outside [1, training-set size)), freeze their target
+    measures as the atoms, and train the classifier on nearest-center labels.
 
-    Fully deterministic for a fixed config seed.  Returns (model, log).
+    Fully deterministic for a fixed seed.  Returns (model, log).
     """
     inputs = data.train_inputs()
-    if cfg.n_centers >= inputs.shape[0]:
-        raise ValueError("n_centers must be smaller than the training set")
-    rng = np.random.default_rng(cfg.seed)
-
-    centers = select_centers(inputs, cfg.n_centers)
+    centers = select_centers(inputs, n_centers)
+    rng = np.random.default_rng(seed)
     train = data.train_entries()
     atoms = tuple(train[c][1] for c in centers)
     labels = assign_labels(inputs, centers)
 
     d = data.input_dim
-    net = init_mlp([d, *cfg.hidden_dims, cfg.n_centers],
+    net = init_mlp([d, *cfg.hidden_dims, n_centers],
                    activation=cfg.activation, rng=rng)
 
     def forward_loss(net):
@@ -172,7 +159,7 @@ def train_dnm(data: Dataset, cfg: TrainConfig):
         return mean_nll(softmax(logits), labels), logits
 
     n = len(inputs)
-    if cfg.n_centers == 1 and np.isfinite(inputs).all():
+    if n_centers == 1 and np.isfinite(inputs).all():
         # One class: the softmax of a single finite logit is exactly 1.0, the
         # label, so p - y is 0 and, with finite inputs, every gradient entry
         # is +-0; Adam's moments stay +0 and each step subtracts +0 from every

@@ -28,8 +28,8 @@ from urcd.measures import (
     w1_1d,
     w1_exact,
 )
-from urcd.neural import forward_cache, init_mlp
-from urcd.training import TrainConfig, build_dataset, train_dnm
+from urcd.neural import NetConfig, forward_cache, init_mlp
+from urcd.training import build_dataset, train_dnm
 
 from diagnostics import grad_check, projection_slack
 from lp_oracle import lp_oracle
@@ -169,9 +169,8 @@ def test_criterion_5_hull_projection_property():
         entries = [(np.array([x]), mixture((1 - float(x), float(x)), base))
                    for x in xs]
         data = build_dataset(entries, train_idx=range(len(xs)), test_idx=())
-        model, _ = train_dnm(data, TrainConfig(
-            n_centers=2, hidden_dims=(16,), epochs=300, learning_rate=0.05,
-            seed=seed))
+        model, _ = train_dnm(data, 2, NetConfig(
+            hidden_dims=(16,), epochs=300, learning_rate=0.05), seed=seed)
         sup_err, sup_hull = projection_slack(model, entries, resolution)
         if sup_err > sup_hull + eps / 2 + slack:
             failures.append((seed, sup_err, sup_hull))

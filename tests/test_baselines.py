@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from urcd.baselines import (
-    FitConfig,
     GaussianMixture,
     _dgn_head,
     dgn_fit,
@@ -19,7 +18,7 @@ from urcd.baselines import (
     sample_gmm,
 )
 from urcd.measures import make_empirical, w1_1d
-from urcd.neural import init_mlp, n_params
+from urcd.neural import NetConfig, init_mlp, n_params
 from urcd.training import build_dataset
 
 from diagnostics import gmm_log_likelihood
@@ -84,8 +83,8 @@ def test_mdn_constant_target_constant_params():
     entries = [(rng.uniform(0, 1, size=1), make_empirical(target))
                for _ in range(24)]
     data = build_dataset(entries)
-    cfg = FitConfig(hidden_dims=(16,), epochs=1500, learning_rate=5e-3, seed=0)
-    model = mdn_fit(data, 2, cfg)
+    cfg = NetConfig(hidden_dims=(16,), epochs=1500, learning_rate=5e-3)
+    model = mdn_fit(data, 2, cfg, seed=0)
     param_sets = []
     for x, _ in data.test_entries():
         g = mdn_predict_params(model, x)
@@ -99,8 +98,8 @@ def test_mdn_single_component_tracks_mean():
     rng = np.random.default_rng(4)
     s, std = 500, 0.5
     data = _dataset_from(lambda x: float(x[0]), rng, n=40, s=s, noise=std)
-    cfg = FitConfig(hidden_dims=(16,), epochs=800, learning_rate=5e-3, seed=1)
-    model = mdn_fit(data, 1, cfg)
+    cfg = NetConfig(hidden_dims=(16,), epochs=800, learning_rate=5e-3)
+    model = mdn_fit(data, 1, cfg, seed=1)
     tol = 3 * std / np.sqrt(s)
     gmms = [(mdn_predict_params(model, x), x) for x, _ in data.train_entries()]
     errs = [abs((gmm.weights @ gmm.means)[0] - float(x[0])) for gmm, x in gmms]
@@ -110,8 +109,7 @@ def test_mdn_single_component_tracks_mean():
 def test_mdn_parameter_count():
     rng = np.random.default_rng(5)
     data = _dataset_from(lambda x: 0.0, rng, n=8, s=10)
-    cfg = FitConfig(hidden_dims=(7, 5), epochs=1, seed=0)
-    model = mdn_fit(data, 3, cfg)
+    model = mdn_fit(data, 3, NetConfig(hidden_dims=(7, 5), epochs=1), seed=0)
     d, K, D = 1, 3, 1
     trunk = (d * 7 + 7) + (7 * 5 + 5)
     head = 5 * (K + 2 * K * D) + (K + 2 * K * D)
@@ -123,7 +121,7 @@ def test_mdn_parameter_count():
 def test_mdn_measure_degenerate_mixture():
     rng = np.random.default_rng(6)
     data = _dataset_from(lambda x: 1.0, rng, n=8, s=10)
-    model = mdn_fit(data, 1, FitConfig(hidden_dims=(4,), epochs=1, seed=0))
+    model = mdn_fit(data, 1, NetConfig(hidden_dims=(4,), epochs=1), seed=0)
     squeezed = GaussianMixture(weights=np.array([1.0]),
                                means=np.array([[2.5]]),
                                log_stds=np.array([[-20.0]]))
@@ -134,7 +132,7 @@ def test_mdn_measure_degenerate_mixture():
 def test_mdn_measure_clt_and_determinism():
     rng = np.random.default_rng(7)
     data = _dataset_from(lambda x: float(x[0]), rng, n=10, s=40)
-    model = mdn_fit(data, 2, FitConfig(hidden_dims=(8,), epochs=50, seed=2))
+    model = mdn_fit(data, 2, NetConfig(hidden_dims=(8,), epochs=50), seed=2)
     x = np.array([0.4])
     n_samples = 4000
     m = mdn_predict_measure(model, x, n_samples, seed=11)
@@ -155,8 +153,8 @@ def test_mdn_measure_clt_and_determinism():
 def test_dgn_constant_mean_recovery():
     rng = np.random.default_rng(8)
     data = _dataset_from(lambda x: 1.5, rng, n=24, s=60, noise=0.3)
-    model = dgn_fit(data, FitConfig(hidden_dims=(16,), epochs=400,
-                                    learning_rate=5e-3, seed=0))
+    model = dgn_fit(data, NetConfig(hidden_dims=(16,), epochs=400,
+                                    learning_rate=5e-3), seed=0)
     errs = [abs(_dgn_head(model, x)[0][0] - 1.5)
             for x, _ in data.test_entries()]
     assert np.mean(errs) < 0.05
@@ -178,7 +176,7 @@ def test_dgn_covariance_always_psd():
 def test_dgn_measure_sampling_matches_params():
     rng = np.random.default_rng(10)
     data = _dataset_from(lambda x: 0.0, rng, n=10, s=30)
-    model = dgn_fit(data, FitConfig(hidden_dims=(6,), epochs=30, seed=1))
+    model = dgn_fit(data, NetConfig(hidden_dims=(6,), epochs=30), seed=1)
     x = np.array([0.3])
     m = dgn_predict_measure(model, x, 5000, seed=5)
     mean, factor = _dgn_head(model, x)
@@ -194,8 +192,8 @@ def test_mean_dnn_linear_noiseless():
         y = np.array([2.0 * x[0] - x[1]])
         entries.append((x, make_empirical([y])))
     data = build_dataset(entries)
-    model = mean_dnn_fit(data, FitConfig(hidden_dims=(32,), epochs=600,
-                                         learning_rate=5e-3, seed=0))
+    model = mean_dnn_fit(data, NetConfig(hidden_dims=(32,), epochs=600,
+                                         learning_rate=5e-3), seed=0)
     errs = [abs(mean_dnn_predict(model, x)[0] - (2.0 * x[0] - x[1]))
             for x, _ in data.test_entries()]
     assert np.mean(errs) < 0.05

@@ -130,8 +130,7 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
                        (["--task", "sde", "--drift-a1", "inf"], "drift_a1")):
         assert main(experiment + bad) == 2
         assert f"error: {field} must be finite" in capsys.readouterr().err
-    for bad in ({"level": 0.0}, {"level": 1.0}, {"test_radius": -0.1},
-                {"test_radius": math.nan}):
+    for bad in ({"test_radius": -0.1}, {"test_radius": math.nan}):
         with pytest.raises(ValueError):
             HarnessConfig(**bad)
     # centers have one rule: no flag or config key picks another
@@ -152,6 +151,7 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     (["--neps", "--eps", "1", "--hoelder-a", "inf"], "A must be finite"),
     (["--neps", "--eps", "1", "--diam", "inf"], "diam must be finite"),
     (["--neps", "--eps", "nan"], "eps must be positive and finite"),
+    (["--nq", "--eps", "1", "--radius", "1e308"], "N_Q exceeds"),
 ])
 def test_rates_out_of_range_exits_2(capsys, argv, quantity):
     assert main(["rates"] + argv) == 2

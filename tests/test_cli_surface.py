@@ -116,6 +116,12 @@ def _gen_cfg(captured):
     return gen_cfg
 
 
+def _train_settings(captured):
+    """{setting: value} of a captured train_dnm(data, n_centers, cfg, seed)."""
+    (_, n_centers, cfg, seed), _ = captured
+    return {**dataclasses.asdict(cfg), "n_centers": n_centers, "seed": seed}
+
+
 def _experiment(captured):
     """(GeneratorConfig, model list, seed, HarnessConfig, report format)."""
     (((gen_cfg, models, seed, harness), _), fmt, _), _ = captured
@@ -173,10 +179,10 @@ def test_train_flag_and_config_key_set_one_field(capture, data_file, flag, key,
                                                  text, field, value):
     base = ["train", "--data", data_file, "--out", "unused.json"]
     n = [] if key == "n_centers" else ["--n", "2"]
-    (_, default), _ = capture(base + ["--n", "2"])
-    (_, by_flag), _ = capture(base + n + [flag, text])
-    (_, by_key), _ = capture(base + n, {key: text})
-    assert by_flag == by_key == dataclasses.replace(default, **{field: value})
+    default = _train_settings(capture(base + ["--n", "2"]))
+    by_flag = _train_settings(capture(base + n + [flag, text]))
+    by_key = _train_settings(capture(base + n, {key: text}))
+    assert by_flag == by_key == {**default, field: value}
 
 
 @pytest.mark.parametrize("flag, key, text, field, value", EXPERIMENT_CASES + [

@@ -24,9 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from urcd.baselines import FitConfig, dgn_fit, mdn_fit, mean_dnn_fit
+from urcd.baselines import dgn_fit, mdn_fit, mean_dnn_fit
 from urcd.datagen import GeneratorConfig, generate
-from urcd.training import TrainConfig, train_dnm
+from urcd.neural import NetConfig
+from urcd.training import train_dnm
 
 GOLDEN = Path(__file__).parent / "data" / "golden_fits.json"
 
@@ -98,18 +99,20 @@ _LOG_CASES = {
 def _hashed_arrays(kind: str, data, fit: dict) -> list:
     """The trained arrays in hash order: every weight, then every bias."""
     fit = dict(fit)
+    seed = fit.pop("seed")
     if kind == "dnm":
-        net = train_dnm(data, TrainConfig(**fit))[0].classifier
+        k = fit.pop("n_centers")
+        net = train_dnm(data, k, NetConfig(**fit), seed)[0].classifier
     elif kind == "mdn":
         k = fit.pop("n_components")
-        net = mdn_fit(data, k, FitConfig(**fit)).net
+        net = mdn_fit(data, k, NetConfig(**fit), seed).net
         # the MDN was once a trunk network and a one-layer head, hashed in
         # that order: the hidden layers' arrays, then the output layer's
         return [*net.weights[:-1], *net.biases[:-1],
                 net.weights[-1], net.biases[-1]]
     else:
         fitter = {"dgn": dgn_fit, "mean": mean_dnn_fit}[kind]
-        net = fitter(data, FitConfig(**fit)).net
+        net = fitter(data, NetConfig(**fit), seed).net
     return [*net.weights, *net.biases]
 
 
@@ -129,7 +132,9 @@ def _fit_hash(kind: str, gen: dict, fit: dict) -> str:
 
 def _log_entry(gen: dict, fit: dict) -> dict:
     data, _ = generate(GeneratorConfig(**gen))
-    model, log = train_dnm(data, TrainConfig(**fit))
+    net_fit = dict(fit)
+    k, seed = net_fit.pop("n_centers"), net_fit.pop("seed")
+    model, log = train_dnm(data, k, NetConfig(**net_fit), seed)
     return {"config": {"trainer": "dnm", "generator": gen, "fit": fit},
             "sha256": _params_hash([*model.classifier.weights,
                                     *model.classifier.biases]),

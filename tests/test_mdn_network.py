@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from urcd import baselines, neural
 from urcd.baselines import (
-    FitConfig,
     GaussianMixture,
     MdnModel,
     mdn_fit,
@@ -28,6 +27,7 @@ from urcd.baselines import (
 from urcd.measures import make_empirical
 from urcd.neural import (
     Mlp,
+    NetConfig,
     backprop,
     forward_cache,
     init_mlp,
@@ -100,7 +100,7 @@ def _dataset(rng, n, d, D):
     return build_dataset(entries)
 
 
-def _captured_fit(data, K, cfg):
+def _captured_fit(data, K, cfg, seed):
     """Run mdn_fit with no epochs; return the network it initialized, its
     loss gradient and its output gradient over the EM targets."""
     captured = {}
@@ -110,13 +110,13 @@ def _captured_fit(data, K, cfg):
         captured.update(net=net, loss_grad=loss_grad)
         return iter(())
 
-    def spy(data, hidden_dims, out_dim, output_grad, cfg):
+    def spy(data, hidden_dims, out_dim, output_grad, cfg, seed):
         captured["output_grad"] = output_grad
-        return fit_network(data, hidden_dims, out_dim, output_grad, cfg)
+        return fit_network(data, hidden_dims, out_dim, output_grad, cfg, seed)
 
     with mock.patch.object(baselines, "fit_epochs", fit_epochs), \
             mock.patch.object(baselines, "_fit_network", spy):
-        model = mdn_fit(data, K, cfg)
+        model = mdn_fit(data, K, cfg, seed)
     assert model.net is captured["net"]
     return captured["net"], captured["loss_grad"], captured["output_grad"]
 
@@ -129,9 +129,8 @@ def _captured_fit(data, K, cfg):
 def test_one_network_mdn_equals_trunk_and_head(seed, activation, D, K, d, hidden):
     rng = np.random.default_rng(seed)
     data = _dataset(rng, int(rng.integers(K + 2, 12)), d, D)
-    cfg = FitConfig(hidden_dims=tuple(hidden), activation=activation,
-                    epochs=1, seed=seed)
-    init, loss_grad, output_grad = _captured_fit(data, K, cfg)
+    cfg = NetConfig(hidden_dims=tuple(hidden), activation=activation, epochs=1)
+    init, loss_grad, output_grad = _captured_fit(data, K, cfg, seed)
 
     # the same uniforms, drawn in the same order
     out_dim = K + 2 * K * D

@@ -11,6 +11,7 @@ import urcd.training
 from urcd.dnm import dnm_predict, predict_weights
 from urcd.measures import make_empirical
 from urcd.neural import (
+    NetConfig,
     cross_entropy_grad,
     fit_epochs,
     forward_cache,
@@ -20,7 +21,6 @@ from urcd.neural import (
 )
 from urcd.training import (
     Dataset,
-    TrainConfig,
     assign_labels,
     build_dataset,
     load_dataset,
@@ -113,8 +113,7 @@ def test_assign_labels_tie_break_lowest_index():
 def test_train_single_center_constant_model():
     rng = np.random.default_rng(2)
     data = _toy_dataset(rng, n=6)
-    cfg = TrainConfig(n_centers=1, hidden_dims=(4,), epochs=5, seed=0)
-    model, log = train_dnm(data, cfg)
+    model, log = train_dnm(data, 1, NetConfig(hidden_dims=(4,), epochs=5), seed=0)
     center_measure = data.train_entries()[log.center_indices[0]][1]
     for x, _ in data.train_entries():
         assert measures_equal(dnm_predict(model, x), center_measure)
@@ -130,9 +129,8 @@ def test_train_two_separated_clusters():
             samples = np.full((4, 1), loc)
             entries.append((x, make_empirical(samples)))
     data = build_dataset(entries, train_idx=range(16), test_idx=range(16, 20))
-    cfg = TrainConfig(n_centers=2, hidden_dims=(8,), epochs=200,
-                      learning_rate=0.05, seed=1)
-    model, log = train_dnm(data, cfg)
+    cfg = NetConfig(hidden_dims=(8,), epochs=200, learning_rate=0.05)
+    model, log = train_dnm(data, 2, cfg, seed=1)
     assert log.final_accuracy == 1.0
     # test-split classification also perfect: argmax weight picks the atom
     # whose cluster the input belongs to
@@ -148,9 +146,8 @@ def test_train_loss_decreases_seed_averaged():
     deltas = []
     for seed in range(5):
         data = _toy_dataset(rng, n=10)
-        cfg = TrainConfig(n_centers=3, hidden_dims=(8,), epochs=60,
-                          learning_rate=0.02, seed=seed)
-        _, log = train_dnm(data, cfg)
+        cfg = NetConfig(hidden_dims=(8,), epochs=60, learning_rate=0.02)
+        _, log = train_dnm(data, 3, cfg, seed=seed)
         deltas.append(log.epoch_losses[-1] - log.epoch_losses[0])
     assert np.mean(deltas) < 0
 
@@ -158,25 +155,24 @@ def test_train_loss_decreases_seed_averaged():
 def test_train_deterministic_per_seed():
     rng = np.random.default_rng(5)
     data = _toy_dataset(rng, n=8)
-    cfg = TrainConfig(n_centers=2, hidden_dims=(6,), epochs=20, seed=7,
-                      batch_size=3)
-    m1, l1 = train_dnm(data, cfg)
-    m2, l2 = train_dnm(data, cfg)
+    cfg = NetConfig(hidden_dims=(6,), epochs=20, batch_size=3)
+    m1, l1 = train_dnm(data, 2, cfg, seed=7)
+    m2, l2 = train_dnm(data, 2, cfg, seed=7)
     assert l1.epoch_losses == l2.epoch_losses
     for a, b in zip(m1.classifier.weights, m2.classifier.weights):
         assert np.array_equal(a, b)
 
 
-def _train_dnm_full_loop(data, cfg):
+def _train_dnm_full_loop(data, n_centers, cfg, seed):
     """The classifier fit of train_dnm with no shortcut: every epoch of
     minibatch Adam, a forward pass for each epoch loss and one more for the
     accuracy.  Kept as the reference for train_dnm's skipped one-center fit
     and its reuse of full-batch step losses."""
     inputs = data.train_inputs()
-    rng = np.random.default_rng(cfg.seed)
-    centers = select_centers(inputs, cfg.n_centers)
+    rng = np.random.default_rng(seed)
+    centers = select_centers(inputs, n_centers)
     labels = assign_labels(inputs, centers)
-    net = init_mlp([data.input_dim, *cfg.hidden_dims, cfg.n_centers],
+    net = init_mlp([data.input_dim, *cfg.hidden_dims, n_centers],
                    activation=cfg.activation, rng=rng)
 
     def loss_grad(net, rows):
@@ -195,9 +191,9 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-def _assert_fit_is_full_loop(data, cfg):
-    model, log = train_dnm(data, cfg)
-    net, losses, accuracy = _train_dnm_full_loop(data, cfg)
+def _assert_fit_is_full_loop(data, n_centers, cfg, seed):
+    model, log = train_dnm(data, n_centers, cfg, seed)
+    net, losses, accuracy = _train_dnm_full_loop(data, n_centers, cfg, seed)
     assert np.array_equal(_bits(model.classifier.params), _bits(net.params))
     assert np.array_equal(_bits(log.epoch_losses), _bits(losses))
     assert np.array_equal(_bits(log.final_accuracy), _bits(accuracy))
@@ -213,10 +209,10 @@ _ACTIVATION = st.sampled_from(["relu", "tanh", "sigmoid", "identity"])
        st.sampled_from([1e-3, 2e-2, 0.5]))
 def test_one_center_fit_equals_full_loop(seed, n, d, hidden, activation,
                                          batch_size, epochs, lr):
-    cfg = TrainConfig(n_centers=1, hidden_dims=tuple(hidden),
-                      activation=activation, batch_size=batch_size,
-                      epochs=epochs, learning_rate=lr, seed=seed)
-    _assert_fit_is_full_loop(_toy_dataset(np.random.default_rng(seed), n, d), cfg)
+    cfg = NetConfig(hidden_dims=tuple(hidden), activation=activation,
+                    batch_size=batch_size, epochs=epochs, learning_rate=lr)
+    _assert_fit_is_full_loop(_toy_dataset(np.random.default_rng(seed), n, d),
+                             1, cfg, seed)
 
 
 @settings(max_examples=40)
@@ -225,10 +221,10 @@ def test_one_center_fit_equals_full_loop(seed, n, d, hidden, activation,
        st.one_of(st.none(), st.integers(1, 14)), st.integers(1, 6))
 def test_fit_logs_full_loop_losses(seed, n, d, n_centers, hidden, activation,
                                    batch_size, epochs):
-    cfg = TrainConfig(n_centers=min(n_centers, n - 1), hidden_dims=tuple(hidden),
-                      activation=activation, batch_size=batch_size,
-                      epochs=epochs, learning_rate=2e-2, seed=seed)
-    _assert_fit_is_full_loop(_toy_dataset(np.random.default_rng(seed), n, d), cfg)
+    cfg = NetConfig(hidden_dims=tuple(hidden), activation=activation,
+                    batch_size=batch_size, epochs=epochs, learning_rate=2e-2)
+    _assert_fit_is_full_loop(_toy_dataset(np.random.default_rng(seed), n, d),
+                             min(n_centers, n - 1), cfg, seed)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -240,11 +236,11 @@ def test_one_center_fit_on_an_infinite_input_fails_as_the_full_loop(batch_size):
     entries = list(data.entries)
     entries[3] = (np.array([np.inf, 0.5]), entries[3][1])
     data = build_dataset(entries, train_idx=range(6), test_idx=())
-    cfg = TrainConfig(n_centers=1, hidden_dims=(3,), activation="tanh",
-                      epochs=2, batch_size=batch_size, seed=2)
+    cfg = NetConfig(hidden_dims=(3,), activation="tanh", epochs=2,
+                    batch_size=batch_size)
     for fit in (train_dnm, _train_dnm_full_loop):
         with pytest.raises(ValueError, match="finite"):
-            fit(data, cfg)
+            fit(data, 1, cfg, 2)
 
 
 def test_argmax_weight_matches_label_at_full_accuracy():
@@ -255,9 +251,8 @@ def test_argmax_weight_matches_label_at_full_accuracy():
             x = np.array([cx + rng.uniform(-0.3, 0.3)])
             entries.append((x, make_empirical(rng.normal(cx, 0.1, (3, 1)))))
     data = build_dataset(entries, train_idx=range(12), test_idx=())
-    cfg = TrainConfig(n_centers=3, hidden_dims=(12,), epochs=300,
-                      learning_rate=0.05, seed=2)
-    model, log = train_dnm(data, cfg)
+    cfg = NetConfig(hidden_dims=(12,), epochs=300, learning_rate=0.05)
+    model, log = train_dnm(data, 3, cfg, seed=2)
     if log.final_accuracy == 1.0:
         labels = assign_labels(data.train_inputs(), list(log.center_indices))
         for i, (x, _) in enumerate(data.train_entries()):
@@ -300,7 +295,7 @@ def test_training_needs_no_transport_calls(monkeypatch):
                             counting(getattr(urcd.measures, name)))
     rng = np.random.default_rng(8)
     data = _toy_dataset(rng, n=8)
-    train_dnm(data, TrainConfig(n_centers=2, hidden_dims=(4,), epochs=5, seed=0))
+    train_dnm(data, 2, NetConfig(hidden_dims=(4,), epochs=5), seed=0)
     assert calls["n"] == 0
 
 
