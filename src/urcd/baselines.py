@@ -8,7 +8,10 @@ draws from its predicted law, seeded and reproducible.
 The three trained models are one network each, and one helper
 (``_fit_network``) trains them under their own output gradients.  The MDN
 is a single ``Mlp`` whose last affine layer emits the mixture parameters,
-as in Bishop's mixture density networks.
+as in Bishop's mixture density networks.  Its regression targets are EM
+fits of the training measures, made by ``em_fit_gmm`` on stacks of equal-size
+targets at once; ``EM_CHUNK_CELLS`` bounds a stack, so that the faster
+stacked fit does not raise the peak memory of a run.
 """
 
 from __future__ import annotations
@@ -33,11 +36,18 @@ from urcd.neural import (
 
 VARIANCE_FLOOR = 1e-6
 EM_ITERS = 50      # EM iterations per MDN target decomposition
+# Atom-component cells (targets x atoms x K x D) per stacked EM call, e.g.
+# 10 targets of 500 atoms at K x D = 3.  Stacks run EM ~3x faster than one
+# target at a time, but their arrays add to the peak RSS: on the perfbench
+# hetero-minibatch experiment (100 such targets) one unbounded stack adds
+# ~6 MB and 48,000 cells 0.3 MB, while this bound leaves it flat.
+EM_CHUNK_CELLS = 16_000
 
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """Diagonal-covariance Gaussian mixture in R^D."""
+    """Diagonal-covariance Gaussian mixture in R^D, or a stack of B of them
+    (a leading B axis on every field)."""
 
     weights: np.ndarray    # (K,)
     means: np.ndarray      # (K, D)
@@ -45,59 +55,114 @@ class GaussianMixture:
 
     @property
     def n_components(self) -> int:
-        return self.means.shape[0]
+        return self.means.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.means.shape[1]
+        return self.means.shape[-1]
 
 
 # ---------------------------------------------------------------------------
 # EM for diagonal Gaussian mixtures
 # ---------------------------------------------------------------------------
 
-def _log_gauss_diag(points, means, log_stds):
-    """(n, K) matrix of diagonal-Gaussian log densities."""
-    var = np.exp(2.0 * log_stds)                       # (K, D)
-    diff = points[:, None, :] - means[None, :, :]      # (n, K, D)
-    quad = (diff ** 2 / var[None, :, :]).sum(axis=2)
-    norm = (np.log(2.0 * np.pi) + 2.0 * log_stds).sum(axis=1)
-    return -0.5 * (quad + norm[None, :])
+def _each(gmm: GaussianMixture, f) -> GaussianMixture:
+    """The mixture with f applied to each of its fields."""
+    return GaussianMixture(weights=f(gmm.weights), means=f(gmm.means),
+                           log_stds=f(gmm.log_stds))
+
+
+def _sum_first(a: np.ndarray) -> np.ndarray:
+    """a summed over its first axis in the order numpy sums a contiguous
+    row of len(a) values: term by term below 8 terms; from 8 terms numpy
+    sums pairwise, so its own sum runs on a copy with that axis last."""
+    if len(a) >= 8:
+        return np.moveaxis(a, 0, -1).copy().sum(axis=-1)
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
 
 
 def em_step(points, gmm: GaussianMixture) -> GaussianMixture:
-    """One E + M update; never decreases the log-likelihood."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    log_p = _log_gauss_diag(points, gmm.means, gmm.log_stds)
-    log_p = log_p + np.log(np.clip(gmm.weights, 1e-300, None))[None, :]
-    mx = log_p.max(axis=1, keepdims=True)
-    resp = np.exp(log_p - mx)
-    resp /= resp.sum(axis=1, keepdims=True)
+    """One E + M update of every mixture of a stack on its own target's
+    points; never decreases a target's log-likelihood.
 
-    nk = resp.sum(axis=0)                                   # (K,)
-    weights = nk / points.shape[0]
-    safe_nk = np.clip(nk, 1e-12, None)
-    means = (resp.T @ points) / safe_nk[:, None]
-    diff = points[:, None, :] - means[None, :, :]
-    var = np.einsum("nk,nkd->kd", resp, diff ** 2) / safe_nk[:, None]
-    var = np.maximum(var, VARIANCE_FLOOR)
-    return GaussianMixture(weights=weights, means=means,
+    points (B, n, D); gmm's weights (B, K), means and log-stds (B, K, D).
+    Points (n, D) with one unstacked mixture are a stack of one.  Each pass
+    runs component-major, over (D, K, B, n) arrays, so its rows are n long
+    rather than K.  Every sum keeps the order of a one-target update, so a
+    target's bits do not depend on the stack it sits in: the sums over D
+    and K run in the order of numpy's contiguous sum (``_sum_first``), the
+    means are the same BLAS product on the same (B, n, K) memory, and the
+    sums over the points run term by term (``cumsum``).
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 2:
+        return _each(em_step(points[None], _each(gmm, lambda a: a[None])),
+                     lambda a: a[0])
+    _, n, D = points.shape
+    K = gmm.weights.shape[1]
+    by_dim = points.transpose(2, 0, 1)[:, None]                # (D, 1, B, n)
+
+    # E step: responsibilities, (K, B, n)
+    quad = by_dim - gmm.means.transpose(2, 1, 0)[..., None]    # (D, K, B, n)
+    quad **= 2
+    quad /= np.exp(2.0 * gmm.log_stds).transpose(2, 1, 0)[..., None]
+    norm = (np.log(2.0 * np.pi) + 2.0 * gmm.log_stds).sum(axis=-1)   # (B, K)
+    log_p = _sum_first(quad)
+    log_p += norm.T[..., None]
+    log_p *= -0.5
+    log_p += np.log(np.clip(gmm.weights, 1e-300, None)).T[..., None]
+    log_p -= np.maximum.reduce(log_p)
+    resp = np.exp(log_p, out=log_p)
+    resp /= _sum_first(resp)
+
+    # M step
+    nk = np.cumsum(resp, axis=-1)[..., -1]                     # (K, B)
+    safe_nk = np.clip(nk, 1e-12, None).T[..., None]            # (B, K, 1)
+    by_target = np.moveaxis(resp, 0, -1).copy()                # (B, n, K)
+    means = (by_target.transpose(0, 2, 1) @ points) / safe_nk  # (B, K, D)
+    sq = by_dim - means.transpose(2, 1, 0)[..., None]          # (D, K, B, n)
+    sq **= 2
+    if K * D == 1:   # one target sums this single product row by numpy's dot
+        sq = np.einsum("kbn,dkbn->dkb", resp, sq)
+    else:
+        sq *= resp
+        sq = np.cumsum(sq, axis=-1)[..., -1]
+    var = np.maximum(sq.transpose(2, 1, 0) / safe_nk, VARIANCE_FLOOR)
+    return GaussianMixture(weights=(nk / n).T, means=means,
                            log_stds=0.5 * np.log(var))
 
 
 def em_fit_gmm(points, n_components: int, iters: int = 50,
-               seed: int = 0) -> GaussianMixture:
-    """Diagonal-covariance GMM by EM with a seeded data-point initialization."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n, dim = points.shape
+               seed=0) -> GaussianMixture:
+    """Diagonal-covariance GMMs by EM, one per target of a stack, each from
+    a seeded data-point initialization.
+
+    points (B, n, D) with seed a sequence of B seeds, one per target,
+    returns stacked mixtures (weights (B, K), means and log-stds (B, K, D));
+    points (n, D) with one seed are a stack of one and return one mixture.
+    A target's fit is bit for bit the same in any stack, and the same as
+    on its own.  Each working array of a step is K times the size of the
+    points, so a caller bounds a stack (``mdn_fit`` by ``EM_CHUNK_CELLS``).
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 2:
+        return _each(em_fit_gmm(points[None], n_components, iters, [seed]),
+                     lambda a: a[0])
+    B, n, _ = points.shape
     if n_components > n:
         raise ValueError("more components than points")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(n, size=n_components, replace=False)
-    var0 = np.maximum(points.var(axis=0), VARIANCE_FLOOR)
-    gmm = GaussianMixture(weights=np.full(n_components, 1.0 / n_components),
-                          means=points[idx].copy(),
-                          log_stds=np.tile(0.5 * np.log(var0), (n_components, 1)))
+    means, log_stds = [], []
+    for target, target_seed in zip(points, seed, strict=True):
+        idx = np.random.default_rng(target_seed).choice(n, size=n_components,
+                                                        replace=False)
+        var0 = np.maximum(target.var(axis=0), VARIANCE_FLOOR)
+        means.append(target[idx])
+        log_stds.append(np.tile(0.5 * np.log(var0), (n_components, 1)))
+    gmm = GaussianMixture(weights=np.full((B, n_components), 1.0 / n_components),
+                          means=np.array(means), log_stds=np.array(log_stds))
     for _ in range(iters):
         gmm = em_step(points, gmm)
     return gmm
@@ -208,10 +273,8 @@ def _mdn_output_grad(out, t_weights, t_means, t_log_stds):
     B, K, D = t_means.shape
     means = out[:, K:K + K * D].reshape(B, K, D)
     log_stds = out[:, K + K * D:].reshape(B, K, D)
-    perm = _greedy_match(means, t_means)
-    tw = np.take_along_axis(t_weights, perm, axis=1)
-    tm = np.take_along_axis(t_means, perm[:, :, None], axis=1)
-    ts = np.take_along_axis(t_log_stds, perm[:, :, None], axis=1)
+    matched = np.arange(B)[:, None], _greedy_match(means, t_means)
+    tw, tm, ts = t_weights[matched], t_means[matched], t_log_stds[matched]
     d_out = np.empty_like(out)
     d_out[:, :K] = softmax(out[:, :K]) - tw
     d_out[:, K:K + K * D] = 2.0 * (means - tm).reshape(B, K * D)
@@ -220,9 +283,49 @@ def _mdn_output_grad(out, t_weights, t_means, t_log_stds):
     return d_out
 
 
+def _mdn_targets(data, K: int, seed: int):
+    """The EM decomposition of every training target into K components:
+    weights (N, K), means and log-stds (N, K, D).
+
+    A target with fewer atoms than K gets one component per atom, padded
+    by repeating the last component at weight 0.  Targets with the same
+    atom count are fitted together, in stacks of at most EM_CHUNK_CELLS
+    atom-component cells.
+    """
+    measures = [measure for _, measure in data.train_entries()]
+    t_weights = np.zeros((len(measures), K))
+    t_means = np.empty((len(measures), K, data.output_dim))
+    t_log_stds = np.empty_like(t_means)
+    groups = {}
+    for i, measure in enumerate(measures):
+        groups.setdefault(measure.n_atoms, []).append(i)
+    for n_atoms, rows in groups.items():
+        n = min(K, n_atoms)
+        pad = np.minimum(np.arange(K), n - 1)
+        stack = max(1, EM_CHUNK_CELLS // (n_atoms * n * data.output_dim))
+        for start in range(0, len(rows), stack):
+            chunk = rows[start:start + stack]
+            # seed the EM init from the sample content so identical target
+            # measures receive identical mixture decompositions
+            seeds = [(seed * 1_000_003 + zlib.crc32(measures[i].atoms.tobytes()))
+                     % 2**32 for i in chunk]
+            gmm = em_fit_gmm(np.array([measures[i].atoms for i in chunk]), n,
+                             iters=EM_ITERS, seed=seeds)
+            t_weights[chunk, :n] = gmm.weights
+            t_means[chunk] = gmm.means[:, pad]
+            t_log_stds[chunk] = gmm.log_stds[:, pad]
+    return t_weights, t_means, t_log_stds
+
+
 def mdn_fit(data, n_components: int, cfg: NetConfig = NetConfig(),
             seed: int = 0) -> MdnModel:
     """Fit per-input mixture targets by EM, then regress the parameters.
+
+    The targets are fitted in stacks of targets with the same atom count,
+    each of at most EM_CHUNK_CELLS atom-component cells (``_mdn_targets``):
+    stacking makes EM ~3x faster, and the bound keeps the peak RSS where
+    one-target fits left it.  Each call goes through the module-level name
+    ``em_fit_gmm``, so a tracer that rebinds it sees every fit.
 
     Squared error on means and log-stds, cross-entropy on the weights,
     with target components greedily re-ordered each step to match the
@@ -231,22 +334,7 @@ def mdn_fit(data, n_components: int, cfg: NetConfig = NetConfig(),
     """
     D = data.output_dim
     K = n_components
-
-    targets = []
-    for _, measure in data.train_entries():
-        # seed the EM init from the sample content so identical target
-        # measures receive identical mixture decompositions
-        content_seed = (seed * 1_000_003 + zlib.crc32(measure.atoms.tobytes())) % 2**32
-        n = min(K, measure.n_atoms)
-        gmm = em_fit_gmm(measure.atoms, n, iters=EM_ITERS, seed=content_seed)
-        if n < K:    # pad tiny targets by repeating the last component, weight 0
-            idx = np.minimum(np.arange(K), n - 1)
-            gmm = GaussianMixture(weights=np.append(gmm.weights, np.zeros(K - n)),
-                                  means=gmm.means[idx], log_stds=gmm.log_stds[idx])
-        targets.append(gmm)
-    t_weights = np.array([t.weights for t in targets])     # (N, K)
-    t_means = np.array([t.means for t in targets])         # (N, K, D)
-    t_log_stds = np.array([t.log_stds for t in targets])   # (N, K, D)
+    t_weights, t_means, t_log_stds = _mdn_targets(data, K, seed)
 
     hidden = cfg.hidden_dims if cfg.hidden_dims else (max(8, 2 * data.input_dim),)
     net = _fit_network(

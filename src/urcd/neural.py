@@ -33,7 +33,7 @@ ADAM_EPS = 1e-8
 
 _ACTIVATIONS = {
     "relu": (lambda z: np.maximum(z, 0.0),
-             lambda z: (z > 0.0).astype(float)),  # subgradient 0 at the kink
+             lambda z: z > 0.0),  # subgradient 0 at the kink; a mask casts to 0/1
     "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
     "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)),
                 lambda z: (s := 1.0 / (1.0 + np.exp(-z))) * (1.0 - s)),
@@ -149,16 +149,15 @@ def backprop(net: Mlp, pre, post, d_out: np.ndarray) -> np.ndarray:
     Returns the gradient as one flat vector in ``net.params`` order.
     """
     _, dact = _ACTIVATIONS[net.activation]
-    grad = np.empty_like(net.params)
     layers = len(net.weights)
-    views = _views(grad, [a.shape for a in (*net.weights, *net.biases)])
+    d_weights, d_biases = [None] * layers, [None] * layers
     delta = d_out
     for j in range(layers - 1, -1, -1):
-        np.matmul(post[j].T, delta, out=views[j])
-        delta.sum(axis=0, out=views[layers + j])
+        d_weights[j] = (post[j].T @ delta).ravel()
+        d_biases[j] = delta.sum(axis=0)
         if j > 0:
             delta = (delta @ net.weights[j].T) * dact(pre[j - 1])
-    return grad
+    return np.concatenate(d_weights + d_biases)
 
 
 def mlp_forward(net: Mlp, x) -> np.ndarray:

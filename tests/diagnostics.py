@@ -1,13 +1,13 @@
 """Reference checks the tests compare the package against: measure equality,
 gradients, hull slack, covering radius, the exact medoid centers, GMM
-likelihood, and reading a CSV report back."""
+likelihood, one-target EM, and reading a CSV report back."""
 
 import dataclasses
 import itertools
 
 import numpy as np
 
-from urcd.baselines import GaussianMixture, _log_gauss_diag
+from urcd.baselines import VARIANCE_FLOOR, GaussianMixture
 from urcd.dnm import DnmModel, dnm_predict
 from urcd.harness import CSV_HEADER, Metrics
 from urcd.measures import EmpiricalMeasure, mixture, w1_cost
@@ -113,6 +113,53 @@ def projection_slack(model: DnmModel, targets, grid_resolution: int):
     sup_hull = max(min(w1_cost(g, f_x) for g in grid_measures)
                    for _, f_x in targets)
     return sup_error, sup_hull
+
+
+def _log_gauss_diag(points, means, log_stds):
+    """(n, K) matrix of diagonal-Gaussian log densities."""
+    var = np.exp(2.0 * log_stds)                       # (K, D)
+    diff = points[:, None, :] - means[None, :, :]      # (n, K, D)
+    quad = (diff ** 2 / var[None, :, :]).sum(axis=2)
+    norm = (np.log(2.0 * np.pi) + 2.0 * log_stds).sum(axis=1)
+    return -0.5 * (quad + norm[None, :])
+
+
+def em_step_one(points, gmm: GaussianMixture) -> GaussianMixture:
+    """One E + M update of a single mixture, in the per-target (n, K, D)
+    layout; the oracle for the stacked ``em_step``."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    log_p = _log_gauss_diag(points, gmm.means, gmm.log_stds)
+    log_p = log_p + np.log(np.clip(gmm.weights, 1e-300, None))[None, :]
+    mx = log_p.max(axis=1, keepdims=True)
+    resp = np.exp(log_p - mx)
+    resp /= resp.sum(axis=1, keepdims=True)
+
+    nk = resp.sum(axis=0)                                   # (K,)
+    weights = nk / points.shape[0]
+    safe_nk = np.clip(nk, 1e-12, None)
+    means = (resp.T @ points) / safe_nk[:, None]
+    diff = points[:, None, :] - means[None, :, :]
+    var = np.einsum("nk,nkd->kd", resp, diff ** 2) / safe_nk[:, None]
+    var = np.maximum(var, VARIANCE_FLOOR)
+    return GaussianMixture(weights=weights, means=means,
+                           log_stds=0.5 * np.log(var))
+
+
+def em_fit_one(points, n_components: int, iters: int,
+               seed: int) -> GaussianMixture:
+    """One target's EM fit by ``em_step_one``, from the seeded data-point
+    initialization of ``em_fit_gmm``."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n, _ = points.shape
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(n, size=n_components, replace=False)
+    var0 = np.maximum(points.var(axis=0), VARIANCE_FLOOR)
+    gmm = GaussianMixture(weights=np.full(n_components, 1.0 / n_components),
+                          means=points[idx].copy(),
+                          log_stds=np.tile(0.5 * np.log(var0), (n_components, 1)))
+    for _ in range(iters):
+        gmm = em_step_one(points, gmm)
+    return gmm
 
 
 def gmm_log_likelihood(gmm: GaussianMixture, points) -> float:
