@@ -179,8 +179,8 @@ def sample_gmm(gmm: GaussianMixture, n_samples: int,
 # shared network trainer
 # ---------------------------------------------------------------------------
 
-def _fit_network(data, hidden_dims, out_dim: int, output_grad,
-                 cfg: NetConfig, seed: int) -> Mlp:
+def _fit_network(data, out_dim: int, output_grad, cfg: NetConfig,
+                 seed: int) -> Mlp:
     """Minibatch Adam on a seeded network from the training inputs to out_dim
     outputs; returns the trained network.
 
@@ -189,21 +189,19 @@ def _fit_network(data, hidden_dims, out_dim: int, output_grad,
     """
     rng = np.random.default_rng(seed)
     X = data.train_inputs()
-    net = init_mlp([X.shape[1], *hidden_dims, out_dim],
+    net = init_mlp([X.shape[1], *cfg.hidden_dims, out_dim],
                    activation=cfg.activation, rng=rng)
 
     def loss_grad(net, rows):
         out, pre, post = forward_cache(net, X[rows])
         return backprop(net, pre, post, output_grad(out, rows))
 
-    for net in fit_epochs(net, loss_grad, X.shape[0], cfg, rng):
-        pass
-    return net
+    return fit_epochs(net, loss_grad, X.shape[0], cfg, rng)
 
 
 def _fit_squared_error(data, Y, cfg: NetConfig, seed: int) -> Mlp:
     """Mean squared error from the training inputs to the rows of Y."""
-    return _fit_network(data, cfg.hidden_dims, Y.shape[1],
+    return _fit_network(data, Y.shape[1],
                         lambda out, rows: 2.0 * (out - Y[rows]) / rows.size,
                         cfg, seed)
 
@@ -336,9 +334,8 @@ def mdn_fit(data, n_components: int, cfg: NetConfig = NetConfig(),
     K = n_components
     t_weights, t_means, t_log_stds = _mdn_targets(data, K, seed)
 
-    hidden = cfg.hidden_dims if cfg.hidden_dims else (max(8, 2 * data.input_dim),)
     net = _fit_network(
-        data, hidden, K + 2 * K * D,
+        data, K + 2 * K * D,
         lambda out, rows: _mdn_output_grad(out, t_weights[rows], t_means[rows],
                                            t_log_stds[rows]), cfg, seed)
     return MdnModel(net=net, n_components=K, out_dim=D)

@@ -116,7 +116,6 @@ _EXPERIMENT = (
 )
 _RATES = (
     _D, _row("--hoelder-a", "A", float), _row("--hoelder-alpha", "alpha", float),
-    _row("--hoelder-b", "B", float), _row("--hoelder-beta", "beta", float),
     _row("--diam", "diam", float), _DIM_OUT, _row("--radius", "M", float),
 )
 
@@ -198,7 +197,7 @@ def _cmd_train(args, cfg) -> int:
     model, log = train_dnm(data, n_centers, net_cfg, seed)
     save_dnm(model, args.out)
     print(f"trained on {len(data.train_idx)} points; "
-          f"final loss {log.epoch_losses[-1]:.6g}; "
+          f"final loss {log.final_loss:.6g}; "
           f"label accuracy {log.final_accuracy:.3f}; wrote {args.out}")
     return 0
 
@@ -241,8 +240,8 @@ def _cmd_experiment(args, cfg) -> int:
 
 
 def _cmd_rates(args, cfg) -> int:
-    given = {"A": 1.0, "alpha": 1.0, "B": 1.0, "beta": 1.0, "diam": 1.0,
-             "d": 1, "D": 1, "M": 1.0, **_given(args, cfg, _RATES)}
+    given = {"A": 1.0, "alpha": 1.0, "diam": 1.0, "d": 1, "D": 1, "M": 1.0,
+             **_given(args, cfg, _RATES)}
     D, M = given.pop("D"), given.pop("M")
     if args.neps:
         print(n_epsilon(RateParams(**given), args.eps))

@@ -75,26 +75,22 @@ class DnmModel:
 
 @dataclass(frozen=True)
 class RateParams:
-    """Hoelder moduli for the target map and the feature map.
-
-    The target's modulus is A t^alpha and the feature map's is B t^beta,
-    with 0 < alpha, beta <= 1; `diam` is the diameter of the input region
-    and `d` its embedding dimension.
+    """Hoelder modulus A t^alpha of the target map, 0 < alpha <= 1, with
+    `diam` the diameter of the input region and `d` its dimension.  The
+    feature map is the identity, whose modulus is t.
     """
 
     A: float
     alpha: float
-    B: float
-    beta: float
     diam: float
     d: int
 
     def __post_init__(self):
         check_finite(self)
-        if self.A <= 0 or self.B <= 0:
-            raise ValueError("Hoelder constants must be positive")
-        if not (0 < self.alpha <= 1 and 0 < self.beta <= 1):
-            raise ValueError("Hoelder exponents must lie in (0, 1]")
+        if self.A <= 0:
+            raise ValueError("A must be positive")
+        if not 0 < self.alpha <= 1:
+            raise ValueError("alpha must lie in (0, 1]")
         if self.diam < 0:
             raise ValueError("diam must be non-negative")
         if self.d < 1:
@@ -117,21 +113,20 @@ def n_epsilon_raw(p: RateParams, eps: float) -> float:
     """Pre-ceiling atom-count bound, strictly monotone in its arguments."""
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, not {eps}")
-    if p.diam == 0:     # a point needs one atom, also where inv_phi underflows to 0
+    if p.diam == 0:     # a point needs one atom, also where inv_f underflows to 0
         return 0.0
-    omega_phi_diam = p.B * p.diam ** p.beta
     inv_f = (eps / 4.0 / p.A) ** (1.0 / p.alpha)
-    inv_phi = (inv_f / p.B) ** (1.0 / p.beta)
-    base = p.d * 2.0 ** 2.5 * omega_phi_diam / (math.sqrt(p.d + 1.0) * inv_phi)
+    base = p.d * 2.0 ** 2.5 * p.diam / (math.sqrt(p.d + 1.0) * inv_f)
     return base ** p.d
 
 
 def n_epsilon(p: RateParams, eps: float) -> int:
     """Number of atom measures sufficient for accuracy eps.
 
-    Evaluates ceil((d * 2^{5/2} * w_phi(diam) / (sqrt(d+1) *
-    w_phi^{-1}(w_f^{-1}(eps/4))))^d) with the Hoelder moduli of `p`, whose
-    generalized inverses are closed-form: w^{-1}(s) = (s/A)^{1/alpha}.
+    Evaluates ceil((d * 2^{5/2} * diam / (sqrt(d+1) *
+    w_f^{-1}(eps/4)))^d) with the target's Hoelder modulus w_f from `p`,
+    whose generalized inverse is closed-form: w_f^{-1}(s) = (s/A)^{1/alpha}.
+    The feature map is the identity, so its modulus and inverse are t.
 
     The count is meaningful when eps is small relative to the target
     map's total oscillation (at most 4, and at most four times what the

@@ -16,7 +16,7 @@ whatever the depth.  ``NetConfig`` declares the network and optimiser
 settings every trainer shares; a trainer takes its seed on its own.
 
 Everything is deterministic: initialization is seeded, and gradients are
-fresh arrays.  Only ``fit_epochs`` writes, and only to its own copies.
+fresh arrays.  Only ``fit_epochs`` writes, and only to its own copy.
 """
 
 from __future__ import annotations
@@ -223,14 +223,13 @@ def adam_step(params: np.ndarray, m: np.ndarray, v: np.ndarray,
     params -= learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
-def fit_epochs(net: Mlp, loss_grad, n: int, cfg: NetConfig, rng):
-    """Minibatch Adam over n training rows; yields the network after each epoch.
+def fit_epochs(net: Mlp, loss_grad, n: int, cfg: NetConfig, rng) -> Mlp:
+    """Minibatch Adam over n training rows; returns the trained network.
 
     loss_grad(net, rows) returns the flat gradient for the index array rows.
-    Adam steps a copy of the given network in place, and every epoch yields
-    a fresh copy of it, so neither the network passed in nor those yielded
-    are written to.  Rows are reshuffled every epoch only when a batch is
-    smaller than n.
+    Adam steps a copy of the given network in place and returns that copy,
+    so the network passed in is not written to.  Rows are reshuffled every
+    epoch only when a batch is smaller than n.
     """
     net = dataclasses.replace(net)
     m, v = np.zeros_like(net.params), np.zeros_like(net.params)
@@ -242,7 +241,7 @@ def fit_epochs(net: Mlp, loss_grad, n: int, cfg: NetConfig, rng):
             grad = loss_grad(net, order[start:start + batch])
             t += 1
             adam_step(net.params, m, v, grad, t, cfg.learning_rate)
-        yield dataclasses.replace(net)
+    return net
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,6 @@ nearest-center labeling happen purely in input space, and the classifier is
 then fit by cross-entropy.  This module intentionally has no dependency on
 the Wasserstein solvers.
 
-``train_dnm`` logs every epoch's full-training-set loss and the final label
-accuracy with the bits a forward pass after each epoch would give, but
-skips work the loop already did or cannot change: with a full batch, step
-t + 1's loss is epoch t's, and a one-center classifier, whose gradient is
-exactly zero, is not trained at all.
-
 Dataset files are line-delimited JSON, one record per input:
 ``{"x": [...], "samples": [[...], ...]}``, where the samples are the i.i.d.
 draws defining the target measure at x.  The train/test split lives in a
@@ -36,6 +30,11 @@ from urcd.neural import (
     mean_nll,
     softmax,
 )
+
+# Input-difference cells (rows x n x d) per block of select_centers'
+# distance matrix.  The whole (n, n, d) array raised the tracemalloc peak to
+# 768 MB at n = 2,000 and d = 11; blocks of this size leave ~105 MB.
+DIST_BLOCK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ def build_dataset(entries, train_idx=None, test_idx=None) -> Dataset:
 @dataclass(frozen=True)
 class TrainingLog:
     center_indices: tuple
-    epoch_losses: tuple
+    final_loss: float
     final_accuracy: float
 
 
@@ -105,13 +104,19 @@ def select_centers(inputs, n_centers: int):
 
     Greedy medoids: add one index at a time, each minimizing the medoid
     objective sum_x min_n ||x - c_n|| given the centers already chosen, ties
-    broken by lowest index.  Deterministic.
+    broken by lowest index.  Deterministic.  The distance matrix is built
+    in row blocks of at most DIST_BLOCK_CELLS input differences; each
+    distance is computed on its own, so the blocks change no bit.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     n = inputs.shape[0]
     if not 1 <= n_centers < n:
         raise ValueError(f"need 1 <= n_centers < {n}")
-    dist = np.linalg.norm(inputs[:, None, :] - inputs[None, :, :], axis=2)
+    dist = np.empty((n, n))
+    rows = max(1, DIST_BLOCK_CELLS // (n * inputs.shape[1]))
+    for start in range(0, n, rows):
+        block = inputs[start:start + rows, None, :] - inputs[None, :, :]
+        dist[start:start + rows] = np.linalg.norm(block, axis=2)
     chosen: list[int] = []
     current = np.full(n, np.inf)
     for _ in range(n_centers):
@@ -141,7 +146,9 @@ def train_dnm(data: Dataset, n_centers: int, cfg: NetConfig = NetConfig(),
     refuses n_centers outside [1, training-set size)), freeze their target
     measures as the atoms, and train the classifier on nearest-center labels.
 
-    Fully deterministic for a fixed seed.  Returns (model, log).
+    Fully deterministic for a fixed seed.  Returns (model, log); the log
+    holds the centers and the trained classifier's full-training-set loss
+    and label accuracy.
     """
     inputs = data.train_inputs()
     centers = select_centers(inputs, n_centers)
@@ -154,43 +161,23 @@ def train_dnm(data: Dataset, n_centers: int, cfg: NetConfig = NetConfig(),
     net = init_mlp([d, *cfg.hidden_dims, n_centers],
                    activation=cfg.activation, rng=rng)
 
-    def forward_loss(net):
-        logits, _, _ = forward_cache(net, inputs)
-        return mean_nll(softmax(logits), labels), logits
-
-    n = len(inputs)
-    if n_centers == 1 and np.isfinite(inputs).all():
-        # One class: the softmax of a single finite logit is exactly 1.0, the
-        # label, so p - y is 0 and, with finite inputs, every gradient entry
-        # is +-0; Adam's moments stay +0 and each step subtracts +0 from every
-        # parameter.  fit_epochs would return this network unchanged and log
-        # this loss every epoch, so it is skipped.
-        loss, logits = forward_loss(net)
-        losses = [loss] * cfg.epochs
-    else:
-        step_losses, losses = [], []
-
+    if n_centers > 1 or not np.isfinite(inputs).all():
+        # With one center and finite inputs the softmax of the single logit
+        # is exactly 1.0, the label, so every gradient entry is +-0, Adam's
+        # moments stay +0 and each step subtracts +0: fit_epochs would
+        # return this network unchanged, so it is not called.
         def loss_grad(net, rows):
-            loss, grad = cross_entropy_grad(net, inputs[rows], labels[rows])
-            step_losses.append(loss)
-            return grad
+            return cross_entropy_grad(net, inputs[rows], labels[rows])[1]
 
-        full_batch = min(cfg.batch_size or n, n) == n
-        for net in fit_epochs(net, loss_grad, n, cfg, rng):
-            if not full_batch:
-                loss, logits = forward_loss(net)
-                losses.append(loss)
-        if full_batch:
-            # step t + 1 starts from epoch t's network on the same rows, so
-            # its loss is epoch t's; only the last epoch needs a forward pass
-            loss, logits = forward_loss(net)
-            losses = [*step_losses[1:], loss]
+        net = fit_epochs(net, loss_grad, len(inputs), cfg, rng)
 
+    logits, _, _ = forward_cache(net, inputs)
+    loss = mean_nll(softmax(logits), labels)
     accuracy = float((logits.argmax(axis=1) == labels.argmax(axis=1)).mean())
 
     model = DnmModel(classifier=net, atoms=atoms)
     log = TrainingLog(center_indices=tuple(centers),
-                      epoch_losses=tuple(losses), final_accuracy=accuracy)
+                      final_loss=loss, final_accuracy=accuracy)
     return model, log
 
 

@@ -121,7 +121,7 @@ def test_criterion_3_gradient_checks():
 
 
 def test_criterion_4_rate_formulas():
-    n_eps = n_epsilon(RateParams(A=1, alpha=1, B=1, beta=1, diam=1, d=1), 1.0)
+    n_eps = n_epsilon(RateParams(A=1, alpha=1, diam=1, d=1), 1.0)
     n_q = n_quantizer(0.4, 2, 1.0)
 
     def bisect(branch, x):

@@ -10,6 +10,8 @@ import pytest
 from urcd import cli, harness
 from urcd.cli import main
 from urcd.harness import HarnessConfig
+from urcd.neural import NetConfig
+from urcd.training import load_dataset, train_dnm
 
 from diagnostics import parse_report_csv
 
@@ -37,10 +39,19 @@ def test_gen_train_eval_pipeline(tmp_path, capsys):
                  "--out", str(data), "--describe"]) == 0
     assert data.exists()
     assert (tmp_path / "data.jsonl.split.json").exists()
+    capsys.readouterr()
     assert main(["train", "--data", str(data), "--n", "2",
                  "--out", str(model), "--epochs", "15", "--hidden", "6",
                  "--seed", "0"]) == 0
     assert model.exists()
+    # the printed loss and accuracy are train_dnm's log for the same settings
+    _, log = train_dnm(load_dataset(data), 2,
+                       NetConfig(hidden_dims=(6,), epochs=15), 0)
+    line = (f"trained on 10 points; final loss {log.final_loss:.6g}; "
+            f"label accuracy {log.final_accuracy:.3f}; wrote {model}\n")
+    assert capsys.readouterr().out == line == (
+        f"trained on 10 points; final loss 0.573875; "
+        f"label accuracy 0.800; wrote {model}\n")
     assert main(["eval", "--model", str(model), "--data", str(data)]) == 0
     out = capsys.readouterr().out
     assert "worst" in out
@@ -57,6 +68,21 @@ def test_experiment_writes_report(tmp_path):
     rows = dict(parse_report_csv(report))
     assert set(rows) == {"oracle", "dnm", "mean"}
     assert rows["oracle"].w1 == 0.0
+
+
+def test_empty_hidden_list_trains_no_hidden_layer(tmp_path):
+    report = tmp_path / "report.csv"
+    assert main(["experiment", "--task", "heteroscedastic", "--d", "2",
+                 "--size", "8", "--samples", "8", "--seed", "2",
+                 "--models", "dnm,const,mdn,dgn,mean", "--report", str(report),
+                 "--epochs", "5", "--hidden", "", "--n-centers", "3",
+                 "--n-test", "3", "--bootstrap", "200"]) == 0
+    # one affine layer from R^2 to: 3 logits (dnm), 1 logit (const),
+    # 3 x (1 + 2) mixture parameters (mdn), a mean and a 1 x 1 covariance
+    # factor (dgn), a mean (mean)
+    n_par = {name: m.n_par for name, m in parse_report_csv(report)}
+    assert n_par == {"oracle": 0, "dnm": 9, "const": 3, "mdn": 27, "dgn": 6,
+                     "mean": 3}
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

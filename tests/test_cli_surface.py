@@ -63,8 +63,6 @@ RATES_CASES = [
     ("--d", "d", "2", "d", 2),
     ("--hoelder-a", "hoelder_a", "2.5", "A", 2.5),
     ("--hoelder-alpha", "hoelder_alpha", "0.5", "alpha", 0.5),
-    ("--hoelder-b", "hoelder_b", "2.5", "B", 2.5),
-    ("--hoelder-beta", "hoelder_beta", "0.5", "beta", 0.5),
     ("--diam", "diam", "2.5", "diam", 2.5),
     ("--dim-out", "dim_out", "3", "D", 3),
     ("--radius", "radius", "2.5", "M", 2.5),
@@ -225,8 +223,8 @@ def test_rates_flag_and_config_key(capture, flag, key, text, field, value):
     (by_flag, _), _ = capture(base + [flag, text])
     (by_key, _), _ = capture(base, {key: text})
     assert eps == 0.5
-    assert (default.A, default.alpha, default.B, default.beta, default.diam,
-            default.d) == (1.0, 1.0, 1.0, 1.0, 1.0, 1)
+    assert (default.A, default.alpha, default.diam, default.d) == (
+        1.0, 1.0, 1.0, 1)
     assert by_flag == by_key == dataclasses.replace(default, **{field: value})
 
 
@@ -354,8 +352,6 @@ SURFACE = {
         (("--eps",), "eps", "float", None, None, True, None, "_StoreAction"),
         (("--hoelder-a",), "hoelder_a", *FLOAT),
         (("--hoelder-alpha",), "hoelder_alpha", *FLOAT),
-        (("--hoelder-b",), "hoelder_b", *FLOAT),
-        (("--hoelder-beta",), "hoelder_beta", *FLOAT),
         (("--neps",), "neps", None, None, "atom count for a Hoelder target",
          False, False, "_StoreTrueAction"),
         (("--nq",), "nq", None, None,

@@ -149,13 +149,13 @@ def test_projection_slack_refuses_large_atom_count():
 # ---------------------------------------------------------------------------
 
 def test_n_epsilon_hand_value():
-    p = RateParams(A=1.0, alpha=1.0, B=1.0, beta=1.0, diam=1.0, d=1)
+    p = RateParams(A=1.0, alpha=1.0, diam=1.0, d=1)
     # 2^{5/2} / (sqrt(2) * 0.25) = 16 exactly
     assert n_epsilon(p, 1.0) == 16
 
 
 def test_n_epsilon_monotone_in_eps():
-    p = RateParams(A=1.0, alpha=0.7, B=2.0, beta=0.9, diam=3.0, d=2)
+    p = RateParams(A=1.0, alpha=0.7, diam=3.0, d=2)
     values = [n_epsilon_raw(p, eps) for eps in np.linspace(0.05, 2.0, 25)]
     assert all(a > b for a, b in zip(values, values[1:]))
     ints = [n_epsilon(p, eps) for eps in np.linspace(0.05, 2.0, 25)]
@@ -164,14 +164,14 @@ def test_n_epsilon_monotone_in_eps():
 
 def test_n_epsilon_diam_homogeneity():
     for d in (1, 2, 3):
-        p1 = RateParams(A=1.0, alpha=1.0, B=1.0, beta=1.0, diam=1.0, d=d)
-        p2 = RateParams(A=1.0, alpha=1.0, B=1.0, beta=1.0, diam=2.0, d=d)
+        p1 = RateParams(A=1.0, alpha=1.0, diam=1.0, d=d)
+        p2 = RateParams(A=1.0, alpha=1.0, diam=2.0, d=d)
         ratio = n_epsilon_raw(p2, 0.5) / n_epsilon_raw(p1, 0.5)
         assert abs(ratio - 2.0 ** d) < 1e-9
 
 
 def test_n_epsilon_rejects_nonpositive_eps():
-    p = RateParams(A=1.0, alpha=1.0, B=1.0, beta=1.0, diam=1.0, d=1)
+    p = RateParams(A=1.0, alpha=1.0, diam=1.0, d=1)
     with pytest.raises(ValueError):
         n_epsilon(p, 0.0)
 

@@ -9,7 +9,7 @@ set, so the per-epoch shuffle is on.  The MDN cases cover D = 2 and targets
 with fewer atoms than mixture components, whose padded components tie
 exactly in the target matching.
 
-The same file pins ``train_dnm``'s training log: the bytes of every epoch
+The same file pins ``train_dnm``'s training log: the bytes of the final
 loss and of the final label accuracy (as ``float.hex`` strings), with the
 parameter hash, for a full-batch fit, a minibatch fit and the one-center
 ``const`` model (minibatch relu, full-batch relu and minibatch tanh).
@@ -138,7 +138,7 @@ def _log_entry(gen: dict, fit: dict) -> dict:
     return {"config": {"trainer": "dnm", "generator": gen, "fit": fit},
             "sha256": _params_hash([*model.classifier.weights,
                                     *model.classifier.biases]),
-            "epoch_losses": [float(v).hex() for v in log.epoch_losses],
+            "final_loss": float(log.final_loss).hex(),
             "final_accuracy": float(log.final_accuracy).hex()}
 
 

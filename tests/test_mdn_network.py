@@ -108,11 +108,11 @@ def _captured_fit(data, K, cfg, seed):
 
     def fit_epochs(net, loss_grad, n, cfg, rng):
         captured.update(net=net, loss_grad=loss_grad)
-        return iter(())
+        return net
 
-    def spy(data, hidden_dims, out_dim, output_grad, cfg, seed):
+    def spy(data, out_dim, output_grad, cfg, seed):
         captured["output_grad"] = output_grad
-        return fit_network(data, hidden_dims, out_dim, output_grad, cfg, seed)
+        return fit_network(data, out_dim, output_grad, cfg, seed)
 
     with mock.patch.object(baselines, "fit_epochs", fit_epochs), \
             mock.patch.object(baselines, "_fit_network", spy):
