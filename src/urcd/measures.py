@@ -205,9 +205,10 @@ def _solve_transport(a, b, cost):
 
     Returns ``(F, pivots, degenerate_pivots, bland)``.  Transportation
     simplex from a least-cost starting basis (``_least_cost_start``), with
-    candidate-list pricing and a Bland fallback once the objective has not
-    fallen by more than `tol` for 100 pivots (degenerate pivots cannot
-    cycle under Bland's rule).  Supplies/demands must be strictly positive.
+    candidate-list pricing and a Bland fallback after more than 100
+    consecutive degenerate pivots (only degenerate pivots can cycle, and
+    they cannot under Bland's rule).  Supplies/demands must be strictly
+    positive.
 
     Nodes 0..k-1 are the sources and k..k+m-1 the sinks; the basis cells
     are the edges of a spanning tree rooted at source 0.  Each node keeps,
@@ -235,8 +236,7 @@ def _solve_transport(a, b, cost):
     inside it up to the cut are reversed, so that the subtree hangs from
     the entering cell, and one walk over the subtree sets its depths and
     shifts all its potentials by the entering cell's reduced cost (down
-    when the subtree holds the sink, up when it holds the source).  The
-    stall test reads the objective's fall as -theta * reduced cost.
+    when the subtree holds the sink, up when it holds the source).
     """
     k, m = cost.shape
     n = k + m
@@ -370,8 +370,8 @@ def _solve_transport(a, b, cost):
         pivots += 1
         if theta == 0.0:
             degenerate += 1
-        # the objective falls by -theta * r; the first pivot never stalls
-        if pivots == 1 or theta * r < -tol:
+        # a pivot that moves mass ends a stall; the first pivot never stalls
+        if pivots == 1 or theta > 0.0:
             stall = 0
         else:
             stall += 1

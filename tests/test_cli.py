@@ -391,15 +391,42 @@ def test_bad_usage_exits_2():
     assert exc.value.code == 2
 
 
-def _loaded_by_cli_import(module):
-    """Whether a fresh interpreter has `module` loaded after `import urcd.cli`."""
+def _scipy_modules_after(code):
+    """The `scipy` modules a fresh interpreter has loaded after running `code`."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = f"import sys, urcd.cli; print({module!r} in sys.modules)"
+    code += ("\nimport json, sys; print(json.dumps(sorted(m for m in sys.modules"
+             " if m == 'scipy' or m.startswith('scipy.'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return out.strip() == "True"
+    return json.loads(out.splitlines()[-1])
+
+
+def _loaded_by_cli_import(module):
+    """Whether a fresh interpreter has the scipy module `module` loaded
+    after `import urcd.cli`."""
+    return module in _scipy_modules_after("import urcd.cli")
+
+
+def test_import_loads_no_scipy():
+    # bca_interval, w1_exact's assignment path and `rates --nq` import what
+    # they need of scipy at their first call; `import urcd.cli` loads none
+    assert _scipy_modules_after("import urcd.cli") == []
+
+
+def test_gen_train_rates_load_no_scipy(tmp_path):
+    data, model = tmp_path / "data.jsonl", tmp_path / "model.json"
+    code = f"""
+from urcd.cli import main
+assert main(["gen", "--task", "heteroscedastic", "--d", "1", "--size", "10",
+             "--samples", "8", "--seed", "1", "--out", {str(data)!r}]) == 0
+assert main(["train", "--data", {str(data)!r}, "--n", "2", "--out",
+             {str(model)!r}, "--epochs", "15", "--hidden", "6"]) == 0
+assert main(["rates", "--neps", "--eps", "0.1", "--d", "2"]) == 0
+"""
+    assert _scipy_modules_after(code) == []
+    assert model.exists()
 
 
 def test_import_does_not_load_scipy_stats():

@@ -301,11 +301,11 @@ def test_w1_exact_matches_former_solver(pair):
     _assert_same_cost_as_former(*pair)
 
 
-def _bland_fixture(seed):
-    """Flows of ~1e-13.5 to 1e-11 put theta * reduced cost near the stall
-    threshold, so when Bland's rule starts decides the pivots.  Nearly
-    additive costs keep the least-cost start far enough from the optimum
-    for the stall counter to run out."""
+def _tiny_flow_fixture(seed):
+    """Flows of ~1e-13.5 to 1e-11 put theta * reduced cost below `tol`, the
+    threshold of the former solver's stall test.  Nearly additive costs keep
+    the least-cost start far from the optimum, so many such pivots are
+    made."""
     rng = np.random.default_rng(seed)
     k, m = rng.integers(5, 31, size=2)
     scale = 10.0 ** rng.uniform(-13.5, -11)
@@ -338,34 +338,69 @@ def test_pivot_counts_are_pinned():
                                           make_empirical(rng.normal(size=(25, 2))))
     assert (unequal.pivots, unequal.degenerate_pivots, unequal.bland) == (46, 37, False)
 
-    # all but one atom on each side carry ~1e-14: the pivots move too little
-    # mass to count as progress, so Bland's rule takes over
+    # all but one atom on each side carry ~1e-14: the pivots move little
+    # mass, but move it, so none counts toward Bland's rule
     rng = np.random.default_rng(0)
     a = rng.uniform(1, 2, size=30) * 1e-14
     b = rng.uniform(1, 2, size=30) * 1e-14
     a[0] = b[-1] = 1.0
     a, b = a / a.sum(), b / b.sum()
     cost = _near_additive(rng, 30, 30)
-    assert _assert_solve_same_cost_as_former(a, b, cost) == [128, 0, True]
+    assert _assert_solve_same_cost_as_former(a, b, cost) == [119, 0, False]
     F, *_ = _solve_transport(a, b, cost)
     assert abs(float(np.sum(F * cost)) - lp_transport(a, b, cost)) < 1e-8
 
 
-def test_stall_rule_hands_over_to_bland():
-    """The near-additive fixtures: the same costs as the former solver and
-    HiGHS, Bland's rule on three of them, and pinned pivot totals."""
+def test_pivots_moving_tiny_flows_are_not_stalls():
+    """The tiny-flow fixtures: the same costs as the former solver and
+    HiGHS, and pinned pivot totals.  None of their pivots is degenerate, so
+    none of them reaches Bland's rule."""
     totals = np.zeros(3, dtype=int)
-    blands = []
     for seed in range(80):
-        a, b, cost = _bland_fixture(seed)
+        a, b, cost = _tiny_flow_fixture(seed)
         stats = _assert_solve_same_cost_as_former(a, b, cost)
         F, *_ = _solve_transport(a, b, cost)
         assert abs(float(np.sum(F * cost)) - lp_transport(a, b, cost)) < 1e-8
         totals += stats
-        if stats[2]:
-            blands.append(seed)
-    assert blands == [10, 13, 55]
-    assert totals.tolist() == [3809, 0, 3]
+    assert totals.tolist() == [3722, 0, 0]
+
+
+def test_degenerate_pivots_hand_over_to_bland():
+    """Uniform weights on 320 evenly spaced atoms of [0, 1) x {0} against
+    160 of [0.3, 1.3) x {0}: most pivots are degenerate, more than 100 of
+    them come in a row, and Bland's rule finishes the solve."""
+    mu = make_empirical(np.column_stack([np.arange(320) / 320, np.zeros(320)]))
+    nu = make_empirical(np.column_stack([0.3 + np.arange(160) / 160, np.zeros(160)]))
+    plan = w1_exact(mu, nu)
+    assert (plan.pivots, plan.degenerate_pivots, plan.bland) == (795, 754, True)
+    assert abs(plan.cost - lp_oracle(mu, nu)) < 1e-8
+
+
+@st.composite
+def _tiny_weight_pair(draw):
+    """Mixture-like weights from 1e-300 to 1 on up to 40 atoms a side,
+    drawn with repeats from one pool of points."""
+    dim = draw(st.integers(1, 2))
+    k, m = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    atoms = draw(_atoms(k + m, dim, draw(st.integers(1, k + m))))
+    sides = []
+    for part in (atoms[:k], atoms[k:]):
+        exponents = draw(st.lists(st.floats(-300, 0), min_size=len(part),
+                                  max_size=len(part)))
+        w = 10.0 ** np.array(exponents)
+        sides.append(make_empirical(part, w / w.sum()))
+    return tuple(sides)
+
+
+@settings(max_examples=100)
+@given(_tiny_weight_pair())
+def test_tiny_weight_mixtures_match_lp(pair):
+    """HiGHS's cost, and Bland's rule only after more than 100 degenerate
+    pivots."""
+    mu, nu = pair
+    plan = w1_exact(mu, nu)
+    assert abs(plan.cost - lp_oracle(mu, nu)) < 1e-8
+    assert not plan.bland or plan.degenerate_pivots > 100
 
 
 def test_degenerate_inputs_pivot_counts():
