@@ -391,22 +391,28 @@ def test_bad_usage_exits_2():
     assert exc.value.code == 2
 
 
-def _scipy_modules_after(code):
-    """The `scipy` modules a fresh interpreter has loaded after running `code`."""
+def _modules_after(code, package):
+    """The modules of `package` a fresh interpreter has loaded after running
+    `code`."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code += ("\nimport json, sys; print(json.dumps(sorted(m for m in sys.modules"
-             " if m == 'scipy' or m.startswith('scipy.'))))")
+             f" if m == {package!r} or m.startswith({package + '.'!r}))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
+def _scipy_modules_after(code):
+    """The `scipy` modules a fresh interpreter has loaded after running `code`."""
+    return _modules_after(code, "scipy")
+
+
 def _loaded_by_cli_import(module):
-    """Whether a fresh interpreter has the scipy module `module` loaded
-    after `import urcd.cli`."""
-    return module in _scipy_modules_after("import urcd.cli")
+    """Whether a fresh interpreter has the module `module` loaded after
+    `import urcd.cli`."""
+    return module in _modules_after("import urcd.cli", module.split(".")[0])
 
 
 def test_import_loads_no_scipy():
@@ -438,3 +444,9 @@ def test_import_does_not_load_scipy_optimize():
     # w1_exact imports scipy.optimize only for the pairs it sends to
     # linear_sum_assignment; at module level it would add ~0.2 s here
     assert not _loaded_by_cli_import("scipy.optimize")
+
+
+@pytest.mark.parametrize("module", ["multiprocessing", "concurrent"])
+def test_import_loads_no_process_pool(module):
+    # run_experiment forks its fitting processes with os.fork and pipes
+    assert not _loaded_by_cli_import(module)
