@@ -269,13 +269,14 @@ _MODELS = {
 }
 KNOWN_MODELS = tuple(_MODELS)
 
-# Optimizer steps per fit from which ``run_experiment`` fits its models in
-# forked processes.  On a 2-core x86-64 host, forking a ~100 MB process,
-# its copy-on-write faults and the models' return cost ~14 ms, and a step
-# of a 64x64 network ~0.11 ms.  From 2,000 steps a fit takes ~0.2 s, so the
-# fork costs under 7 % where nothing can be shared (one real fit), while
-# two long fits run side by side.
-_PARALLEL_MIN_STEPS = 2000
+# Training rows per fit (epochs x training-set size) from which
+# ``run_experiment`` fits its models in forked processes.  On a 2-core
+# x86-64 host, forking and returning the models cost ~14 ms; with 64x64
+# networks trained full batch, two processes won by 25 ms or more from
+# 20,000 rows on every shape measured (n_train 10 to 400, two or four
+# models), while at 10,000 rows the least gain was within noise
+# (BENCH_23.json).  A minibatch fit costs more per row, so gains more.
+_PARALLEL_MIN_ROWS = 20_000
 
 
 def _usable_cpus() -> int:
@@ -295,16 +296,11 @@ def _timed_fit(name: str, data: Dataset, h: HarnessConfig, seed: int):
     return model, time.perf_counter() - t0
 
 
-def _sendable(result):
-    """A child's result with an exception that pickle cannot rebuild
-    replaced by a RuntimeError of the same message."""
-    name, model, seconds = result
-    if isinstance(model, Exception):
-        try:
-            pickle.loads(pickle.dumps(model))
-        except Exception:
-            model = RuntimeError(str(model))
-    return name, model, seconds
+def _trains(name: str, h: HarnessConfig) -> bool:
+    """Whether fitting ``name`` runs the optimizer; a one-center DNM
+    (``const``) skips it, so its fit is too short to send elsewhere."""
+    return (_MODELS[name] is not None and name != "const"
+            and not (name == "dnm" and h.n_centers == 1))
 
 
 def _fit_in_processes(names, n_procs: int, data: Dataset, h: HarnessConfig,
@@ -314,9 +310,9 @@ def _fit_in_processes(names, n_procs: int, data: Dataset, h: HarnessConfig,
 
     Every process takes the next model index from one pipe, filled before
     the fork.  A child inherits ``data``, ``h`` and ``seed``, and sends its
-    (name, model or exception, seconds) triples back once, after its last
-    fit.  Every child is reaped before this returns or raises; an interrupt
-    kills the children first."""
+    (name, model or RuntimeError of the fit's message, seconds) triples
+    back once, after its last fit.  Every child is reaped before this
+    returns or raises; an interrupt kills the children first."""
     import signal     # imported here: `import urcd.cli` does not load it
 
     jobs, jobs_w = os.pipe()
@@ -337,7 +333,9 @@ def _fit_in_processes(names, n_procs: int, data: Dataset, h: HarnessConfig,
                 status = 1
                 try:
                     with open(out_w, "wb") as fh:
-                        pickle.dump([_sendable(r) for r in fit_share()], fh)
+                        pickle.dump([(n, RuntimeError(str(m))
+                                      if isinstance(m, Exception) else m, t)
+                                     for n, m, t in fit_share()], fh)
                     status = 0
                 finally:
                     os._exit(status)
@@ -381,10 +379,11 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
     the metrics table.  The oracle row is always present, with W1 = M = 0
     by definition (it is the reference the others are scored against).
 
-    On Linux, with more than one usable CPU, at least two models to fit and
-    ``_PARALLEL_MIN_STEPS`` optimizer steps or more per fit, the fits run in
-    forked processes, this one included, before the evaluation.  Each fit
-    is seeded on its own, so the report has the same bytes either way; with
+    On Linux, with more than one usable CPU, at least two models that train
+    and ``_PARALLEL_MIN_ROWS`` training rows or more per fit (epochs times
+    the training-set size), the fits run in forked processes, this one
+    included, before the evaluation.  Each fit is seeded on its own, so the
+    report has the same bytes either way; with
     ``timings``, ``Train_Time`` is each fit's wall time in its own process.
     Evaluation, bootstrap and report stay in this process, in model order.
     """
@@ -423,12 +422,11 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
                       np.random.SeedSequence((seed, _STREAM_PRED, i)))
         oracle_test_time = max(time.perf_counter() - t0, 1e-12)
 
-    to_fit = [name for name in models if _MODELS[name] is not None]
-    n_train = len(data.train_idx)
-    steps = h.epochs * -(-n_train // (h.batch_size or max(n_train, 1)))
+    to_fit = [name for name in models if _trains(name, h)]
     n_procs = min(_usable_cpus(), len(to_fit))
     fitted = (_fit_in_processes(to_fit, n_procs, data, h, seed)
-              if n_procs > 1 and steps >= _PARALLEL_MIN_STEPS else {})
+              if n_procs > 1 and h.epochs * len(data.train_idx) >= _PARALLEL_MIN_ROWS
+              else {})
 
     rows = []
     for name in models:
