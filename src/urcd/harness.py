@@ -17,6 +17,7 @@ explicitly enabled; the columns are always present.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import pickle
@@ -270,58 +271,107 @@ _MODELS = {
 KNOWN_MODELS = tuple(_MODELS)
 
 # Training rows per fit (epochs x training-set size) from which
-# ``run_experiment`` fits its models in forked processes.  On a 2-core
-# x86-64 host, forking and returning the models cost ~14 ms; with 64x64
-# networks trained full batch, two processes won by 25 ms or more from
+# ``run_experiment`` fits and scores its models in forked processes.  On a
+# 2-core x86-64 host, forking and returning the models cost ~14 ms; with
+# 64x64 networks trained full batch, two processes won by 25 ms or more from
 # 20,000 rows on every shape measured (n_train 10 to 400, two or four
 # models), while at 10,000 rows the least gain was within noise
 # (BENCH_23.json).  A minibatch fit costs more per row, so gains more.
+# With one model that trains beside ``const``, two of three shapes gained
+# 28-88 ms from 10,000 rows on, and no row count separated the third, whose
+# references are too small to overlap with the fit (BENCH_24.json).
 _PARALLEL_MIN_ROWS = 20_000
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where fork or affinity is missing."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    """CPUs this process may run on; 1 where fork, affinity or memfd is
+    missing."""
+    if not all(hasattr(os, f) for f in ("fork", "sched_getaffinity",
+                                        "memfd_create")):
         return 1
     return len(os.sched_getaffinity(0))
-
-
-def _timed_fit(name: str, data: Dataset, h: HarnessConfig, seed: int):
-    """(the fitted model, or the exception its fit raised; fit wall seconds)."""
-    t0 = time.perf_counter()
-    try:
-        model = _MODELS[name].fit(data, h, seed)
-    except Exception as exc:
-        model = exc
-    return model, time.perf_counter() - t0
 
 
 def _trains(name: str, h: HarnessConfig) -> bool:
     """Whether fitting ``name`` runs the optimizer; a one-center DNM
     (``const``) skips it, so its fit is too short to send elsewhere."""
-    return (_MODELS[name] is not None and name != "const"
-            and not (name == "dnm" and h.n_centers == 1))
+    return name != "const" and not (name == "dnm" and h.n_centers == 1)
 
 
-def _fit_in_processes(names, n_procs: int, data: Dataset, h: HarnessConfig,
-                      seed: int) -> dict:
-    """Fit ``names`` in ``n_procs - 1`` forked children and in this process;
-    name -> ``_timed_fit`` result.
+def _fit_and_score(name: str, data: Dataset, h: HarnessConfig, seed: int,
+                   n_samples: int, scoring: Callable):
+    """Fit ``name`` on ``data``'s training split, then score it on the
+    (dataset, references) pair that ``scoring()`` returns.
+
+    Returns (EvalResult, parameter count, fit seconds, test-prediction
+    seconds); a failed fit or score raises RuntimeError tagged with its
+    stage, ``[train:<name>]`` or ``[eval:<name>]``."""
+    spec = _MODELS[name]
+    t0 = time.perf_counter()
+    try:
+        model = spec.fit(data, h, seed)
+    except Exception as exc:
+        raise RuntimeError(f"[train:{name}] {exc}") from exc
+    train_time = time.perf_counter() - t0
+    scored, references = scoring()
+
+    def predict(x):
+        return spec.predict(model, x, n_samples, _pred_seed(seed, x))
+
+    try:
+        test_time = 0.0
+        if h.timings:
+            t0 = time.perf_counter()
+            for i in scored.test_idx:
+                predict(scored.entries[i][0])
+            test_time = time.perf_counter() - t0
+        result = eval_model(predict, scored, references)
+    except Exception as exc:
+        raise RuntimeError(f"[eval:{name}] {exc}") from exc
+    return result, model.parameter_count(), train_time, test_time
+
+
+def _in_processes(names, n_procs: int, data: Dataset, h: HarnessConfig,
+                  seed: int, n_samples: int, draw: Callable) -> dict:
+    """Fit and score ``names`` in ``n_procs - 1`` forked children and in this
+    process, which meanwhile runs ``draw()`` for the (dataset, references)
+    pair; name -> ``_fit_and_score`` result, or the RuntimeError it raised.
 
     Every process takes the next model index from one pipe, filled before
-    the fork.  A child inherits ``data``, ``h`` and ``seed``, and sends its
-    (name, model or RuntimeError of the fit's message, seconds) triples
-    back once, after its last fit.  Every child is reaped before this
-    returns or raises; an interrupt kills the children first."""
+    the fork.  A child inherits ``data``, ``h`` and ``seed``; after its first
+    fit it waits for the references, which this process pickles into an
+    unlinked file and announces by size on a second pipe (written into a
+    pipe, which holds 64 KB, they would stall this process until the child
+    had finished its fit).  A child sends its results back once, after its
+    last score.  Every child is reaped before this returns
+    or raises; an error or interrupt here kills the children first."""
     import signal     # imported here: `import urcd.cli` does not load it
 
     jobs, jobs_w = os.pipe()
     os.write(jobs_w, bytes(range(len(names))))
     os.close(jobs_w)
+    ready, ready_w = os.pipe()
+    shared = os.memfd_create("urcd-references")
 
-    def fit_share():
-        return [(names[i[0]], *_timed_fit(names[i[0]], data, h, seed))
-                for i in iter(lambda: os.read(jobs, 1), b"")]
+    def share(scoring):
+        results = []
+        for i in iter(lambda: os.read(jobs, 1), b""):
+            name = names[i[0]]
+            try:
+                results.append((name, _fit_and_score(name, data, h, seed,
+                                                     n_samples, scoring)))
+            except RuntimeError as exc:
+                results.append((name, exc))
+        return results
+
+    @functools.cache
+    def received():
+        size = int.from_bytes(os.read(ready, 8), "little")
+        if not size:
+            raise EOFError("the references were never sent")
+        extra, test_idx, references = pickle.loads(os.pread(shared, size, 0))
+        return dataclasses.replace(data, entries=data.entries + extra,
+                                   test_idx=test_idx), references
 
     running = {}     # pid -> the read end of its result pipe
     exit_codes = []
@@ -332,16 +382,21 @@ def _fit_in_processes(names, n_procs: int, data: Dataset, h: HarnessConfig,
             if pid == 0:
                 status = 1
                 try:
+                    os.close(ready_w)
                     with open(out_w, "wb") as fh:
-                        pickle.dump([(n, RuntimeError(str(m))
-                                      if isinstance(m, Exception) else m, t)
-                                     for n, m, t in fit_share()], fh)
+                        pickle.dump(share(received), fh)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(out_w)
             running[pid] = open(out, "rb")
-        results = fit_share()
+        scored, references = draw()
+        with open(shared, "wb", closefd=False) as fh:
+            pickle.dump((scored.entries[len(data.entries):], scored.test_idx,
+                         references), fh)
+            size = fh.tell()
+        os.write(ready_w, size.to_bytes(8, "little") * (n_procs - 1))
+        results = share(lambda: (scored, references))
         for pid, fh in list(running.items()):
             with fh:
                 payload = fh.read()
@@ -352,17 +407,18 @@ def _fit_in_processes(names, n_procs: int, data: Dataset, h: HarnessConfig,
             else:
                 exit_codes.append(code)
     finally:
-        os.close(jobs)
+        for fd in (jobs, ready, ready_w, shared):
+            os.close(fd)
         for pid, fh in running.items():
             fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
-    fitted = {name: (model, seconds) for name, model, seconds in results}
-    lost = ChildProcessError(
-        f"its fitting process exited with status "
-        f"{', '.join(map(str, exit_codes))} before returning the model")
-    return {name: fitted.get(name, (lost, 0.0)) for name in names}
+    done = dict(results)
+    lost = (f"its fitting process exited with status "
+            f"{', '.join(map(str, exit_codes))} before returning the model")
+    return {name: done.get(name, RuntimeError(f"[train:{name}] {lost}"))
+            for name in names}
 
 
 def _split_interval(samples, h: HarnessConfig, seed):
@@ -379,13 +435,18 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
     the metrics table.  The oracle row is always present, with W1 = M = 0
     by definition (it is the reference the others are scored against).
 
-    On Linux, with more than one usable CPU, at least two models that train
-    and ``_PARALLEL_MIN_ROWS`` training rows or more per fit (epochs times
-    the training-set size), the fits run in forked processes, this one
-    included, before the evaluation.  Each fit is seeded on its own, so the
-    report has the same bytes either way; with
-    ``timings``, ``Train_Time`` is each fit's wall time in its own process.
-    Evaluation, bootstrap and report stay in this process, in model order.
+    On Linux, with more than one usable CPU, two or more models besides the
+    oracle, at least one of which trains, and ``_PARALLEL_MIN_ROWS``
+    training rows or more per fit (epochs times the training-set size),
+    the models are fitted and scored in forked processes, this one
+    included, right after the data are generated; this process draws the
+    oracle references (and the test points) meanwhile and hands them to the
+    others.  Otherwise the references come first and each model is then
+    fitted and scored in turn.  Each fit and score is seeded on its own, so
+    the report has the same bytes either way; with ``timings``,
+    ``Train_Time`` and the test predictions are timed in the process that
+    ran them.  Bootstrap and report stay in this process, in model order,
+    and a failure is raised as the serial loop would raise it.
     """
     h = harness or HarnessConfig()
     models = list(dict.fromkeys(models))    # keep order, drop duplicates
@@ -404,57 +465,49 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
         raise ValueError(f"n_centers ({h.n_centers}) must be smaller than the "
                          f"training set ({len(data.train_idx)})")
 
-    try:
-        references = oracle_references(data, sampler, gen_cfg.S, seed)
-        if not data.test_idx:
-            data = _ball_test_inputs(data, sampler, gen_cfg.S, h.n_test,
-                                     h.test_radius, seed)
-            references += [target for _, target in data.test_entries()]
-    except (ValueError, ArithmeticError) as exc:
-        raise RuntimeError(f"[reference] {exc}") from exc
+    @functools.cache
+    def draw():
+        try:
+            references = oracle_references(data, sampler, gen_cfg.S, seed)
+            if data.test_idx:
+                return data, references
+            scored = _ball_test_inputs(data, sampler, gen_cfg.S, h.n_test,
+                                       h.test_radius, seed)
+        except (ValueError, ArithmeticError) as exc:
+            raise RuntimeError(f"[reference] {exc}") from exc
+        return scored, references + [target for _, target in scored.test_entries()]
+
+    names = [name for name in models if _MODELS[name] is not None]
+    n_procs = min(_usable_cpus(), len(names))
+    if (n_procs > 1 and any(_trains(name, h) for name in names)
+            and h.epochs * len(data.train_idx) >= _PARALLEL_MIN_ROWS):
+        outcomes = _in_processes(names, n_procs, data, h, seed, gen_cfg.S, draw)
+    else:
+        draw()    # the references come before any fit, as their errors do
+        outcomes = {name: _fit_and_score(name, data, h, seed, gen_cfg.S, draw)
+                    for name in names}
+    scored = draw()[0]
 
     # oracle timing baseline: one prediction pass over the test split
     oracle_test_time = 1.0
     if h.timings:
         t0 = time.perf_counter()
-        for i in data.test_idx:
-            mc_oracle(sampler, data.entries[i][0], gen_cfg.S,
+        for i in scored.test_idx:
+            mc_oracle(sampler, scored.entries[i][0], gen_cfg.S,
                       np.random.SeedSequence((seed, _STREAM_PRED, i)))
         oracle_test_time = max(time.perf_counter() - t0, 1e-12)
 
-    to_fit = [name for name in models if _trains(name, h)]
-    n_procs = min(_usable_cpus(), len(to_fit))
-    fitted = (_fit_in_processes(to_fit, n_procs, data, h, seed)
-              if n_procs > 1 and h.epochs * len(data.train_idx) >= _PARALLEL_MIN_ROWS
-              else {})
-
     rows = []
     for name in models:
-        spec = _MODELS[name]
-        if spec is None:
+        if name not in outcomes:
             rows.append((name, Metrics(
                 w1=0.0, w1_lo=0.0, w1_hi=0.0, m=0.0, m_lo=0.0, m_hi=0.0,
                 n_par=0, train_time=0.0,
                 test_time_ratio=1.0 if h.timings else 0.0)))
             continue
-        model, train_time = fitted.pop(name, None) or _timed_fit(name, data, h, seed)
-        if isinstance(model, Exception):
-            raise RuntimeError(f"[train:{name}] {model}") from model
-
-        def predict(x):
-            return spec.predict(model, x, gen_cfg.S, _pred_seed(seed, x))
-
-        try:
-            test_time = 0.0
-            if h.timings:
-                t0 = time.perf_counter()
-                for i in data.test_idx:
-                    predict(data.entries[i][0])
-                test_time = time.perf_counter() - t0
-            result = eval_model(predict, data, references)
-        except Exception as exc:
-            raise RuntimeError(f"[eval:{name}] {exc}") from exc
-
+        if isinstance(outcomes[name], Exception):
+            raise outcomes[name]
+        result, n_par, train_time, test_time = outcomes[name]
         w1_point, w1_samples = result.worst_w1()
         m_point, m_samples = result.worst_m()
         boot_seed = (seed, _STREAM_BOOT, models.index(name))
@@ -465,7 +518,7 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
         rows.append((name, Metrics(
             w1=w1_point, w1_lo=min(w1_lo, w1_point), w1_hi=max(w1_hi, w1_point),
             m=m_point, m_lo=min(m_lo, m_point), m_hi=max(m_hi, m_point),
-            n_par=model.parameter_count(),
+            n_par=n_par,
             train_time=train_time if h.timings else 0.0,
             test_time_ratio=(test_time / oracle_test_time) if h.timings else 0.0)))
 

@@ -336,8 +336,8 @@ def test_experiment_accepts_tiny_test_split(tmp_path, n_test):
 
 
 def test_sde_ball_test_points_stay_in_the_time_domain(tmp_path, capsys):
-    # the ball around a t = 0 grid point reaches t < 0 at this seed; the
-    # test points are drawn before any model is trained
+    # the ball around a t = 0 grid point reaches t < 0 at this seed; on
+    # this serial path the test points are drawn before any model is trained
     report = tmp_path / "r.csv"
     assert main(["experiment", "--task", "sde", "--size", "100",
                  "--samples", "50", "--seed", "5", "--report", str(report),
