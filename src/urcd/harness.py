@@ -271,23 +271,24 @@ _MODELS = {
 KNOWN_MODELS = tuple(_MODELS)
 
 # Training rows per fit (epochs x training-set size) from which
-# ``run_experiment`` fits and scores its models in forked processes.  On a
-# 2-core x86-64 host, forking and returning the models cost ~14 ms; with
-# 64x64 networks trained full batch, two processes won by 25 ms or more from
-# 20,000 rows on every shape measured (n_train 10 to 400, two or four
-# models), while at 10,000 rows the least gain was within noise
-# (BENCH_23.json).  A minibatch fit costs more per row, so gains more.
-# With one model that trains beside ``const``, two of three shapes gained
-# 28-88 ms from 10,000 rows on, and no row count separated the third, whose
-# references are too small to overlap with the fit (BENCH_24.json).
+# ``run_experiment`` fits its models in forked processes and scores the
+# children's models in strides across them.  On a 2-core x86-64 host,
+# forking and returning the models cost ~14 ms; with 64x64 networks trained
+# full batch, two processes won by 25 ms or more from 20,000 rows on every
+# shape measured (n_train 10 to 400, two or four models), while at 10,000
+# rows the least gain was within noise (BENCH_23.json).  A minibatch fit
+# costs more per row, so gains more.  With one model that trains beside
+# ``const``, two of three shapes gained 28-88 ms from 10,000 rows on, and
+# no row count separated the third, whose references are too small to
+# overlap with the fit (BENCH_24.json).  With the host granting about one
+# CPU, the second fork, which scores the child's model in strides, made
+# that shape lose 19-31 ms against 13-16 ms with one fork (BENCH_25.json).
 _PARALLEL_MIN_ROWS = 20_000
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where fork, affinity or memfd is
-    missing."""
-    if not all(hasattr(os, f) for f in ("fork", "sched_getaffinity",
-                                        "memfd_create")):
+    """CPUs this process may run on; 1 where fork or affinity is missing."""
+    if not all(hasattr(os, f) for f in ("fork", "sched_getaffinity")):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -298,22 +299,31 @@ def _trains(name: str, h: HarnessConfig) -> bool:
     return name != "const" and not (name == "dnm" and h.n_centers == 1)
 
 
-def _fit_and_score(name: str, data: Dataset, h: HarnessConfig, seed: int,
-                   n_samples: int, scoring: Callable):
-    """Fit ``name`` on ``data``'s training split, then score it on the
-    (dataset, references) pair that ``scoring()`` returns.
-
-    Returns (EvalResult, parameter count, fit seconds, test-prediction
-    seconds); a failed fit or score raises RuntimeError tagged with its
-    stage, ``[train:<name>]`` or ``[eval:<name>]``."""
-    spec = _MODELS[name]
+def _fit(name: str, data: Dataset, h: HarnessConfig, seed: int):
+    """``name`` fitted on ``data``'s training split, and the seconds that
+    took; a failed fit raises RuntimeError tagged ``[train:<name>]``."""
     t0 = time.perf_counter()
     try:
-        model = spec.fit(data, h, seed)
+        model = _MODELS[name].fit(data, h, seed)
     except Exception as exc:
         raise RuntimeError(f"[train:{name}] {exc}") from exc
-    train_time = time.perf_counter() - t0
-    scored, references = scoring()
+    return model, time.perf_counter() - t0
+
+
+class _Stride(NamedTuple):
+    """What ``eval_model`` reads of a Dataset, for a share of its points."""
+    entries: tuple
+    train_idx: tuple
+    test_idx: tuple
+
+
+def _score(name: str, model, scored, references, h: HarnessConfig, seed: int,
+           n_samples: int):
+    """``eval_model`` of ``name``'s model on ``scored`` (a Dataset or a
+    ``_Stride`` of one), and the seconds its test predictions took when
+    ``h.timings`` is set; a failure raises RuntimeError tagged
+    ``[eval:<name>]``."""
+    spec = _MODELS[name]
 
     def predict(x):
         return spec.predict(model, x, n_samples, _pred_seed(seed, x))
@@ -325,99 +335,149 @@ def _fit_and_score(name: str, data: Dataset, h: HarnessConfig, seed: int,
             for i in scored.test_idx:
                 predict(scored.entries[i][0])
             test_time = time.perf_counter() - t0
-        result = eval_model(predict, scored, references)
+        return eval_model(predict, scored, references), test_time
     except Exception as exc:
         raise RuntimeError(f"[eval:{name}] {exc}") from exc
-    return result, model.parameter_count(), train_time, test_time
 
 
-def _in_processes(names, n_procs: int, data: Dataset, h: HarnessConfig,
-                  seed: int, n_samples: int, draw: Callable) -> dict:
-    """Fit and score ``names`` in ``n_procs - 1`` forked children and in this
-    process, which meanwhile runs ``draw()`` for the (dataset, references)
-    pair; name -> ``_fit_and_score`` result, or the RuntimeError it raised.
+def _interleaved(parts) -> EvalResult:
+    """The EvalResult whose every split holds ``parts[r]``'s values at
+    positions r, r + n, r + 2n, ... (n = ``len(parts)``)."""
+    def weave(field):
+        shares = [getattr(part, field) for part in parts]
+        out = [None] * sum(map(len, shares))
+        for r, share in enumerate(shares):
+            out[r::len(parts)] = share
+        return tuple(out)
+    return EvalResult(**{f.name: weave(f.name)
+                         for f in dataclasses.fields(EvalResult)})
 
-    Every process takes the next model index from one pipe, filled before
-    the fork.  A child inherits ``data``, ``h`` and ``seed``; after its first
-    fit it waits for the references, which this process pickles into an
-    unlinked file and announces by size on a second pipe (written into a
-    pipe, which holds 64 KB, they would stall this process until the child
-    had finished its fit).  A child sends its results back once, after its
-    last score.  Every child is reaped before this returns
-    or raises; an error or interrupt here kills the children first."""
+
+def _forked(n_procs: int, work: Callable) -> list:
+    """Run ``work(r)`` in forked children r = 1 .. ``n_procs - 1`` and then
+    in this process (r = 0); every result in r order, with a child that
+    exited without one replaced by its exit status (an int).
+
+    A child inherits what it needs through the fork and pickles its result
+    back once, on a pipe of its own.  Every child is reaped before this
+    returns or raises; an error or interrupt here kills the children
+    first."""
     import signal     # imported here: `import urcd.cli` does not load it
 
-    jobs, jobs_w = os.pipe()
-    os.write(jobs_w, bytes(range(len(names))))
-    os.close(jobs_w)
-    ready, ready_w = os.pipe()
-    shared = os.memfd_create("urcd-references")
-
-    def share(scoring):
-        results = []
-        for i in iter(lambda: os.read(jobs, 1), b""):
-            name = names[i[0]]
-            try:
-                results.append((name, _fit_and_score(name, data, h, seed,
-                                                     n_samples, scoring)))
-            except RuntimeError as exc:
-                results.append((name, exc))
-        return results
-
-    @functools.cache
-    def received():
-        size = int.from_bytes(os.read(ready, 8), "little")
-        if not size:
-            raise EOFError("the references were never sent")
-        extra, test_idx, references = pickle.loads(os.pread(shared, size, 0))
-        return dataclasses.replace(data, entries=data.entries + extra,
-                                   test_idx=test_idx), references
-
     running = {}     # pid -> the read end of its result pipe
-    exit_codes = []
     try:
-        for _ in range(n_procs - 1):
+        for r in range(1, n_procs):
             out, out_w = os.pipe()
             pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
-                    os.close(ready_w)
                     with open(out_w, "wb") as fh:
-                        pickle.dump(share(received), fh)
+                        pickle.dump(work(r), fh)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(out_w)
             running[pid] = open(out, "rb")
-        scored, references = draw()
-        with open(shared, "wb", closefd=False) as fh:
-            pickle.dump((scored.entries[len(data.entries):], scored.test_idx,
-                         references), fh)
-            size = fh.tell()
-        os.write(ready_w, size.to_bytes(8, "little") * (n_procs - 1))
-        results = share(lambda: (scored, references))
+        results = [work(0)]
         for pid, fh in list(running.items()):
             with fh:
                 payload = fh.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del running[pid]
-            if code == 0:
-                results += pickle.loads(payload)
-            else:
-                exit_codes.append(code)
+            results.append(pickle.loads(payload) if code == 0 else code)
     finally:
-        for fd in (jobs, ready, ready_w, shared):
-            os.close(fd)
         for pid, fh in running.items():
             fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    return results
 
-    done = dict(results)
-    lost = (f"its fitting process exited with status "
-            f"{', '.join(map(str, exit_codes))} before returning the model")
-    return {name: done.get(name, RuntimeError(f"[train:{name}] {lost}"))
+
+def _in_processes(names, n_procs: int, data: Dataset, h: HarnessConfig,
+                  seed: int, n_samples: int, draw: Callable) -> dict:
+    """Fit and score ``names`` in ``n_procs`` processes, this one included;
+    name -> (EvalResult, parameter count, fit seconds, test-prediction
+    seconds), or the RuntimeError its fit or score raised.
+
+    First every process takes the next model index from one pipe, filled
+    before the fork.  This process runs ``draw()`` for the (dataset,
+    references) pair before it takes any, so it fits and scores each model
+    it takes; a child only fits, and returns its models.  Then, if a child
+    fitted any, the processes fork again: process r scores every
+    child-fitted model on every ``n_procs``-th point of each split from
+    the r-th on, and the shares are put back in point order, with their
+    test-prediction times summed.  With ``n_procs == 1`` nothing forks, so
+    this process fits and scores every model in turn."""
+    jobs, jobs_w = os.pipe()
+    os.write(jobs_w, bytes(range(len(names))))
+    os.close(jobs_w)
+
+    def fits(r):
+        if r == 0:
+            scored, references = draw()
+        done = {}
+        for i in iter(lambda: os.read(jobs, 1), b""):
+            name = names[i[0]]
+            try:
+                model, train_time = _fit(name, data, h, seed)
+                if r:
+                    done[name] = model, train_time
+                else:
+                    result, test_time = _score(name, model, scored, references,
+                                               h, seed, n_samples)
+                    done[name] = (result, model.parameter_count(), train_time,
+                                  test_time)
+            except RuntimeError as exc:
+                done[name] = exc
+        return done
+
+    try:
+        outcomes, *shares = _forked(n_procs, fits)
+    finally:
+        os.close(jobs)
+    fitted, exited = {}, []
+    for share in shares:
+        if isinstance(share, int):
+            exited.append(str(share))
+            continue
+        for name, got in share.items():
+            (outcomes if isinstance(got, RuntimeError) else fitted)[name] = got
+    if fitted:
+        scored, references = draw()
+        order = [name for name in names if name in fitted]
+
+        def scores(r):
+            stride = _Stride(scored.entries, scored.train_idx[r::n_procs],
+                             scored.test_idx[r::n_procs])
+            done = []
+            for name in order:
+                try:
+                    done.append(_score(name, fitted[name][0], stride,
+                                       references, h, seed, n_samples))
+                except RuntimeError as exc:
+                    done.append(exc)
+            return done
+
+        strides = _forked(n_procs, scores)
+        for k, name in enumerate(order):
+            model, train_time = fitted[name]
+            parts = [part if isinstance(part, int) else part[k]
+                     for part in strides]
+            failed = next((p for p in parts if not isinstance(p, tuple)), None)
+            if failed is None:
+                outcomes[name] = (_interleaved([p[0] for p in parts]),
+                                  model.parameter_count(), train_time,
+                                  sum(p[1] for p in parts))
+            elif isinstance(failed, int):
+                outcomes[name] = RuntimeError(
+                    f"[eval:{name}] its scoring process exited with status "
+                    f"{failed} before returning the scores")
+            else:
+                outcomes[name] = failed
+    lost = (f"its fitting process exited with status {', '.join(exited)} "
+            f"before returning the model")
+    return {name: outcomes.get(name, RuntimeError(f"[train:{name}] {lost}"))
             for name in names}
 
 
@@ -438,15 +498,19 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
     On Linux, with more than one usable CPU, two or more models besides the
     oracle, at least one of which trains, and ``_PARALLEL_MIN_ROWS``
     training rows or more per fit (epochs times the training-set size),
-    the models are fitted and scored in forked processes, this one
-    included, right after the data are generated; this process draws the
-    oracle references (and the test points) meanwhile and hands them to the
-    others.  Otherwise the references come first and each model is then
-    fitted and scored in turn.  Each fit and score is seeded on its own, so
-    the report has the same bytes either way; with ``timings``,
-    ``Train_Time`` and the test predictions are timed in the process that
-    ran them.  Bootstrap and report stay in this process, in model order,
-    and a failure is raised as the serial loop would raise it.
+    the models are fitted in forked processes, this one included, right
+    after the data are generated.  This process draws the oracle
+    references (and the test points) first and scores each model it fits
+    at once; the others send their fitted models back, and each of these
+    is then scored in forked processes again, every process on a fixed
+    stride of the points.  Otherwise the references come first and each
+    model is then fitted and scored in turn, in this process.  Each fit
+    and score is seeded on its own, so the report has the same bytes
+    either way; with ``timings``, ``Train_Time`` and the test predictions
+    are timed in the process that ran them, a strided model's test time
+    being the sum of its strides'.  Bootstrap and report stay in this
+    process, in model order, and a failure is raised as the serial loop
+    would raise it.
     """
     h = harness or HarnessConfig()
     models = list(dict.fromkeys(models))    # keep order, drop duplicates
@@ -478,14 +542,10 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
         return scored, references + [target for _, target in scored.test_entries()]
 
     names = [name for name in models if _MODELS[name] is not None]
-    n_procs = min(_usable_cpus(), len(names))
-    if (n_procs > 1 and any(_trains(name, h) for name in names)
-            and h.epochs * len(data.train_idx) >= _PARALLEL_MIN_ROWS):
-        outcomes = _in_processes(names, n_procs, data, h, seed, gen_cfg.S, draw)
-    else:
-        draw()    # the references come before any fit, as their errors do
-        outcomes = {name: _fit_and_score(name, data, h, seed, gen_cfg.S, draw)
-                    for name in names}
+    long_fits = (any(_trains(name, h) for name in names)
+                 and h.epochs * len(data.train_idx) >= _PARALLEL_MIN_ROWS)
+    n_procs = min(_usable_cpus(), len(names)) if long_fits else 1
+    outcomes = _in_processes(names, n_procs, data, h, seed, gen_cfg.S, draw)
     scored = draw()[0]
 
     # oracle timing baseline: one prediction pass over the test split

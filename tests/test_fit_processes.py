@@ -1,6 +1,7 @@
-"""``run_experiment`` fits long models in forked processes: the reports keep
-their bytes, failures surface as in the serial loop, and no child outlives
-a run."""
+"""``run_experiment`` fits long models in forked processes and scores the
+children's models in strides across processes: the reports keep their
+bytes, failures surface as in the serial loop, and no child outlives a run
+in either phase."""
 
 import dataclasses
 import os
@@ -41,8 +42,8 @@ def _counting_forks(monkeypatch):
     return forks
 
 
-def _report_bytes(tmp_path, tag, harness_cfg=LONG):
-    report = run_experiment(GEN, ALL_MODELS, seed=11, harness=harness_cfg)
+def _report_bytes(tmp_path, tag, harness_cfg=LONG, gen=GEN):
+    report = run_experiment(gen, ALL_MODELS, seed=11, harness=harness_cfg)
     out = []
     for fmt in ("csv", "json"):
         path = tmp_path / f"{tag}.{fmt}"
@@ -56,27 +57,54 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_forked_fits_give_the_serial_bytes(tmp_path, monkeypatch):
+def _assert_forked_as_serial(tmp_path, monkeypatch, harness_cfg=LONG, gen=GEN):
     forks = _counting_forks(monkeypatch)
-    _cpus(monkeypatch, 2)
-    _, parallel = _report_bytes(tmp_path, "parallel")
-    assert len(forks) == 1
+    _in_a_child(monkeypatch, tmp_path)
+    _, parallel = _report_bytes(tmp_path, "parallel", harness_cfg, gen)
+    # one fork to fit, one to score the child's models in strides
+    assert len(forks) == 2
     _cpus(monkeypatch, 1)
-    _, serial = _report_bytes(tmp_path, "serial")
-    assert len(forks) == 1
+    _, serial = _report_bytes(tmp_path, "serial", harness_cfg, gen)
+    assert len(forks) == 2
     assert parallel == serial
     _assert_no_children()
 
 
+def test_forked_fits_give_the_serial_bytes(tmp_path, monkeypatch):
+    _assert_forked_as_serial(tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("size, n_test", [
+    (SIZE + 1, 4),     # 25 points, and strides of unequal length per split
+    (SIZE, 1),         # the child's stride of the test split is empty
+])
+def test_strided_scores_give_the_serial_bytes(tmp_path, monkeypatch, size,
+                                              n_test):
+    _assert_forked_as_serial(tmp_path, monkeypatch,
+                             dataclasses.replace(LONG, n_test=n_test),
+                             dataclasses.replace(GEN, size=size))
+
+
 def test_forked_fits_report_their_train_times(tmp_path, monkeypatch):
     forks = _counting_forks(monkeypatch)
-    _cpus(monkeypatch, 2)
+    _in_a_child(monkeypatch, tmp_path)
+    parent, strided = os.getpid(), set()
+    score = harness._score
+
+    def recording(name, model, scored, *args):
+        if os.getpid() == parent and isinstance(scored, harness._Stride):
+            strided.add(name)
+        return score(name, model, scored, *args)
+
+    monkeypatch.setattr(harness, "_score", recording)
     report = run_experiment(GEN, ALL_MODELS, seed=11,
                             harness=dataclasses.replace(LONG, timings=True))
-    assert len(forks) == 1
+    assert len(forks) == 2
     times = {name: (m.train_time, m.test_time_ratio) for name, m in report.rows}
     assert times.pop("oracle") == (0.0, 1.0)
-    # fits and test predictions alike are timed in their own process
+    # fits and test predictions alike are timed in their own process; a
+    # child-fitted model's test time sums its strides'
+    assert strided and strided < set(times), strided
     assert all(fit > 0 and test > 0 for fit, test in times.values()), times
     _assert_no_children()
 
@@ -97,15 +125,16 @@ def test_serial_path_never_forks(monkeypatch):
                    harness=dataclasses.replace(LONG, n_centers=1))
 
 
-def test_one_long_fit_beside_const_forks_once(monkeypatch):
+def test_one_long_fit_beside_const_forks_twice(tmp_path, monkeypatch):
     forks = _counting_forks(monkeypatch)
-    _cpus(monkeypatch, 2)
+    _in_a_child(monkeypatch, tmp_path)
     forked = run_experiment(GEN, ["dnm", "const"], seed=3, harness=LONG)
-    assert len(forks) == 1
+    # one fork to fit, one to score the child's model in strides
+    assert len(forks) == 2
     _assert_no_children()
     _cpus(monkeypatch, 1)
     assert run_experiment(GEN, ["dnm", "const"], seed=3, harness=LONG) == forked
-    assert len(forks) == 1
+    assert len(forks) == 2
 
 
 def _wait_for(path):
@@ -137,7 +166,8 @@ def _in_a_child(monkeypatch, tmp_path, child_fit=None, parent_fit=None):
 
 def _scoring_in_a_child(monkeypatch, tmp_path, child_predict):
     """As ``_in_a_child`` with the real fits; a child's ``dnm`` and ``mean``
-    predictions run ``child_predict``."""
+    predictions, which score its stride of the child-fitted model, run
+    ``child_predict``."""
     parent = os.getpid()
 
     def wrap(predict):
@@ -202,8 +232,8 @@ def test_child_exiting_while_scoring_names_its_model(
     _scoring_in_a_child(monkeypatch, tmp_path, lambda: os._exit(1))
     assert _experiment(tmp_path) == 3
     err = capsys.readouterr().err
-    assert ("[train:dnm] its fitting process exited with status 1" in err
-            or "[train:mean] its fitting process exited with status 1" in err), err
+    assert ("[eval:dnm] its scoring process exited with status 1" in err
+            or "[eval:mean] its scoring process exited with status 1" in err), err
     _assert_no_children()
 
 
@@ -229,6 +259,32 @@ def test_interrupted_parent_reaps_its_children(tmp_path, monkeypatch):
 
     # the child would sleep far longer than the test may take
     _in_a_child(monkeypatch, tmp_path, lambda: time.sleep(600), interrupt)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(GEN, ["dnm", "mean"], seed=3, harness=LONG)
+    assert time.monotonic() - t0 < 60.0
+    _assert_no_children()
+
+
+def test_interrupt_while_scoring_in_strides_reaps_the_children(
+        tmp_path, monkeypatch):
+    parent, scoring = os.getpid(), tmp_path / "child-scoring"
+
+    def sleep():
+        scoring.touch()
+        time.sleep(600)
+
+    # the child would sleep far longer than the test may take
+    _scoring_in_a_child(monkeypatch, tmp_path, sleep)
+    stride = harness._Stride
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            _wait_for(scoring)
+            raise KeyboardInterrupt
+        return stride(*args)
+
+    monkeypatch.setattr(harness, "_Stride", interrupted)
     t0 = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         run_experiment(GEN, ["dnm", "mean"], seed=3, harness=LONG)

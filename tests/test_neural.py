@@ -12,6 +12,7 @@ from urcd.neural import (
     adam_step,
     backprop,
     cross_entropy_grad,
+    cross_entropy_grad_only,
     forward_cache,
     init_mlp,
     mlp_forward,
@@ -153,6 +154,22 @@ def test_cross_entropy_arrays_match_pair_version_bitwise(seed, n, d, hidden,
         net, [(X[i], Y[i]) for i in rows])
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
     assert grads.tobytes() == ref_grads.tobytes()
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 4),
+       st.lists(st.integers(1, 6), max_size=2), st.integers(1, 5),
+       st.sampled_from(["relu", "tanh", "sigmoid", "identity"]))
+def test_gradient_alone_matches_cross_entropy_grad_bitwise(seed, n, d, hidden,
+                                                           n_classes,
+                                                           activation):
+    rng = np.random.default_rng(seed)
+    net = init_mlp([d, *hidden, n_classes], activation=activation, rng=rng)
+    X = rng.normal(scale=3.0, size=(n, d))
+    Y = np.zeros((n, n_classes))
+    Y[np.arange(n), rng.integers(n_classes, size=n)] = 1.0
+    grad = cross_entropy_grad_only(net, X, Y)
+    assert grad.tobytes() == cross_entropy_grad(net, X, Y)[1].tobytes()
 
 
 def _per_layer_backprop(net, pre, post, d_out):
