@@ -270,20 +270,51 @@ _MODELS = {
 }
 KNOWN_MODELS = tuple(_MODELS)
 
-# Training rows per fit (epochs x training-set size) from which
-# ``run_experiment`` fits its models in forked processes and scores the
-# children's models in strides across them.  On a 2-core x86-64 host,
-# forking and returning the models cost ~14 ms; with 64x64 networks trained
-# full batch, two processes won by 25 ms or more from 20,000 rows on every
-# shape measured (n_train 10 to 400, two or four models), while at 10,000
-# rows the least gain was within noise (BENCH_23.json).  A minibatch fit
-# costs more per row, so gains more.  With one model that trains beside
-# ``const``, two of three shapes gained 28-88 ms from 10,000 rows on, and
-# no row count separated the third, whose references are too small to
-# overlap with the fit (BENCH_24.json).  With the host granting about one
-# CPU, the second fork, which scores the child's model in strides, made
-# that shape lose 19-31 ms against 13-16 ms with one fork (BENCH_25.json).
+# ``run_experiment`` gates its two phases apart, each on its own work; the
+# figures are whole runs on a 2-core x86-64 host.
+#
+# Fits: training rows per fit (epochs x training-set size) from which the
+# models are fitted in forked processes.  Forking and returning the models
+# cost ~14 ms; with 64x64 networks trained full batch, two processes won by
+# 25 ms or more from 20,000 rows on every shape measured (n_train 10 to 400,
+# two or four models), while at 10,000 rows the least gain was within noise
+# (BENCH_23.json).  A minibatch fit costs more per row, so gains more.  With
+# one model that trains beside ``const``, two of three shapes gained 28-88 ms
+# from 10,000 rows on, and no row count separated the third, whose
+# references are too small to overlap with the fit (BENCH_24.json).
 _PARALLEL_MIN_ROWS = 20_000
+# Scoring: estimated scoring seconds (``_scoring_seconds``) from which the
+# models are scored in strides across forked processes.  With both CPUs
+# free, a second process gained 15-50 ms (median of paired runs) on every
+# shape estimated at 24 ms or more (D = 1 at 24-80 ms, D = 2 at 46-72 ms).
+# Below, it gained 8 ms at 12 ms and nothing at 5 ms with short fits, and
+# lost 4-5 ms at 1-12 ms after forked fits, among them the third shape
+# above (BENCH_26.json).  With the host granting about one CPU, every shape
+# lost 12-23 ms, however long its scoring: the gate cannot see that.
+_PARALLEL_MIN_SCORE_S = 0.02
+_SCORE_S_PER_ATOM = 0.05e-6     # one atom merged by w1_1d (D = 1)
+_SCORE_S_PER_CELL = 1.5e-6      # one cell of a transport simplex (D >= 2)
+
+
+def _scoring_seconds(names, n_points: int, n_atoms: int, dim: int,
+                     h: HarnessConfig) -> float:
+    """Estimated seconds that scoring ``names`` takes at ``n_points``
+    inputs against ``n_atoms``-atom references in R^``dim``.
+
+    ``dnm`` predicts ``n_centers`` times ``n_atoms`` atoms, ``mean`` one,
+    the others ``n_atoms``.  On the line each pair costs its atoms merged.
+    In R^2 and up only ``dnm``'s non-uniform mixtures go to the simplex;
+    equal-size uniform pairs are assignments, and ``mean``'s single atom
+    a single row, which cost little."""
+    if dim == 1:
+        predicted = {"dnm": h.n_centers * n_atoms, "mean": 1}
+        per_point = _SCORE_S_PER_ATOM * sum(
+            predicted.get(name, n_atoms) + n_atoms for name in names)
+    elif "dnm" in names and h.n_centers > 1:
+        per_point = _SCORE_S_PER_CELL * h.n_centers * n_atoms * n_atoms
+    else:
+        per_point = 0.0
+    return n_points * per_point
 
 
 def _usable_cpus() -> int:
@@ -353,6 +384,9 @@ def _interleaved(parts) -> EvalResult:
                          for f in dataclasses.fields(EvalResult)})
 
 
+_PR_SET_PDEATHSIG = 1     # <linux/prctl.h>
+
+
 def _forked(n_procs: int, work: Callable) -> list:
     """Run ``work(r)`` in forked children r = 1 .. ``n_procs - 1`` and then
     in this process (r = 0); every result in r order, with a child that
@@ -362,8 +396,10 @@ def _forked(n_procs: int, work: Callable) -> list:
     back once, on a pipe of its own.  Every child is reaped before this
     returns or raises; an error or interrupt here kills the children
     first."""
-    import signal     # imported here: `import urcd.cli` does not load it
+    import ctypes     # imported here: `import urcd.cli` does not load them
+    import signal
 
+    parent = os.getpid()
     running = {}     # pid -> the read end of its result pipe
     try:
         for r in range(1, n_procs):
@@ -372,9 +408,15 @@ def _forked(n_procs: int, work: Callable) -> list:
             if pid == 0:
                 status = 1
                 try:
-                    with open(out_w, "wb") as fh:
-                        pickle.dump(work(r), fh)
-                    status = 0
+                    # PR_SET_PDEATHSIG: SIGKILL this child when the *thread*
+                    # that forked it exits, which is this one, waiting for
+                    # its children below.  A child whose parent died before
+                    # the call has another parent already, and leaves.
+                    ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+                    if os.getppid() == parent:
+                        with open(out_w, "wb") as fh:
+                            pickle.dump(work(r), fh)
+                        status = 0
                 finally:
                     os._exit(status)
             os.close(out_w)
@@ -394,24 +436,29 @@ def _forked(n_procs: int, work: Callable) -> list:
     return results
 
 
-def _in_processes(names, n_procs: int, data: Dataset, h: HarnessConfig,
-                  seed: int, n_samples: int, draw: Callable) -> dict:
-    """Fit and score ``names`` in ``n_procs`` processes, this one included;
-    name -> (EvalResult, parameter count, fit seconds, test-prediction
-    seconds), or the RuntimeError its fit or score raised.
+def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
+                  h: HarnessConfig, seed: int, n_samples: int,
+                  draw: Callable) -> dict:
+    """Fit ``names`` in ``n_fit`` processes and score them in ``n_score``,
+    this one included; name -> (EvalResult, parameter count, fit seconds,
+    test-prediction seconds), or the RuntimeError its fit or score raised.
 
     First every process takes the next model index from one pipe, filled
     before the fork.  This process runs ``draw()`` for the (dataset,
-    references) pair before it takes any, so it fits and scores each model
-    it takes; a child only fits, and returns its models.  Then, if a child
-    fitted any, the processes fork again: process r scores every
-    child-fitted model on every ``n_procs``-th point of each split from
-    the r-th on, and the shares are put back in point order, with their
-    test-prediction times summed.  With ``n_procs == 1`` nothing forks, so
-    this process fits and scores every model in turn."""
+    references) pair before it takes any, and a child only fits and
+    returns its models.  This process scores each model it fits at once,
+    unless it fits them all (``n_fit == 1``) and ``n_score`` > 1; then it
+    keeps them, as the children keep theirs.  Every model kept is then
+    scored in ``n_score`` processes: process r scores it on every
+    ``n_score``-th point of each split from the r-th on, and the shares are
+    put back in point order, with their test-prediction times summed.
+    With ``n_fit == n_score == 1`` nothing forks, so this process fits and
+    scores every model in turn."""
     jobs, jobs_w = os.pipe()
     os.write(jobs_w, bytes(range(len(names))))
     os.close(jobs_w)
+    score_later = n_fit == 1 and n_score > 1
+    outcomes = {}
 
     def fits(r):
         if r == 0:
@@ -421,19 +468,19 @@ def _in_processes(names, n_procs: int, data: Dataset, h: HarnessConfig,
             name = names[i[0]]
             try:
                 model, train_time = _fit(name, data, h, seed)
-                if r:
+                if r or score_later:
                     done[name] = model, train_time
                 else:
                     result, test_time = _score(name, model, scored, references,
                                                h, seed, n_samples)
-                    done[name] = (result, model.parameter_count(), train_time,
-                                  test_time)
+                    outcomes[name] = (result, model.parameter_count(),
+                                      train_time, test_time)
             except RuntimeError as exc:
                 done[name] = exc
         return done
 
     try:
-        outcomes, *shares = _forked(n_procs, fits)
+        shares = _forked(n_fit, fits)
     finally:
         os.close(jobs)
     fitted, exited = {}, []
@@ -448,8 +495,8 @@ def _in_processes(names, n_procs: int, data: Dataset, h: HarnessConfig,
         order = [name for name in names if name in fitted]
 
         def scores(r):
-            stride = _Stride(scored.entries, scored.train_idx[r::n_procs],
-                             scored.test_idx[r::n_procs])
+            stride = _Stride(scored.entries, scored.train_idx[r::n_score],
+                             scored.test_idx[r::n_score])
             done = []
             for name in order:
                 try:
@@ -459,7 +506,7 @@ def _in_processes(names, n_procs: int, data: Dataset, h: HarnessConfig,
                     done.append(exc)
             return done
 
-        strides = _forked(n_procs, scores)
+        strides = _forked(n_score, scores)
         for k, name in enumerate(order):
             model, train_time = fitted[name]
             parts = [part if isinstance(part, int) else part[k]
@@ -495,22 +542,23 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
     the metrics table.  The oracle row is always present, with W1 = M = 0
     by definition (it is the reference the others are scored against).
 
-    On Linux, with more than one usable CPU, two or more models besides the
-    oracle, at least one of which trains, and ``_PARALLEL_MIN_ROWS``
-    training rows or more per fit (epochs times the training-set size),
-    the models are fitted in forked processes, this one included, right
-    after the data are generated.  This process draws the oracle
-    references (and the test points) first and scores each model it fits
-    at once; the others send their fitted models back, and each of these
-    is then scored in forked processes again, every process on a fixed
-    stride of the points.  Otherwise the references come first and each
-    model is then fitted and scored in turn, in this process.  Each fit
-    and score is seeded on its own, so the report has the same bytes
-    either way; with ``timings``, ``Train_Time`` and the test predictions
-    are timed in the process that ran them, a strided model's test time
-    being the sum of its strides'.  Bootstrap and report stay in this
-    process, in model order, and a failure is raised as the serial loop
-    would raise it.
+    On Linux, with more than one usable CPU, the fits and the scoring are
+    each run in forked processes, this one included, when their own gate
+    passes.  The fits fork with two or more models besides the oracle, at
+    least one of which trains, and ``_PARALLEL_MIN_ROWS`` training rows or
+    more per fit (epochs times the training-set size); the scoring forks
+    when ``_scoring_seconds`` estimates ``_PARALLEL_MIN_SCORE_S`` or more.
+    This process draws the oracle references (and the test points) first.
+    When only the scoring forks, it then fits every model, and every
+    process scores every model on a fixed stride of the points.  Otherwise
+    it scores each model it fits at once, and the models that forked
+    processes fitted and sent back are scored in strides when the scoring
+    forks, or in this process when it does not.  Each fit and score is seeded
+    on its own, so the report has the same bytes either way; with
+    ``timings``, ``Train_Time`` and the test predictions are timed in the
+    process that ran them, a strided model's test time being the sum of
+    its strides'.  Bootstrap and report stay in this process, in model
+    order, and a failure is raised as the serial loop would raise it.
     """
     h = harness or HarnessConfig()
     models = list(dict.fromkeys(models))    # keep order, drop duplicates
@@ -542,10 +590,16 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
         return scored, references + [target for _, target in scored.test_entries()]
 
     names = [name for name in models if _MODELS[name] is not None]
+    cpus = _usable_cpus()
     long_fits = (any(_trains(name, h) for name in names)
                  and h.epochs * len(data.train_idx) >= _PARALLEL_MIN_ROWS)
-    n_procs = min(_usable_cpus(), len(names)) if long_fits else 1
-    outcomes = _in_processes(names, n_procs, data, h, seed, gen_cfg.S, draw)
+    n_points = len(data.train_idx) + (len(data.test_idx) or h.n_test)
+    long_scores = _scoring_seconds(names, n_points, gen_cfg.S,
+                                   data.entries[0][1].dim,
+                                   h) >= _PARALLEL_MIN_SCORE_S
+    outcomes = _in_processes(names, min(cpus, len(names)) if long_fits else 1,
+                             min(cpus, n_points) if long_scores else 1,
+                             data, h, seed, gen_cfg.S, draw)
     scored = draw()[0]
 
     # oracle timing baseline: one prediction pass over the test split

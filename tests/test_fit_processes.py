@@ -1,11 +1,16 @@
-"""``run_experiment`` fits long models in forked processes and scores the
-children's models in strides across processes: the reports keep their
-bytes, failures surface as in the serial loop, and no child outlives a run
-in either phase."""
+"""``run_experiment`` fits long models in forked processes and scores
+models in strides across processes when the scoring is long: the reports
+keep their bytes, failures surface as in the serial loop, and no child
+outlives a run in either phase, nor its parent."""
 
 import dataclasses
 import os
+import select
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,10 +27,21 @@ LONG = HarnessConfig(n_centers=2, hidden_dims=(4,), epochs=LONG_EPOCHS,
                      batch_size=BATCH, n_test=4, bootstrap_b=200,
                      mdn_components=2)
 GEN = GeneratorConfig(task="heteroscedastic", d=2, size=SIZE, S=12)
+# short fits, but dnm's exact W1 solves at D = 2 are long enough to split
+GEN_2D = GeneratorConfig(task="mc_dropout", d=2, D=2, size=12, S=20,
+                         base_width=5)
+SHORT_2D = HarnessConfig(n_centers=5, hidden_dims=(4,), epochs=50, n_test=12,
+                         bootstrap_b=200)
+MODELS_2D = ["dnm", "const", "mean"]
 
 
 def _cpus(monkeypatch, n):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: n)
+
+
+def _long_scores(monkeypatch):
+    """Score in strides however little scoring there is."""
+    monkeypatch.setattr(harness, "_PARALLEL_MIN_SCORE_S", 0.0)
 
 
 def _counting_forks(monkeypatch):
@@ -42,8 +58,8 @@ def _counting_forks(monkeypatch):
     return forks
 
 
-def _report_bytes(tmp_path, tag, harness_cfg=LONG, gen=GEN):
-    report = run_experiment(gen, ALL_MODELS, seed=11, harness=harness_cfg)
+def _report_bytes(tmp_path, tag, harness_cfg=LONG, gen=GEN, models=ALL_MODELS):
+    report = run_experiment(gen, models, seed=11, harness=harness_cfg)
     out = []
     for fmt in ("csv", "json"):
         path = tmp_path / f"{tag}.{fmt}"
@@ -60,6 +76,7 @@ def _assert_no_children():
 def _assert_forked_as_serial(tmp_path, monkeypatch, harness_cfg=LONG, gen=GEN):
     forks = _counting_forks(monkeypatch)
     _in_a_child(monkeypatch, tmp_path)
+    _long_scores(monkeypatch)
     _, parallel = _report_bytes(tmp_path, "parallel", harness_cfg, gen)
     # one fork to fit, one to score the child's models in strides
     assert len(forks) == 2
@@ -88,6 +105,7 @@ def test_strided_scores_give_the_serial_bytes(tmp_path, monkeypatch, size,
 def test_forked_fits_report_their_train_times(tmp_path, monkeypatch):
     forks = _counting_forks(monkeypatch)
     _in_a_child(monkeypatch, tmp_path)
+    _long_scores(monkeypatch)
     parent, strided = os.getpid(), set()
     score = harness._score
 
@@ -123,11 +141,15 @@ def test_serial_path_never_forks(monkeypatch):
     # a one-center DNM trains nothing, so neither model here trains
     run_experiment(GEN, ["dnm", "const"], seed=3,
                    harness=dataclasses.replace(LONG, n_centers=1))
+    # short fits, and D = 2 scoring too small to split
+    run_experiment(dataclasses.replace(GEN_2D, size=6, S=4), ["dnm", "const"],
+                   seed=3, harness=dataclasses.replace(SHORT_2D, n_test=2))
 
 
 def test_one_long_fit_beside_const_forks_twice(tmp_path, monkeypatch):
     forks = _counting_forks(monkeypatch)
     _in_a_child(monkeypatch, tmp_path)
+    _long_scores(monkeypatch)
     forked = run_experiment(GEN, ["dnm", "const"], seed=3, harness=LONG)
     # one fork to fit, one to score the child's model in strides
     assert len(forks) == 2
@@ -135,6 +157,119 @@ def test_one_long_fit_beside_const_forks_twice(tmp_path, monkeypatch):
     _cpus(monkeypatch, 1)
     assert run_experiment(GEN, ["dnm", "const"], seed=3, harness=LONG) == forked
     assert len(forks) == 2
+
+
+def test_short_scoring_after_forked_fits_forks_once(tmp_path, monkeypatch):
+    # 60 scored points against 50-atom references at D = 1 are too little
+    # scoring to split, however long the fits
+    gen = GeneratorConfig(task="heteroscedastic", d=2, size=40, S=50)
+    h = HarnessConfig(n_centers=5, hidden_dims=(4,), n_test=20,
+                      bootstrap_b=200,
+                      epochs=-(-harness._PARALLEL_MIN_ROWS // 40))
+    forks = _counting_forks(monkeypatch)
+    _in_a_child(monkeypatch, tmp_path)
+    _, forked = _report_bytes(tmp_path, "forked", h, gen, ["dnm", "const"])
+    # one fork to fit; this process scores the child's model itself
+    assert len(forks) == 1
+    _assert_no_children()
+    _cpus(monkeypatch, 1)
+    _, serial = _report_bytes(tmp_path, "serial", h, gen, ["dnm", "const"])
+    assert len(forks) == 1
+    assert forked == serial
+
+
+def test_short_fits_with_long_scoring_fork_once_to_score(tmp_path,
+                                                         monkeypatch):
+    # dnm's exact W1 solves dominate the scoring; this process fits every
+    # model, and a child scores its stride of each, dnm's included
+    parent, fitted_in = os.getpid(), []
+    train, score = harness.train_dnm, harness._score
+
+    def fitting(*args, **kwargs):
+        fitted_in.append(os.getpid())
+        return train(*args, **kwargs)
+
+    def scoring(name, model, scored, *args):
+        if os.getpid() != parent:
+            (tmp_path / f"strided-{name}").touch()
+        return score(name, model, scored, *args)
+
+    monkeypatch.setattr(harness, "train_dnm", fitting)
+    monkeypatch.setattr(harness, "_score", scoring)
+    forks = _counting_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    _, forked = _report_bytes(tmp_path, "forked", SHORT_2D, GEN_2D, MODELS_2D)
+    assert len(forks) == 1
+    assert fitted_in == [parent, parent]      # dnm and const
+    assert sorted(tmp_path.glob("strided-*")) == [
+        tmp_path / f"strided-{name}" for name in sorted(MODELS_2D)]
+    _assert_no_children()
+    _cpus(monkeypatch, 1)
+    _, serial = _report_bytes(tmp_path, "serial", SHORT_2D, GEN_2D, MODELS_2D)
+    assert len(forks) == 1
+    assert forked == serial
+
+
+# Runs a forked experiment whose fits would take hours, and prints the pid
+# of every child it forks.
+_ORPHANING = """
+import os
+from urcd import harness
+from urcd.datagen import GeneratorConfig
+from urcd.harness import HarnessConfig, run_experiment
+
+fork = os.fork
+
+
+def announcing():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+
+os.fork = announcing
+harness._usable_cpus = lambda: 2
+run_experiment(GeneratorConfig(task="heteroscedastic", d=2, size=20, S=12),
+               ["dnm", "mean"], seed=3,
+               harness=HarnessConfig(n_centers=2, hidden_dims=(4,),
+                                     epochs=10 ** 8, n_test=4))
+"""
+
+
+def _exited(pid):
+    """Whether ``pid`` has exited; a zombie has, as nothing may reap it."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+def test_children_die_with_their_parent():
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen([sys.executable, "-c", _ORPHANING],
+                            stdout=subprocess.PIPE, text=True, env=env)
+    child = None
+    try:
+        assert select.select([proc.stdout], [], [], 60.0)[0], "no fork in 60 s"
+        child = int(proc.stdout.readline())
+        time.sleep(0.5)
+        assert not _exited(child)
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 5.0
+        while not _exited(child) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _exited(child)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        if child is not None and not _exited(child):
+            os.kill(child, signal.SIGKILL)
 
 
 def _wait_for(path):
@@ -180,6 +315,7 @@ def _scoring_in_a_child(monkeypatch, tmp_path, child_predict):
     for name in ("dnm_predict", "mean_dnn_predict_measure"):
         monkeypatch.setattr(harness, name, wrap(getattr(harness, name)))
     _in_a_child(monkeypatch, tmp_path)
+    _long_scores(monkeypatch)
 
 
 def _experiment(tmp_path):
