@@ -160,7 +160,10 @@ def _given(args, cfg: dict, table) -> dict:
         if isinstance(raw, str):
             try:
                 if s.cast is bool:
-                    raw = raw.lower() in ("1", "true", "yes", "on")
+                    on, off = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+                    if raw.lower() not in on + off:
+                        raise ValueError(f"{raw!r} is not one of {on + off}")
+                    raw = raw.lower() in on
                 else:
                     raw = s.cast(raw)
             except ValueError as exc:

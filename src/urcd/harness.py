@@ -270,11 +270,9 @@ _MODELS = {
 }
 KNOWN_MODELS = tuple(_MODELS)
 
-# ``run_experiment`` gates its two phases apart, each on its own work; the
-# figures are whole runs on a 2-core x86-64 host.
-#
-# Fits: training rows per fit (epochs x training-set size) from which the
-# models are fitted in forked processes.  Forking and returning the models
+# Training rows per fit (epochs x training-set size) from which
+# ``run_experiment`` fits the models in forked processes; the figures are
+# whole runs on a 2-core x86-64 host.  Forking and returning the models
 # cost ~14 ms; with 64x64 networks trained full batch, two processes won by
 # 25 ms or more from 20,000 rows on every shape measured (n_train 10 to 400,
 # two or four models), while at 10,000 rows the least gain was within noise
@@ -283,38 +281,6 @@ KNOWN_MODELS = tuple(_MODELS)
 # from 10,000 rows on, and no row count separated the third, whose
 # references are too small to overlap with the fit (BENCH_24.json).
 _PARALLEL_MIN_ROWS = 20_000
-# Scoring: estimated scoring seconds (``_scoring_seconds``) from which the
-# models are scored in strides across forked processes.  With both CPUs
-# free, a second process gained 15-50 ms (median of paired runs) on every
-# shape estimated at 24 ms or more (D = 1 at 24-80 ms, D = 2 at 46-72 ms).
-# Below, it gained 8 ms at 12 ms and nothing at 5 ms with short fits, and
-# lost 4-5 ms at 1-12 ms after forked fits, among them the third shape
-# above (BENCH_26.json).  With the host granting about one CPU, every shape
-# lost 12-23 ms, however long its scoring: the gate cannot see that.
-_PARALLEL_MIN_SCORE_S = 0.02
-_SCORE_S_PER_ATOM = 0.05e-6     # one atom merged by w1_1d (D = 1)
-_SCORE_S_PER_CELL = 1.5e-6      # one cell of a transport simplex (D >= 2)
-
-
-def _scoring_seconds(names, n_points: int, n_atoms: int, dim: int,
-                     h: HarnessConfig) -> float:
-    """Estimated seconds that scoring ``names`` takes at ``n_points``
-    inputs against ``n_atoms``-atom references in R^``dim``.
-
-    ``dnm`` predicts ``n_centers`` times ``n_atoms`` atoms, ``mean`` one,
-    the others ``n_atoms``.  On the line each pair costs its atoms merged.
-    In R^2 and up only ``dnm``'s non-uniform mixtures go to the simplex;
-    equal-size uniform pairs are assignments, and ``mean``'s single atom
-    a single row, which cost little."""
-    if dim == 1:
-        predicted = {"dnm": h.n_centers * n_atoms, "mean": 1}
-        per_point = _SCORE_S_PER_ATOM * sum(
-            predicted.get(name, n_atoms) + n_atoms for name in names)
-    elif "dnm" in names and h.n_centers > 1:
-        per_point = _SCORE_S_PER_CELL * h.n_centers * n_atoms * n_atoms
-    else:
-        per_point = 0.0
-    return n_points * per_point
 
 
 def _usable_cpus() -> int:
@@ -404,7 +370,12 @@ def _forked(n_procs: int, work: Callable) -> list:
     try:
         for r in range(1, n_procs):
             out, out_w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(out)
+                os.close(out_w)
+                raise
             if pid == 0:
                 status = 1
                 try:
@@ -443,21 +414,17 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
     this one included; name -> (EvalResult, parameter count, fit seconds,
     test-prediction seconds), or the RuntimeError its fit or score raised.
 
-    First every process takes the next model index from one pipe, filled
-    before the fork.  This process runs ``draw()`` for the (dataset,
-    references) pair before it takes any, and a child only fits and
-    returns its models.  This process scores each model it fits at once,
-    unless it fits them all (``n_fit == 1``) and ``n_score`` > 1; then it
-    keeps them, as the children keep theirs.  Every model kept is then
-    scored in ``n_score`` processes: process r scores it on every
-    ``n_score``-th point of each split from the r-th on, and the shares are
-    put back in point order, with their test-prediction times summed.
-    With ``n_fit == n_score == 1`` nothing forks, so this process fits and
-    scores every model in turn."""
+    Phase 1 fits: every process takes the next model index from one pipe,
+    filled before the fork.  This process runs ``draw()`` for the (dataset,
+    references) pair before it takes any; while children fit, it scores
+    each model it fits at once, and a child only fits and returns its
+    models.  Phase 2 scores every other model in strides: process r scores
+    it on every ``n_score``-th point of each split from the r-th on, and
+    the shares are put back in point order, with their test-prediction
+    times summed.  A phase run in one process does not fork."""
     jobs, jobs_w = os.pipe()
     os.write(jobs_w, bytes(range(len(names))))
     os.close(jobs_w)
-    score_later = n_fit == 1 and n_score > 1
     outcomes = {}
 
     def fits(r):
@@ -468,7 +435,7 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
             name = names[i[0]]
             try:
                 model, train_time = _fit(name, data, h, seed)
-                if r or score_later:
+                if r or n_fit == 1:
                     done[name] = model, train_time
                 else:
                     result, test_time = _score(name, model, scored, references,
@@ -492,23 +459,21 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
             (outcomes if isinstance(got, RuntimeError) else fitted)[name] = got
     if fitted:
         scored, references = draw()
-        order = [name for name in names if name in fitted]
 
         def scores(r):
             stride = _Stride(scored.entries, scored.train_idx[r::n_score],
                              scored.test_idx[r::n_score])
             done = []
-            for name in order:
+            for name, (model, _) in fitted.items():
                 try:
-                    done.append(_score(name, fitted[name][0], stride,
-                                       references, h, seed, n_samples))
+                    done.append(_score(name, model, stride, references, h,
+                                       seed, n_samples))
                 except RuntimeError as exc:
                     done.append(exc)
             return done
 
         strides = _forked(n_score, scores)
-        for k, name in enumerate(order):
-            model, train_time = fitted[name]
+        for k, (name, (model, train_time)) in enumerate(fitted.items()):
             parts = [part if isinstance(part, int) else part[k]
                      for part in strides]
             failed = next((p for p in parts if not isinstance(p, tuple)), None)
@@ -542,23 +507,17 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
     the metrics table.  The oracle row is always present, with W1 = M = 0
     by definition (it is the reference the others are scored against).
 
-    On Linux, with more than one usable CPU, the fits and the scoring are
-    each run in forked processes, this one included, when their own gate
-    passes.  The fits fork with two or more models besides the oracle, at
-    least one of which trains, and ``_PARALLEL_MIN_ROWS`` training rows or
-    more per fit (epochs times the training-set size); the scoring forks
-    when ``_scoring_seconds`` estimates ``_PARALLEL_MIN_SCORE_S`` or more.
-    This process draws the oracle references (and the test points) first.
-    When only the scoring forks, it then fits every model, and every
-    process scores every model on a fixed stride of the points.  Otherwise
-    it scores each model it fits at once, and the models that forked
-    processes fitted and sent back are scored in strides when the scoring
-    forks, or in this process when it does not.  Each fit and score is seeded
-    on its own, so the report has the same bytes either way; with
-    ``timings``, ``Train_Time`` and the test predictions are timed in the
-    process that ran them, a strided model's test time being the sum of
-    its strides'.  Bootstrap and report stay in this process, in model
-    order, and a failure is raised as the serial loop would raise it.
+    On Linux, with more than one usable CPU, the work runs in forked
+    processes, this one included (``_in_processes``).  The fits fork right
+    after ``generate`` with two or more models besides the oracle, one of
+    which trains ``_PARALLEL_MIN_ROWS`` rows or more (epochs times the
+    training-set size); the scoring always runs in strides of the points,
+    one per usable CPU.  Each fit and score is seeded on its own, so the
+    report has the same bytes either way; with ``timings``, ``Train_Time``
+    and the test predictions are timed in the process that ran them, a
+    strided model's test time being the sum of its strides'.  Bootstrap
+    and report stay in this process, in model order, and a failure is
+    raised as the serial loop would raise it.
     """
     h = harness or HarnessConfig()
     models = list(dict.fromkeys(models))    # keep order, drop duplicates
@@ -594,12 +553,9 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
     long_fits = (any(_trains(name, h) for name in names)
                  and h.epochs * len(data.train_idx) >= _PARALLEL_MIN_ROWS)
     n_points = len(data.train_idx) + (len(data.test_idx) or h.n_test)
-    long_scores = _scoring_seconds(names, n_points, gen_cfg.S,
-                                   data.entries[0][1].dim,
-                                   h) >= _PARALLEL_MIN_SCORE_S
     outcomes = _in_processes(names, min(cpus, len(names)) if long_fits else 1,
-                             min(cpus, n_points) if long_scores else 1,
-                             data, h, seed, gen_cfg.S, draw)
+                             min(cpus, n_points), data, h, seed, gen_cfg.S,
+                             draw)
     scored = draw()[0]
 
     # oracle timing baseline: one prediction pass over the test split

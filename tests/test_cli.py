@@ -129,6 +129,13 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
                   "--bootstrap", "200", "--report", str(tmp_path / "r.csv")]
     assert main(experiment + ["--epochs", "0"]) == 2
     assert main(experiment + ["--lr", "0"]) == 2
+    # a switch whose config text is not a boolean word, not read as off
+    config = tmp_path / "switch.cfg"
+    for text in ("ture", "2", "y"):
+        config.write_text(f"timings = {text}\n")
+        assert main(["--config", str(config)] + experiment) == 2
+        assert (f"config key timings: {text!r} is not one of"
+                in capsys.readouterr().err)
     # the experiment's own settings, rejected before anything runs
     assert main(experiment + ["--n-centers", "0"]) == 2
     assert main(experiment + ["--mdn-components", "0", "--models", "mdn"]) == 2

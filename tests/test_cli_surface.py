@@ -195,6 +195,14 @@ def test_experiment_flag_and_config_key_set_one_field(capture, flag, key, text,
     assert by_flag == by_key == dataclasses.replace(default, **{field: value})
 
 
+def test_config_switch_words_in_any_case(capture):
+    base = ["experiment", "--task", "heteroscedastic", "--report", "r.csv"]
+    for text, value in (("1", True), ("True", True), ("YES", True),
+                        ("on", True), ("0", False), ("false", False),
+                        ("No", False), ("OFF", False)):
+        assert _experiment(capture(base, {"timings": text}))[3].timings is value
+
+
 def test_experiment_models_and_format(capture):
     base = ["experiment", "--task", "heteroscedastic", "--report", "r.csv"]
     _, models, seed, _, fmt = _experiment(capture(base))

@@ -1,7 +1,8 @@
 """``run_experiment`` fits long models in forked processes and scores
-models in strides across processes when the scoring is long: the reports
-keep their bytes, failures surface as in the serial loop, and no child
-outlives a run in either phase, nor its parent."""
+models in strides across the usable CPUs: the reports keep their bytes,
+failures surface as in the serial loop, and no child outlives a run in
+either phase (``conftest`` checks that after every test), nor its
+parent."""
 
 import dataclasses
 import os
@@ -27,7 +28,7 @@ LONG = HarnessConfig(n_centers=2, hidden_dims=(4,), epochs=LONG_EPOCHS,
                      batch_size=BATCH, n_test=4, bootstrap_b=200,
                      mdn_components=2)
 GEN = GeneratorConfig(task="heteroscedastic", d=2, size=SIZE, S=12)
-# short fits, but dnm's exact W1 solves at D = 2 are long enough to split
+# short fits, and dnm's exact W1 solves at D = 2 carry the scoring
 GEN_2D = GeneratorConfig(task="mc_dropout", d=2, D=2, size=12, S=20,
                          base_width=5)
 SHORT_2D = HarnessConfig(n_centers=5, hidden_dims=(4,), epochs=50, n_test=12,
@@ -37,11 +38,6 @@ MODELS_2D = ["dnm", "const", "mean"]
 
 def _cpus(monkeypatch, n):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: n)
-
-
-def _long_scores(monkeypatch):
-    """Score in strides however little scoring there is."""
-    monkeypatch.setattr(harness, "_PARALLEL_MIN_SCORE_S", 0.0)
 
 
 def _counting_forks(monkeypatch):
@@ -68,15 +64,9 @@ def _report_bytes(tmp_path, tag, harness_cfg=LONG, gen=GEN, models=ALL_MODELS):
     return report, out
 
 
-def _assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _assert_forked_as_serial(tmp_path, monkeypatch, harness_cfg=LONG, gen=GEN):
     forks = _counting_forks(monkeypatch)
     _in_a_child(monkeypatch, tmp_path)
-    _long_scores(monkeypatch)
     _, parallel = _report_bytes(tmp_path, "parallel", harness_cfg, gen)
     # one fork to fit, one to score the child's models in strides
     assert len(forks) == 2
@@ -84,7 +74,6 @@ def _assert_forked_as_serial(tmp_path, monkeypatch, harness_cfg=LONG, gen=GEN):
     _, serial = _report_bytes(tmp_path, "serial", harness_cfg, gen)
     assert len(forks) == 2
     assert parallel == serial
-    _assert_no_children()
 
 
 def test_forked_fits_give_the_serial_bytes(tmp_path, monkeypatch):
@@ -105,7 +94,6 @@ def test_strided_scores_give_the_serial_bytes(tmp_path, monkeypatch, size,
 def test_forked_fits_report_their_train_times(tmp_path, monkeypatch):
     forks = _counting_forks(monkeypatch)
     _in_a_child(monkeypatch, tmp_path)
-    _long_scores(monkeypatch)
     parent, strided = os.getpid(), set()
     score = harness._score
 
@@ -124,7 +112,18 @@ def test_forked_fits_report_their_train_times(tmp_path, monkeypatch):
     # child-fitted model's test time sums its strides'
     assert strided and strided < set(times), strided
     assert all(fit > 0 and test > 0 for fit, test in times.values()), times
-    _assert_no_children()
+
+
+# runs whose fits are too short to fork: they fork only to score
+SHORT_FIT_RUNS = [
+    (GEN, ["dnm", "const"], dataclasses.replace(LONG, epochs=LONG_EPOCHS - 1)),
+    (GEN, ["mean"], LONG),     # one model
+    # a one-center DNM trains nothing, so neither model here trains
+    (GEN, ["dnm", "const"], dataclasses.replace(LONG, n_centers=1)),
+    # tiny D = 2 scoring
+    (dataclasses.replace(GEN_2D, size=6, S=4), ["dnm", "const"],
+     dataclasses.replace(SHORT_2D, n_test=2)),
+]
 
 
 def test_serial_path_never_forks(monkeypatch):
@@ -134,34 +133,36 @@ def test_serial_path_never_forks(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     _cpus(monkeypatch, 1)
     run_experiment(GEN, ["dnm", "const"], seed=3, harness=LONG)
-    _cpus(monkeypatch, 2)
-    short = dataclasses.replace(LONG, epochs=LONG_EPOCHS - 1)
-    run_experiment(GEN, ["dnm", "const"], seed=3, harness=short)
-    run_experiment(GEN, ["mean"], seed=3, harness=LONG)   # one model
-    # a one-center DNM trains nothing, so neither model here trains
-    run_experiment(GEN, ["dnm", "const"], seed=3,
-                   harness=dataclasses.replace(LONG, n_centers=1))
-    # short fits, and D = 2 scoring too small to split
-    run_experiment(dataclasses.replace(GEN_2D, size=6, S=4), ["dnm", "const"],
-                   seed=3, harness=dataclasses.replace(SHORT_2D, n_test=2))
+    for gen, models, h in SHORT_FIT_RUNS:
+        run_experiment(gen, models, seed=3, harness=h)
+
+
+def test_short_fits_fork_only_to_score(monkeypatch):
+    forks = _counting_forks(monkeypatch)
+    for gen, models, h in SHORT_FIT_RUNS:
+        _cpus(monkeypatch, 2)
+        forked = run_experiment(gen, models, seed=3, harness=h)
+        assert len(forks) == 1
+        forks.clear()
+        _cpus(monkeypatch, 1)
+        assert run_experiment(gen, models, seed=3, harness=h) == forked
+        assert not forks
 
 
 def test_one_long_fit_beside_const_forks_twice(tmp_path, monkeypatch):
     forks = _counting_forks(monkeypatch)
     _in_a_child(monkeypatch, tmp_path)
-    _long_scores(monkeypatch)
     forked = run_experiment(GEN, ["dnm", "const"], seed=3, harness=LONG)
     # one fork to fit, one to score the child's model in strides
     assert len(forks) == 2
-    _assert_no_children()
     _cpus(monkeypatch, 1)
     assert run_experiment(GEN, ["dnm", "const"], seed=3, harness=LONG) == forked
     assert len(forks) == 2
 
 
-def test_short_scoring_after_forked_fits_forks_once(tmp_path, monkeypatch):
-    # 60 scored points against 50-atom references at D = 1 are too little
-    # scoring to split, however long the fits
+def test_short_scoring_after_forked_fits_forks_twice(tmp_path, monkeypatch):
+    # 60 scored points against 50-atom references at D = 1: little scoring,
+    # but it is split all the same
     gen = GeneratorConfig(task="heteroscedastic", d=2, size=40, S=50)
     h = HarnessConfig(n_centers=5, hidden_dims=(4,), n_test=20,
                       bootstrap_b=200,
@@ -169,12 +170,11 @@ def test_short_scoring_after_forked_fits_forks_once(tmp_path, monkeypatch):
     forks = _counting_forks(monkeypatch)
     _in_a_child(monkeypatch, tmp_path)
     _, forked = _report_bytes(tmp_path, "forked", h, gen, ["dnm", "const"])
-    # one fork to fit; this process scores the child's model itself
-    assert len(forks) == 1
-    _assert_no_children()
+    # one fork to fit, one to score the child's model in strides
+    assert len(forks) == 2
     _cpus(monkeypatch, 1)
     _, serial = _report_bytes(tmp_path, "serial", h, gen, ["dnm", "const"])
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert forked == serial
 
 
@@ -203,7 +203,6 @@ def test_short_fits_with_long_scoring_fork_once_to_score(tmp_path,
     assert fitted_in == [parent, parent]      # dnm and const
     assert sorted(tmp_path.glob("strided-*")) == [
         tmp_path / f"strided-{name}" for name in sorted(MODELS_2D)]
-    _assert_no_children()
     _cpus(monkeypatch, 1)
     _, serial = _report_bytes(tmp_path, "serial", SHORT_2D, GEN_2D, MODELS_2D)
     assert len(forks) == 1
@@ -315,7 +314,6 @@ def _scoring_in_a_child(monkeypatch, tmp_path, child_predict):
     for name in ("dnm_predict", "mean_dnn_predict_measure"):
         monkeypatch.setattr(harness, name, wrap(getattr(harness, name)))
     _in_a_child(monkeypatch, tmp_path)
-    _long_scores(monkeypatch)
 
 
 def _experiment(tmp_path):
@@ -337,7 +335,6 @@ def test_fit_raising_in_a_child_fails_as_in_the_serial_loop(
     err = capsys.readouterr().err
     assert ("[train:dnm] math domain error" in err
             or "[train:mean] math domain error" in err), err
-    _assert_no_children()
 
 
 def test_child_exiting_without_a_result_names_its_model(
@@ -347,7 +344,6 @@ def test_child_exiting_without_a_result_names_its_model(
     err = capsys.readouterr().err
     assert ("[train:dnm] its fitting process exited with status 1" in err
             or "[train:mean] its fitting process exited with status 1" in err), err
-    _assert_no_children()
 
 
 def test_score_raising_in_a_child_fails_as_in_the_serial_loop(
@@ -360,7 +356,6 @@ def test_score_raising_in_a_child_fails_as_in_the_serial_loop(
     err = capsys.readouterr().err
     assert ("[eval:dnm] math domain error" in err
             or "[eval:mean] math domain error" in err), err
-    _assert_no_children()
 
 
 def test_child_exiting_while_scoring_names_its_model(
@@ -370,7 +365,19 @@ def test_child_exiting_while_scoring_names_its_model(
     err = capsys.readouterr().err
     assert ("[eval:dnm] its scoring process exited with status 1" in err
             or "[eval:mean] its scoring process exited with status 1" in err), err
-    _assert_no_children()
+
+
+def test_failed_fork_closes_its_pipe(tmp_path, monkeypatch, capsys):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _cpus(monkeypatch, 2)
+    fds = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        assert _experiment(tmp_path) == 3
+        assert "Resource temporarily unavailable" in capsys.readouterr().err
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def test_reference_error_while_a_child_fits_fails_as_in_the_serial_loop(
@@ -386,7 +393,6 @@ def test_reference_error_while_a_child_fits_fails_as_in_the_serial_loop(
     assert _experiment(tmp_path) == 3
     assert time.monotonic() - t0 < 60.0
     assert "[reference] math domain error" in capsys.readouterr().err
-    _assert_no_children()
 
 
 def test_interrupted_parent_reaps_its_children(tmp_path, monkeypatch):
@@ -399,7 +405,6 @@ def test_interrupted_parent_reaps_its_children(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run_experiment(GEN, ["dnm", "mean"], seed=3, harness=LONG)
     assert time.monotonic() - t0 < 60.0
-    _assert_no_children()
 
 
 def test_interrupt_while_scoring_in_strides_reaps_the_children(
@@ -425,4 +430,3 @@ def test_interrupt_while_scoring_in_strides_reaps_the_children(
     with pytest.raises(KeyboardInterrupt):
         run_experiment(GEN, ["dnm", "mean"], seed=3, harness=LONG)
     assert time.monotonic() - t0 < 60.0
-    _assert_no_children()

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,27 +238,36 @@ def test_run_experiment_calls_through_rebound_names(monkeypatch):
     assert calls["dnm_predict"] > 0
 
 
-def test_1d_run_experiment_scores_each_pair_through_w1_1d(monkeypatch):
+def test_1d_run_experiment_scores_each_pair_through_w1_1d(monkeypatch,
+                                                          tmp_path):
     """``perfbench`` samples its 1-D W1 cross-check by rebinding
-    ``urcd.measures.w1_1d``; every scored 1-D pair must go through it."""
-    calls = {"w1_1d": 0, "pairs": 0}
+    ``urcd.measures.w1_1d``; every scored 1-D pair must go through it, in
+    whichever process scores it.  Each call appends to one file, so the
+    counts of the scoring processes add up in it."""
     w1_1d, eval_model_ = urcd.measures.w1_1d, urcd.harness.eval_model
+    log = tmp_path / "calls"
+
+    def append(tally):
+        with open(log, "ab") as fh:     # O_APPEND: one write per call
+            fh.write(tally)
 
     def counting_w1_1d(mu, nu):
-        calls["w1_1d"] += 1
+        append(b"w")
         return w1_1d(mu, nu)
 
     def counting_eval_model(predict, data, references):
-        calls["pairs"] += len(data.train_idx) + len(data.test_idx)
+        append(b"p" * (len(data.train_idx) + len(data.test_idx)))
         return eval_model_(predict, data, references)
 
     monkeypatch.setattr(urcd.measures, "w1_1d", counting_w1_1d)
     monkeypatch.setattr(urcd.harness, "eval_model", counting_eval_model)
+    monkeypatch.setattr(urcd.harness, "_usable_cpus", lambda: 2)
     gen = GeneratorConfig(task="heteroscedastic", d=1, size=8, S=10, seed=9)
     run_experiment(gen, ["dnm", "const", "mdn", "dgn", "mean"], seed=9,
                    harness=MINI_HARNESS)
-    assert calls["pairs"] == 5 * (8 + MINI_HARNESS.n_test)
-    assert calls["w1_1d"] == calls["pairs"]
+    calls = log.read_bytes()
+    assert calls.count(b"p") == 5 * (8 + MINI_HARNESS.n_test)
+    assert calls.count(b"w") == calls.count(b"p")
 
 
 # ---------------------------------------------------------------------------
@@ -309,54 +320,56 @@ def test_emit_report_json(tmp_path):
         emit_report(report, "xml", tmp_path / "r.xml")
 
 
-def test_golden_mini_report(tmp_path):
-    import pathlib
+def _report_csv(tmp_path, gen, models, h):
+    report = run_experiment(gen, models, seed=gen.seed, harness=h)
+    path = tmp_path / "report.csv"
+    emit_report(report, "csv", path)
+    return path.read_bytes()
 
+
+def _assert_golden(monkeypatch, golden, report_bytes):
+    """``report_bytes()`` gives the bytes of ``tests/data/<golden>`` with
+    one usable CPU, where nothing forks, and with two, where the scoring
+    runs in strides across forked processes."""
+    expected = (pathlib.Path(__file__).parent / "data" / golden).read_bytes()
+    for cpus in (1, 2):
+        monkeypatch.setattr(urcd.harness, "_usable_cpus", lambda: cpus)
+        assert report_bytes() == expected, f"{cpus} usable CPU(s)"
+
+
+def test_golden_mini_report(tmp_path, monkeypatch):
     gen = GeneratorConfig(task="heteroscedastic", d=1, size=10, S=16, seed=123)
     h = HarnessConfig(n_centers=2, hidden_dims=(6,), epochs=30, n_test=5,
                       bootstrap_b=200, mdn_components=2)
-    report = run_experiment(gen, ["dnm", "const", "mean"], seed=123, harness=h)
-    path = tmp_path / "mini.csv"
-    emit_report(report, "csv", path)
-    golden = pathlib.Path(__file__).parent / "data" / "golden_mini_report.csv"
-    assert path.read_bytes() == golden.read_bytes()
+    _assert_golden(monkeypatch, "golden_mini_report.csv",
+                   lambda: _report_csv(tmp_path, gen, ["dnm", "const", "mean"],
+                                       h))
 
 
-def test_golden_minibatch_report(tmp_path):
+def test_golden_minibatch_report(tmp_path, monkeypatch):
     """MDN, DGN and the minibatch shuffle, which the mini golden skips."""
-    import pathlib
-
     gen = GeneratorConfig(task="heteroscedastic", d=2, size=30, S=40, seed=5)
     h = HarnessConfig(hidden_dims=(8,), epochs=30, batch_size=16, n_test=10,
                       bootstrap_b=200)
-    report = run_experiment(gen, ["dnm", "const", "mdn", "dgn", "mean"],
-                            seed=5, harness=h)
-    path = tmp_path / "minibatch.csv"
-    emit_report(report, "csv", path)
-    golden = pathlib.Path(__file__).parent / "data" / "golden_minibatch_report.csv"
-    assert path.read_bytes() == golden.read_bytes()
+    _assert_golden(monkeypatch, "golden_minibatch_report.csv",
+                   lambda: _report_csv(tmp_path, gen, ["dnm", "const", "mdn",
+                                                       "dgn", "mean"], h))
 
 
 def _d2_report_bytes(tmp_path):
     gen = GeneratorConfig(task="mc_dropout", d=2, D=2, size=12, S=20,
                           base_width=5, seed=5)
     h = HarnessConfig(n_centers=5, n_test=12, epochs=50)
-    report = run_experiment(gen, ["dnm", "const", "mean"], seed=5, harness=h)
-    path = tmp_path / "d2.csv"
-    emit_report(report, "csv", path)
-    return path.read_bytes()
+    return _report_csv(tmp_path, gen, ["dnm", "const", "mean"], h)
 
 
-def test_golden_d2_report(tmp_path):
+def test_golden_d2_report(tmp_path, monkeypatch):
     """D=2, so every W1 in it goes through the exact transport solver."""
-    import pathlib
-
-    golden = pathlib.Path(__file__).parent / "data" / "golden_d2_report.csv"
-    assert _d2_report_bytes(tmp_path) == golden.read_bytes()
+    _assert_golden(monkeypatch, "golden_d2_report.csv",
+                   lambda: _d2_report_bytes(tmp_path))
 
 
 if __name__ == "__main__":
-    import pathlib
     import tempfile
 
     out = pathlib.Path(__file__).parent / "data" / "golden_d2_report.csv"
