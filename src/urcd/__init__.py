@@ -14,6 +14,7 @@ Core entry points:
 from urcd.measures import (
     EmpiricalMeasure,
     TransportPlan,
+    atom_pool,
     make_empirical,
     mixture,
     w1_1d,
@@ -24,6 +25,7 @@ from urcd.measures import (
 __all__ = [
     "EmpiricalMeasure",
     "TransportPlan",
+    "atom_pool",
     "make_empirical",
     "mixture",
     "w1_1d",

@@ -26,7 +26,7 @@ from urcd.measures import (
     EmpiricalMeasure,
     atom_pool,
     make_empirical,
-    mix_pool,
+    mixture,
 )
 from urcd.neural import (
     Mlp,
@@ -68,7 +68,7 @@ class DnmModel:
 
     @cached_property
     def pool(self) -> AtomPool:
-        """The atom measures pooled for ``mix_pool``: built on the first
+        """The atom measures pooled for ``mixture``: built on the first
         prediction and kept with the model."""
         return atom_pool(self.atoms)
 
@@ -103,10 +103,9 @@ def predict_weights(model: DnmModel, x) -> np.ndarray:
 
 
 def dnm_predict(model: DnmModel, x) -> EmpiricalMeasure:
-    """Softmax-weighted mixture of the atom measures at input x.
-
-    The same ``mixture`` arithmetic, over the model's cached atom pool."""
-    return mix_pool(predict_weights(model, x), model.pool)
+    """Softmax-weighted mixture of the atom measures at input x, over the
+    model's cached atom pool."""
+    return mixture(predict_weights(model, x), model.pool)
 
 
 def n_epsilon_raw(p: RateParams, eps: float) -> float:

@@ -361,7 +361,8 @@ def _forked(n_procs: int, work: Callable) -> list:
     A child inherits what it needs through the fork and pickles its result
     back once, on a pipe of its own.  Every child is reaped before this
     returns or raises; an error or interrupt here kills the children
-    first."""
+    first.  A pipe or fork that fails raises RuntimeError tagged
+    ``[fork]``."""
     import ctypes     # imported here: `import urcd.cli` does not load them
     import signal
 
@@ -369,13 +370,16 @@ def _forked(n_procs: int, work: Callable) -> list:
     running = {}     # pid -> the read end of its result pipe
     try:
         for r in range(1, n_procs):
-            out, out_w = os.pipe()
             try:
-                pid = os.fork()
-            except BaseException:
-                os.close(out)
-                os.close(out_w)
-                raise
+                out, out_w = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(out)
+                    os.close(out_w)
+                    raise
+            except OSError as exc:
+                raise RuntimeError(f"[fork] {exc}") from exc
             if pid == 0:
                 status = 1
                 try:

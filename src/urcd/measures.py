@@ -21,10 +21,11 @@ assignment problem, which ``w1_exact`` hands to
 ``scipy.optimize.linear_sum_assignment`` instead.
 
 A 1-D W1 is a sweep over the merged sorted atoms of its two measures.
-Each measure sorts its atoms once, on first use (``line_view``), and a
-mixture of a fixed family of measures (a model's atom measures) takes its
-sorted order from their pool (``atom_pool``, ``mix_pool``), so scoring a
-prediction against a reference merges two sorted runs and sorts nothing.
+Each measure sorts its atoms once, on first use (``line_view``).
+``mixture`` mixes a fixed family of measures (a model's atom measures)
+over their ``atom_pool``, which sorts the pooled atoms once; a 1-D mixture
+takes its sorted order from the pool, so scoring a prediction against a
+reference merges two sorted runs and sorts nothing.
 
 All functions here are pure: they never mutate their inputs and are safe to
 call concurrently.  The only state is the sort cache of ``line_view``: it
@@ -75,7 +76,7 @@ class EmpiricalMeasure:
         weights: a stable argsort, so tied atoms keep their index order.
 
         Sorted on first use and kept on the measure (``w1_1d`` reads it).
-        ``mix_pool`` hands its mixtures this view ready-made."""
+        ``mixture`` hands its mixtures this view ready-made."""
         return _sorted_view(self, np.argsort(self.atoms[:, 0], kind="stable"))
 
 
@@ -488,7 +489,7 @@ class AtomPool:
 
 
 def atom_pool(measures) -> AtomPool:
-    """Pool measures that share an ambient dimension (see ``mix_pool``)."""
+    """Pool measures that share an ambient dimension (see ``mixture``)."""
     measures = list(measures)
     dims = {m.dim for m in measures}
     if len(dims) != 1:
@@ -501,7 +502,7 @@ def atom_pool(measures) -> AtomPool:
                     order=order)
 
 
-def mix_pool(beta, pool: AtomPool) -> EmpiricalMeasure:
+def mixture(beta, pool: AtomPool) -> EmpiricalMeasure:
     """Convex combination sum_n beta_n * mu_n of the pooled measures.
 
     Atom j of measure n enters with weight beta_n * w_nj, in pool order;
@@ -525,12 +526,6 @@ def mix_pool(beta, pool: AtomPool) -> EmpiricalMeasure:
         # seeds the cache of the (frozen) measure's cached_property
         mix.__dict__["line_view"] = _sorted_view(mix, order)
     return mix
-
-
-def mixture(beta, measures) -> EmpiricalMeasure:
-    """Convex combination sum_n beta_n * mu_n of empirical measures
-    (``mix_pool`` over their ``atom_pool``)."""
-    return mix_pool(beta, atom_pool(measures))
 
 
 def w1_cost(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:

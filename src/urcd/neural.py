@@ -8,9 +8,9 @@ componentwise after every affine layer except the last one.
 ``fit_epochs`` is the one minibatch-Adam loop: it trains one network, so
 other modules train the same networks under their own losses.
 ``cross_entropy_grad`` takes a batch as an input array and a one-hot label
-array, so a trainer builds both once per fit and passes row slices;
-``cross_entropy_grad_only`` skips its loss, and ``mean_nll`` is that loss
-alone, for a loss that needs no gradient.
+array, so a trainer builds both once per fit and passes row slices; it
+returns the gradient alone, and ``mean_nll`` of the softmax outputs is
+its loss.
 ``adam_step`` updates the flat vector and its two moment vectors
 elementwise in place, so a step costs a handful of numpy operations
 whatever the depth.  ``NetConfig`` declares the network and optimiser
@@ -186,9 +186,13 @@ def mean_nll(p: np.ndarray, Y: np.ndarray) -> float:
     return float(-(Y * np.log(np.clip(p, 1e-300, None))).sum() / Y.shape[0])
 
 
-def _softmax_grad(net: Mlp, X, Y):
-    """Softmax outputs on X, and the flat gradient of their mean negative
-    log-likelihood under the one-hot labels Y."""
+def cross_entropy_grad(net: Mlp, X, Y) -> np.ndarray:
+    """Flat gradient of the mean negative log-likelihood of softmax outputs
+    (``mean_nll``) under one-hot labels.
+
+    X : (n, d_in) inputs; Y : (n, d_out) one-hot labels, whose length must
+    equal the network output dimension.
+    """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.shape[0] == 0:
@@ -198,24 +202,7 @@ def _softmax_grad(net: Mlp, X, Y):
     if Y.shape[0] != X.shape[0]:
         raise ValueError("inputs and labels must have the same number of rows")
     logits, pre, post = forward_cache(net, X)
-    p = softmax(logits)
-    return p, backprop(net, pre, post, (p - Y) / X.shape[0])
-
-
-def cross_entropy_grad(net: Mlp, X, Y):
-    """Mean negative log-likelihood of softmax outputs, with its gradient.
-
-    X : (n, d_in) inputs; Y : (n, d_out) one-hot labels, whose length must
-    equal the network output dimension.  Returns (loss, flat gradient).
-    """
-    p, grad = _softmax_grad(net, X, Y)
-    return mean_nll(p, Y), grad
-
-
-def cross_entropy_grad_only(net: Mlp, X, Y) -> np.ndarray:
-    """``cross_entropy_grad``'s flat gradient alone, for a trainer that
-    does not read the loss."""
-    return _softmax_grad(net, X, Y)[1]
+    return backprop(net, pre, post, (softmax(logits) - Y) / X.shape[0])
 
 
 def adam_step(params: np.ndarray, m: np.ndarray, v: np.ndarray,

@@ -23,7 +23,7 @@ from urcd.dnm import DnmModel
 from urcd.measures import make_empirical
 from urcd.neural import (
     NetConfig,
-    cross_entropy_grad_only,
+    cross_entropy_grad,
     fit_epochs,
     forward_cache,
     init_mlp,
@@ -167,7 +167,7 @@ def train_dnm(data: Dataset, n_centers: int, cfg: NetConfig = NetConfig(),
         # moments stay +0 and each step subtracts +0: fit_epochs would
         # return this network unchanged, so it is not called.
         def loss_grad(net, rows):
-            return cross_entropy_grad_only(net, inputs[rows], labels[rows])
+            return cross_entropy_grad(net, inputs[rows], labels[rows])
 
         net = fit_epochs(net, loss_grad, len(inputs), cfg, rng)
 

@@ -11,7 +11,7 @@ from urcd.baselines import VARIANCE_FLOOR, GaussianMixture
 from urcd.dnm import DnmModel, dnm_predict
 from urcd.harness import CSV_HEADER, Metrics
 from urcd.measures import EmpiricalMeasure, mixture, w1_cost
-from urcd.neural import Mlp, cross_entropy_grad
+from urcd.neural import Mlp, cross_entropy_grad, forward_cache, mean_nll, softmax
 
 
 def measures_equal(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
@@ -38,12 +38,12 @@ def grad_check(net: Mlp, batch, h: float = 1e-5) -> float:
         raise ValueError("batch must be non-empty")
     X = np.array([np.asarray(x, dtype=float) for x, _ in batch])
     Y = np.array([np.asarray(y, dtype=float) for _, y in batch])
-    _, grad = cross_entropy_grad(net, X, Y)
+    grad = cross_entropy_grad(net, X, Y)
 
     def loss_at(idx, step):
         bumped = dataclasses.replace(net)
         bumped.params[idx] += step
-        return cross_entropy_grad(bumped, X, Y)[0]
+        return mean_nll(softmax(forward_cache(bumped, X)[0]), Y)
 
     worst = 0.0
     for idx, a in enumerate(grad):
@@ -108,7 +108,7 @@ def projection_slack(model: DnmModel, targets, grid_resolution: int):
 
     sup_error = max(w1_cost(dnm_predict(model, x), f_x) for x, f_x in targets)
 
-    grid_measures = [mixture(beta, model.atoms)
+    grid_measures = [mixture(beta, model.pool)
                      for beta in _simplex_grid(n, grid_resolution)]
     sup_hull = max(min(w1_cost(g, f_x) for g in grid_measures)
                    for _, f_x in targets)

@@ -23,6 +23,7 @@ from urcd.dnm import (
 )
 from urcd.harness import HarnessConfig, bca_interval, run_experiment
 from urcd.measures import (
+    atom_pool,
     make_empirical,
     mixture,
     w1_1d,
@@ -83,7 +84,8 @@ def test_criterion_2_metric_axioms_and_mixture_lipschitz():
         n = int(rng.integers(2, 5))
         ms = [_random_measure(rng, max_atoms=4, dim=2) for _ in range(n)]
         beta, gamma = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
-        d = w1_exact(mixture(beta, ms), mixture(gamma, ms)).cost
+        pool = atom_pool(ms)
+        d = w1_exact(mixture(beta, pool), mixture(gamma, pool)).cost
         worst_lip = max(worst_lip,
                         d - 2 * math.sqrt(n) * np.linalg.norm(beta - gamma))
     ok = worst_axiom < 1e-8 and worst_lip < 1e-8
@@ -161,12 +163,12 @@ def test_criterion_5_hull_projection_property():
     eps = 0.2
     resolution = 400
     slack = 2 * (2 * math.sqrt(2) / resolution)
-    base = [make_empirical([(0.0,)]), make_empirical([(1.0,)])]
+    pool = atom_pool([make_empirical([(0.0,)]), make_empirical([(1.0,)])])
     failures = []
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
         xs = np.sort(rng.uniform(0, 1, size=14))
-        entries = [(np.array([x]), mixture((1 - float(x), float(x)), base))
+        entries = [(np.array([x]), mixture((1 - float(x), float(x)), pool))
                    for x in xs]
         data = build_dataset(entries, train_idx=range(len(xs)), test_idx=())
         model, _ = train_dnm(data, 2, NetConfig(

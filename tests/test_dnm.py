@@ -131,7 +131,7 @@ def test_projection_slack_grid_refinement():
     atoms = [make_empirical(rng.uniform(-1, 1, size=(3, 1))) for _ in range(2)]
     model = _model(atoms, classifier=init_mlp([1, 4, 2], rng=rng))
     targets = [(rng.uniform(-1, 1, size=1),
-                mixture(rng.dirichlet(np.ones(2)), atoms)) for _ in range(3)]
+                mixture(rng.dirichlet(np.ones(2)), model.pool)) for _ in range(3)]
     _, coarse = projection_slack(model, targets, grid_resolution=1000)
     _, fine = projection_slack(model, targets, grid_resolution=4000)
     assert abs(coarse - fine) <= 2 * (2 * math.sqrt(2) / 1000)

@@ -376,7 +376,9 @@ def test_failed_fork_closes_its_pipe(tmp_path, monkeypatch, capsys):
     fds = len(os.listdir("/proc/self/fd"))
     for _ in range(3):
         assert _experiment(tmp_path) == 3
-        assert "Resource temporarily unavailable" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("failed: [fork] ")
+        assert "Resource temporarily unavailable" in err
     assert len(os.listdir("/proc/self/fd")) == fds
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from urcd.measures import make_empirical, mixture, w1_1d, w1_exact
+from urcd.measures import atom_pool, make_empirical, mixture, w1_1d, w1_exact
 
 from diagnostics import measures_equal
 from lp_oracle import lp_oracle
@@ -204,12 +204,13 @@ def test_w1_1d_requires_dim_one():
 def test_mixture_degenerate_returns_component():
     mu = make_empirical([(0.0,), (1.0,)], (0.25, 0.75))
     nu = make_empirical([(5.0,)])
-    mix = mixture((1.0, 0.0), [mu, nu])
+    mix = mixture((1.0, 0.0), atom_pool([mu, nu]))
     assert measures_equal(mix, mu)
 
 
 def test_mixture_of_diracs_is_uniform():
-    mix = mixture((0.5, 0.5), [make_empirical([(0.0,)]), make_empirical([(1.0,)])])
+    mix = mixture((0.5, 0.5), atom_pool([make_empirical([(0.0,)]),
+                                         make_empirical([(1.0,)])]))
     uniform = make_empirical([(0.0,), (1.0,)])
     assert measures_equal(mix, uniform)
 
@@ -224,7 +225,7 @@ def test_mixture_integral_linearity():
         def g(y):
             return float(coef @ y + np.sin(y[0]))
 
-        mix = mixture(beta, ms)
+        mix = mixture(beta, atom_pool(ms))
         lhs = mix.weights @ [g(a) for a in mix.atoms]
         rhs = sum(b * (m.weights @ [g(a) for a in m.atoms])
                   for b, m in zip(beta, ms))
@@ -239,5 +240,6 @@ def test_mixture_lipschitz_bound():
         ms = [random_measure(rng, max_atoms=4, dim=2) for _ in range(n)]
         beta = rng.dirichlet(np.ones(n))
         gamma = rng.dirichlet(np.ones(n))
-        d = w1_exact(mixture(beta, ms), mixture(gamma, ms)).cost
+        pool = atom_pool(ms)
+        d = w1_exact(mixture(beta, pool), mixture(gamma, pool)).cost
         assert d <= 2 * np.sqrt(n) * np.linalg.norm(beta - gamma) + 1e-8

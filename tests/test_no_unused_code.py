@@ -2,12 +2,14 @@
 and every public method of its classes, has a caller.
 
 A name counts as used when some code in ``src/`` or ``perfbench/`` other
-than its own definition refers to it: by name, as an attribute, or as a
-string constant (``perfbench/tracer.py`` names what it traces in strings).
-Tests do not count, so code that only its own tests call shows up here,
-and so does a private helper left behind when its last caller goes.  An
-``__all__`` listing calls nothing and does not count either: every export
-of ``urcd`` needs a real caller.
+than its own definition refers to it: by name or as an attribute, or, in
+``src/`` alone, as a string constant.  A string in ``perfbench/`` does not
+count: ``perfbench/tracer.py`` names what it traces in strings, and a name
+it traces still needs a caller in the program.  Tests do not count, so
+code that only its own tests call shows up here, and so does a private
+helper left behind when its last caller goes.  An ``__all__`` listing
+calls nothing and does not count either: every export of ``urcd`` needs a
+real caller.
 
 Every module-level import in ``src/urcd`` is read by its module, too.
 """
@@ -20,15 +22,16 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "urcd"
 
 
-def _references(node) -> Counter:
-    """How often each name is referred to anywhere under node."""
+def _references(node, strings: bool = True) -> Counter:
+    """How often each name is referred to anywhere under node, string
+    constants included when ``strings`` is set."""
     found = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             found[n.id] += 1
         elif isinstance(n, ast.Attribute):
             found[n.attr] += 1
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
             found[n.value] += 1
     return found
 
@@ -40,11 +43,12 @@ def _is_export_list(node) -> bool:
 
 def _unused(definitions) -> list:
     """The (path, node) definitions nothing outside them refers to."""
-    trees = [ast.parse(path.read_text())
-             for folder in (ROOT / "src", ROOT / "perfbench")
-             for path in sorted(folder.rglob("*.py"))]
-    everywhere = sum((_references(node) for tree in trees for node in tree.body
-                      if not _is_export_list(node)), Counter())
+    trees = [(ast.parse(path.read_text()), folder == "src")
+             for folder in ("src", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    everywhere = sum((_references(node, strings) for tree, strings in trees
+                      for node in tree.body if not _is_export_list(node)),
+                     Counter())
     # references inside the definition itself (recursion) do not count
     return [f"{path.name}:{node.lineno} {node.name}"
             for path, node in definitions

@@ -1,9 +1,10 @@
 """1-D W1 over presorted measures, and mixtures over a model's atom pool,
 give bit for bit what sorting the concatenation and mixing afresh gave.
 
-``_w1_1d_sorting_union`` and ``_mixture_concatenating`` are copies of the
-former ``measures.w1_1d`` and ``measures.mixture``; every comparison with
-them is ``==`` (or equal bytes), never a tolerance.
+``_w1_1d_sorting_union`` and ``_mixture_concatenating`` copy earlier
+versions of ``measures.w1_1d`` and ``measures.mixture``, which sorted the
+union of each pair and concatenated the atom measures on every call; every
+comparison with them is ``==`` (or equal bytes), never a tolerance.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urcd.dnm import DnmModel, dnm_predict, predict_weights
-from urcd.measures import check_simplex, make_empirical, mixture, w1_1d
+from urcd.measures import atom_pool, check_simplex, make_empirical, mixture, w1_1d
 from urcd.neural import Mlp
 
 
@@ -144,7 +145,7 @@ def _check_prediction(model, x, reference):
     assert _same_bits(pred.atoms, expected.atoms)      # same atoms, same order
     assert _same_bits(pred.weights, expected.weights)
     assert _same_bits(pred.mean(), expected.mean())
-    mixed = mixture(beta, model.atoms)
+    mixed = mixture(beta, atom_pool(model.atoms))
     assert _same_bits(mixed.atoms, expected.atoms)
     assert _same_bits(mixed.weights, expected.weights)
     if model.output_dim == 1:

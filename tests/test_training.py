@@ -192,7 +192,7 @@ def _train_dnm_full_loop(data, n_centers, cfg, seed):
                    activation=cfg.activation, rng=rng)
 
     def loss_grad(net, rows):
-        return cross_entropy_grad(net, inputs[rows], labels[rows])[1]
+        return cross_entropy_grad(net, inputs[rows], labels[rows])
 
     net = fit_epochs(net, loss_grad, len(inputs), cfg, rng)
     logits, _, _ = forward_cache(net, inputs)
