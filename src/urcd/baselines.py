@@ -66,12 +66,6 @@ class GaussianMixture:
 # EM for diagonal Gaussian mixtures
 # ---------------------------------------------------------------------------
 
-def _each(gmm: GaussianMixture, f) -> GaussianMixture:
-    """The mixture with f applied to each of its fields."""
-    return GaussianMixture(weights=f(gmm.weights), means=f(gmm.means),
-                           log_stds=f(gmm.log_stds))
-
-
 def _sum_first(a: np.ndarray) -> np.ndarray:
     """a summed over its first axis in the order numpy sums a contiguous
     row of len(a) values: term by term below 8 terms; from 8 terms numpy
@@ -89,18 +83,15 @@ def em_step(points, gmm: GaussianMixture) -> GaussianMixture:
     points; never decreases a target's log-likelihood.
 
     points (B, n, D); gmm's weights (B, K), means and log-stds (B, K, D).
-    Points (n, D) with one unstacked mixture are a stack of one.  Each pass
-    runs component-major, over (D, K, B, n) arrays, so its rows are n long
-    rather than K.  Every sum keeps the order of a one-target update, so a
-    target's bits do not depend on the stack it sits in: the sums over D
-    and K run in the order of numpy's contiguous sum (``_sum_first``), the
-    means are the same BLAS product on the same (B, n, K) memory, and the
-    sums over the points run term by term (``cumsum``).
+    Each pass runs component-major, over (D, K, B, n) arrays, so its rows
+    are n long rather than K.  Every sum keeps the order of a one-target
+    update, so a target's bits do not depend on the stack it sits in: the
+    sums over D and K run in the order of numpy's contiguous sum
+    (``_sum_first``), the means are the same BLAS product on the same
+    (B, n, K) memory, and the sums over the points run term by term
+    (``cumsum``).
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim == 2:
-        return _each(em_step(points[None], _each(gmm, lambda a: a[None])),
-                     lambda a: a[0])
     _, n, D = points.shape
     K = gmm.weights.shape[1]
     by_dim = points.transpose(2, 0, 1)[:, None]                # (D, 1, B, n)
@@ -135,22 +126,18 @@ def em_step(points, gmm: GaussianMixture) -> GaussianMixture:
                            log_stds=0.5 * np.log(var))
 
 
-def em_fit_gmm(points, n_components: int, iters: int = 50,
-               seed=0) -> GaussianMixture:
+def em_fit_gmm(points, n_components: int, iters: int = 50, *,
+               seed) -> GaussianMixture:
     """Diagonal-covariance GMMs by EM, one per target of a stack, each from
     a seeded data-point initialization.
 
     points (B, n, D) with seed a sequence of B seeds, one per target,
-    returns stacked mixtures (weights (B, K), means and log-stds (B, K, D));
-    points (n, D) with one seed are a stack of one and return one mixture.
-    A target's fit is bit for bit the same in any stack, and the same as
-    on its own.  Each working array of a step is K times the size of the
+    returns stacked mixtures (weights (B, K), means and log-stds (B, K, D)).
+    A target's fit is bit for bit the same in any stack, a stack of one
+    included.  Each working array of a step is K times the size of the
     points, so a caller bounds a stack (``mdn_fit`` by ``EM_CHUNK_CELLS``).
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim == 2:
-        return _each(em_fit_gmm(points[None], n_components, iters, [seed]),
-                     lambda a: a[0])
     B, n, _ = points.shape
     if n_components > n:
         raise ValueError("more components than points")

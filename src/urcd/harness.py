@@ -355,14 +355,15 @@ _PR_SET_PDEATHSIG = 1     # <linux/prctl.h>
 
 def _forked(n_procs: int, work: Callable) -> list:
     """Run ``work(r)`` in forked children r = 1 .. ``n_procs - 1`` and then
-    in this process (r = 0); every result in r order, with a child that
-    exited without one replaced by its exit status (an int).
+    in this process (r = 0); every result in r order.
 
-    A child inherits what it needs through the fork and pickles its result
-    back once, on a pipe of its own.  Every child is reaped before this
-    returns or raises; an error or interrupt here kills the children
-    first.  A pipe or fork that fails raises RuntimeError tagged
-    ``[fork]``."""
+    A child inherits what it needs through the fork and pickles back, once
+    and on a pipe of its own, its result or the Exception ``work`` raised.
+    The first failure raises: this process's own, then the children's in r
+    order, as each is read.  A child that exits without sending either
+    raises RuntimeError tagged ``[fork]``, as does a pipe or fork that
+    fails.  Every child is reaped before this returns or raises; an error
+    or interrupt here kills the children still running first."""
     import ctypes     # imported here: `import urcd.cli` does not load them
     import signal
 
@@ -389,8 +390,12 @@ def _forked(n_procs: int, work: Callable) -> list:
                     # the call has another parent already, and leaves.
                     ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
                     if os.getppid() == parent:
+                        try:
+                            result = work(r)
+                        except Exception as exc:
+                            result = exc
                         with open(out_w, "wb") as fh:
-                            pickle.dump(work(r), fh)
+                            pickle.dump(result, fh)
                         status = 0
                 finally:
                     os._exit(status)
@@ -402,7 +407,13 @@ def _forked(n_procs: int, work: Callable) -> list:
                 payload = fh.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del running[pid]
-            results.append(pickle.loads(payload) if code == 0 else code)
+            if code != 0:
+                raise RuntimeError(f"[fork] a forked process exited with "
+                                   f"status {code} before returning its result")
+            result = pickle.loads(payload)
+            if isinstance(result, Exception):
+                raise result
+            results.append(result)
     finally:
         for pid, fh in running.items():
             fh.close()
@@ -416,7 +427,9 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
                   draw: Callable) -> dict:
     """Fit ``names`` in ``n_fit`` processes and score them in ``n_score``,
     this one included; name -> (EvalResult, parameter count, fit seconds,
-    test-prediction seconds), or the RuntimeError its fit or score raised.
+    test-prediction seconds).  A failed fit or score raises, as ``_forked``
+    orders it: this process's first failure, then the children's in fork
+    order.
 
     Phase 1 fits: every process takes the next model index from one pipe,
     filled before the fork.  This process runs ``draw()`` for the (dataset,
@@ -437,64 +450,36 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
         done = {}
         for i in iter(lambda: os.read(jobs, 1), b""):
             name = names[i[0]]
-            try:
-                model, train_time = _fit(name, data, h, seed)
-                if r or n_fit == 1:
-                    done[name] = model, train_time
-                else:
-                    result, test_time = _score(name, model, scored, references,
-                                               h, seed, n_samples)
-                    outcomes[name] = (result, model.parameter_count(),
-                                      train_time, test_time)
-            except RuntimeError as exc:
-                done[name] = exc
+            model, train_time = _fit(name, data, h, seed)
+            if r or n_fit == 1:
+                done[name] = model, train_time
+            else:
+                result, test_time = _score(name, model, scored, references,
+                                           h, seed, n_samples)
+                outcomes[name] = (result, model.parameter_count(),
+                                  train_time, test_time)
         return done
 
     try:
-        shares = _forked(n_fit, fits)
+        fitted = {name: got for share in _forked(n_fit, fits)
+                  for name, got in share.items()}
     finally:
         os.close(jobs)
-    fitted, exited = {}, []
-    for share in shares:
-        if isinstance(share, int):
-            exited.append(str(share))
-            continue
-        for name, got in share.items():
-            (outcomes if isinstance(got, RuntimeError) else fitted)[name] = got
     if fitted:
         scored, references = draw()
 
         def scores(r):
             stride = _Stride(scored.entries, scored.train_idx[r::n_score],
                              scored.test_idx[r::n_score])
-            done = []
-            for name, (model, _) in fitted.items():
-                try:
-                    done.append(_score(name, model, stride, references, h,
-                                       seed, n_samples))
-                except RuntimeError as exc:
-                    done.append(exc)
-            return done
+            return [_score(name, model, stride, references, h, seed, n_samples)
+                    for name, (model, _) in fitted.items()]
 
         strides = _forked(n_score, scores)
         for k, (name, (model, train_time)) in enumerate(fitted.items()):
-            parts = [part if isinstance(part, int) else part[k]
-                     for part in strides]
-            failed = next((p for p in parts if not isinstance(p, tuple)), None)
-            if failed is None:
-                outcomes[name] = (_interleaved([p[0] for p in parts]),
-                                  model.parameter_count(), train_time,
-                                  sum(p[1] for p in parts))
-            elif isinstance(failed, int):
-                outcomes[name] = RuntimeError(
-                    f"[eval:{name}] its scoring process exited with status "
-                    f"{failed} before returning the scores")
-            else:
-                outcomes[name] = failed
-    lost = (f"its fitting process exited with status {', '.join(exited)} "
-            f"before returning the model")
-    return {name: outcomes.get(name, RuntimeError(f"[train:{name}] {lost}"))
-            for name in names}
+            results, test_times = zip(*(share[k] for share in strides))
+            outcomes[name] = (_interleaved(results), model.parameter_count(),
+                              train_time, sum(test_times))
+    return outcomes
 
 
 def _split_interval(samples, h: HarnessConfig, seed):
@@ -520,8 +505,13 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
     report has the same bytes either way; with ``timings``, ``Train_Time``
     and the test predictions are timed in the process that ran them, a
     strided model's test time being the sum of its strides'.  Bootstrap
-    and report stay in this process, in model order, and a failure is
-    raised as the serial loop would raise it.
+    and report stay in this process, in model order.
+
+    A run raises the first failure it meets.  In one process that is the
+    first failing fit in model order, or else the first failing score;
+    with forks, this process's own failure comes first, then the
+    children's in fork order, and a child that dies without a result
+    raises RuntimeError tagged ``[fork]``.
     """
     h = harness or HarnessConfig()
     models = list(dict.fromkeys(models))    # keep order, drop duplicates
@@ -579,8 +569,6 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
                 n_par=0, train_time=0.0,
                 test_time_ratio=1.0 if h.timings else 0.0)))
             continue
-        if isinstance(outcomes[name], Exception):
-            raise outcomes[name]
         result, n_par, train_time, test_time = outcomes[name]
         w1_point, w1_samples = result.worst_w1()
         m_point, m_samples = result.worst_m()

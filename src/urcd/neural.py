@@ -103,6 +103,11 @@ class NetConfig:
             raise ValueError("epochs and learning_rate must be positive")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be positive when given")
+        if any(width < 1 for width in self.hidden_dims):
+            raise ValueError(f"hidden layer widths must be positive, not "
+                             f"{tuple(self.hidden_dims)}")
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 def init_mlp(layer_dims, activation: str = "relu",

@@ -37,10 +37,16 @@ def _dataset_from(fn_mean, rng, n=30, s=50, noise=0.2, d=1):
 # EM
 # ---------------------------------------------------------------------------
 
+def _first(gmm: GaussianMixture) -> GaussianMixture:
+    """The first mixture of a stack."""
+    return GaussianMixture(weights=gmm.weights[0], means=gmm.means[0],
+                           log_stds=gmm.log_stds[0])
+
+
 def test_em_single_component_closed_form():
     rng = np.random.default_rng(0)
     pts = rng.normal(2.0, 1.5, size=(200, 2))
-    gmm = em_fit_gmm(pts, 1, iters=3, seed=0)
+    gmm = _first(em_fit_gmm(pts[None], 1, iters=3, seed=[0]))
     assert np.allclose(gmm.means[0], pts.mean(axis=0), atol=1e-12)
     assert np.allclose(np.exp(2 * gmm.log_stds[0]), pts.var(axis=0), atol=1e-12)
     assert gmm.weights[0] == 1.0
@@ -50,7 +56,7 @@ def test_em_two_blobs():
     rng = np.random.default_rng(1)
     pts = np.concatenate([rng.normal(-10, 0.5, size=(60, 1)),
                           rng.normal(10, 0.5, size=(60, 1))])
-    gmm = em_fit_gmm(pts, 2, iters=100, seed=3)
+    gmm = _first(em_fit_gmm(pts[None], 2, iters=100, seed=[3]))
     means = np.sort(gmm.means[:, 0])
     assert abs(means[0] + 10) < 0.1
     assert abs(means[1] - 10) < 0.1
@@ -59,18 +65,18 @@ def test_em_two_blobs():
 def test_em_log_likelihood_monotone():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(80, 2)) * np.array([1.0, 3.0]) + np.array([0.0, 5.0])
-    gmm = em_fit_gmm(pts, 3, iters=1, seed=1)
-    ll = gmm_log_likelihood(gmm, pts)
+    gmm = em_fit_gmm(pts[None], 3, iters=1, seed=[1])
+    ll = gmm_log_likelihood(_first(gmm), pts)
     for _ in range(40):
-        gmm = em_step(pts, gmm)
-        new_ll = gmm_log_likelihood(gmm, pts)
+        gmm = em_step(pts[None], gmm)
+        new_ll = gmm_log_likelihood(_first(gmm), pts)
         assert new_ll >= ll - 1e-8
         ll = new_ll
 
 
 def test_em_rejects_too_many_components():
     with pytest.raises(ValueError):
-        em_fit_gmm(np.zeros((3, 1)), 4)
+        em_fit_gmm(np.zeros((1, 3, 1)), 4, seed=[0])
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,10 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
                   "--bootstrap", "200", "--report", str(tmp_path / "r.csv")]
     assert main(experiment + ["--epochs", "0"]) == 2
     assert main(experiment + ["--lr", "0"]) == 2
+    for bad in (["--hidden", "0,4"], ["--hidden=-3"]):
+        assert main(experiment + bad) == 2
+        assert ("error: hidden layer widths must be positive"
+                in capsys.readouterr().err)
     # a switch whose config text is not a boolean word, not read as off
     config = tmp_path / "switch.cfg"
     for text in ("ture", "2", "y"):

@@ -20,12 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import urcd.baselines as baselines
-from urcd.baselines import EM_ITERS, _mdn_targets, em_fit_gmm, em_step, mdn_fit
+from urcd.baselines import EM_ITERS, _mdn_targets, em_fit_gmm, mdn_fit
 from urcd.measures import make_empirical
 from urcd.neural import NetConfig
 from urcd.training import build_dataset
 
-from diagnostics import em_fit_one, em_step_one
+from diagnostics import em_fit_one
 
 FIELDS = ("weights", "means", "log_stds")
 
@@ -63,18 +63,6 @@ def test_stacked_em_matches_one_target_loop(case, iters):
         one = em_fit_one(target, k, iters, seed)
         for field in FIELDS:
             assert np.array_equal(getattr(stacked, field)[b], getattr(one, field))
-
-
-@settings(max_examples=20)
-@given(_stack())
-def test_two_dimensional_points_are_a_stack_of_one(case):
-    points, k, seeds = case
-    fit = em_fit_gmm(points[0], k, iters=3, seed=seeds[0])
-    step = em_step(points[0], fit)
-    for got, want in ((fit, em_fit_one(points[0], k, 3, seeds[0])),
-                      (step, em_step_one(points[0], fit))):
-        for field in FIELDS:
-            assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def _mdn_targets_one_by_one(data, k: int, seed: int):

@@ -1,9 +1,13 @@
 """``run_experiment`` fits long models in forked processes and scores
 models in strides across the usable CPUs: the reports keep their bytes,
-failures surface as in the serial loop, and no child outlives a run in
-either phase (``conftest`` checks that after every test), nor its
-parent."""
+and a fit or score that fails in any process raises its own tagged error.
+A failing run stops at once, the main process's failure first and then the
+children's in fork order; a child that dies without a result fails tagged
+``[fork]``.  No child outlives a run in either phase (``conftest`` checks
+that after every test), nor its parent, and no failing run leaves a file
+descriptor open (``_fds_unchanged``)."""
 
+import contextlib
 import dataclasses
 import os
 import select
@@ -34,6 +38,15 @@ GEN_2D = GeneratorConfig(task="mc_dropout", d=2, D=2, size=12, S=20,
 SHORT_2D = HarnessConfig(n_centers=5, hidden_dims=(4,), epochs=50, n_test=12,
                          bootstrap_b=200)
 MODELS_2D = ["dnm", "const", "mean"]
+
+
+@contextlib.contextmanager
+def _fds_unchanged():
+    """Asserts that the block leaves this process as many open file
+    descriptors as it found."""
+    fds = len(os.listdir("/proc/self/fd"))
+    yield
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def _cpus(monkeypatch, n):
@@ -331,19 +344,59 @@ def test_fit_raising_in_a_child_fails_as_in_the_serial_loop(
         raise ValueError("math domain error")
 
     _in_a_child(monkeypatch, tmp_path, boom)
-    assert _experiment(tmp_path) == 3
+    with _fds_unchanged():
+        assert _experiment(tmp_path) == 3
     err = capsys.readouterr().err
     assert ("[train:dnm] math domain error" in err
             or "[train:mean] math domain error" in err), err
 
 
-def test_child_exiting_without_a_result_names_its_model(
-        tmp_path, monkeypatch, capsys):
-    _in_a_child(monkeypatch, tmp_path, lambda: os._exit(1))
-    assert _experiment(tmp_path) == 3
+def test_failing_fit_here_stops_the_run_at_once(tmp_path, monkeypatch, capsys):
+    def boom():
+        raise ValueError("math domain error")
+
+    # the child would sleep far longer than the test may take
+    _in_a_child(monkeypatch, tmp_path, lambda: time.sleep(600), boom)
+    t0 = time.monotonic()
+    with _fds_unchanged():
+        assert _experiment(tmp_path) == 3
+    assert time.monotonic() - t0 < 60.0
     err = capsys.readouterr().err
-    assert ("[train:dnm] its fitting process exited with status 1" in err
-            or "[train:mean] its fitting process exited with status 1" in err), err
+    assert ("[train:dnm] math domain error" in err
+            or "[train:mean] math domain error" in err), err
+
+
+def _assert_lost_process(err):
+    assert "failed: [fork] a forked process exited with status 1" in err, err
+    assert "[train:" not in err and "[eval:" not in err, err
+
+
+def test_child_exiting_while_fitting_fails_as_a_lost_process(
+        tmp_path, monkeypatch, capsys):
+    # the child fits one model and exits on its next one; this process
+    # draws its references only then, so the child has taken both models
+    parent, lost = os.getpid(), tmp_path / "child-lost"
+    fit, references = harness._fit, harness.oracle_references
+    fitted = []
+
+    def fit_once(*args):
+        if os.getpid() != parent and fitted:
+            lost.touch()
+            os._exit(1)
+        fitted.append(args[0])
+        return fit(*args)
+
+    def waiting(*args, **kwargs):
+        _wait_for(lost)
+        return references(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_fit", fit_once)
+    monkeypatch.setattr(harness, "oracle_references", waiting)
+    _cpus(monkeypatch, 2)
+    with _fds_unchanged():
+        assert _experiment(tmp_path) == 3
+    assert lost.exists()
+    _assert_lost_process(capsys.readouterr().err)
 
 
 def test_score_raising_in_a_child_fails_as_in_the_serial_loop(
@@ -352,19 +405,19 @@ def test_score_raising_in_a_child_fails_as_in_the_serial_loop(
         raise ValueError("math domain error")
 
     _scoring_in_a_child(monkeypatch, tmp_path, boom)
-    assert _experiment(tmp_path) == 3
+    with _fds_unchanged():
+        assert _experiment(tmp_path) == 3
     err = capsys.readouterr().err
     assert ("[eval:dnm] math domain error" in err
             or "[eval:mean] math domain error" in err), err
 
 
-def test_child_exiting_while_scoring_names_its_model(
+def test_child_exiting_while_scoring_fails_as_a_lost_process(
         tmp_path, monkeypatch, capsys):
     _scoring_in_a_child(monkeypatch, tmp_path, lambda: os._exit(1))
-    assert _experiment(tmp_path) == 3
-    err = capsys.readouterr().err
-    assert ("[eval:dnm] its scoring process exited with status 1" in err
-            or "[eval:mean] its scoring process exited with status 1" in err), err
+    with _fds_unchanged():
+        assert _experiment(tmp_path) == 3
+    _assert_lost_process(capsys.readouterr().err)
 
 
 def test_failed_fork_closes_its_pipe(tmp_path, monkeypatch, capsys):
@@ -373,13 +426,12 @@ def test_failed_fork_closes_its_pipe(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(os, "fork", no_fork)
     _cpus(monkeypatch, 2)
-    fds = len(os.listdir("/proc/self/fd"))
-    for _ in range(3):
-        assert _experiment(tmp_path) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("failed: [fork] ")
-        assert "Resource temporarily unavailable" in err
-    assert len(os.listdir("/proc/self/fd")) == fds
+    with _fds_unchanged():
+        for _ in range(3):
+            assert _experiment(tmp_path) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("failed: [fork] ")
+            assert "Resource temporarily unavailable" in err
 
 
 def test_reference_error_while_a_child_fits_fails_as_in_the_serial_loop(
@@ -392,7 +444,8 @@ def test_reference_error_while_a_child_fits_fails_as_in_the_serial_loop(
     _in_a_child(monkeypatch, tmp_path, lambda: time.sleep(600))
     monkeypatch.setattr(harness, "oracle_references", broken)
     t0 = time.monotonic()
-    assert _experiment(tmp_path) == 3
+    with _fds_unchanged():
+        assert _experiment(tmp_path) == 3
     assert time.monotonic() - t0 < 60.0
     assert "[reference] math domain error" in capsys.readouterr().err
 
@@ -404,7 +457,7 @@ def test_interrupted_parent_reaps_its_children(tmp_path, monkeypatch):
     # the child would sleep far longer than the test may take
     _in_a_child(monkeypatch, tmp_path, lambda: time.sleep(600), interrupt)
     t0 = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
+    with _fds_unchanged(), pytest.raises(KeyboardInterrupt):
         run_experiment(GEN, ["dnm", "mean"], seed=3, harness=LONG)
     assert time.monotonic() - t0 < 60.0
 
@@ -429,6 +482,6 @@ def test_interrupt_while_scoring_in_strides_reaps_the_children(
 
     monkeypatch.setattr(harness, "_Stride", interrupted)
     t0 = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
+    with _fds_unchanged(), pytest.raises(KeyboardInterrupt):
         run_experiment(GEN, ["dnm", "mean"], seed=3, harness=LONG)
     assert time.monotonic() - t0 < 60.0
