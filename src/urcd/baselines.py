@@ -227,23 +227,33 @@ def _greedy_match(pred_means, targ_means):
     pred_means, targ_means : (B, K, D).  In each row, repeatedly pairs the
     globally closest unmatched (predicted, target) means; returns perm
     (B, K) with perm[b, k] = index of the target component that predicted
-    component k of row b should regress to.  Each of the K rounds takes,
-    in every row, the first pair in ``np.argsort`` order (default kind, so
-    ties break as a row-by-row sort breaks them) whose two components are
-    both still unmatched.
+    component k of row b should regress to.  Each round takes, in every
+    row, the first pair in ``np.argsort`` order (default kind, so ties
+    break as a row-by-row sort breaks them) whose two components are both
+    still unmatched.  That is sorted position 0 in the first round, and in
+    the last round the one pair left, found by elimination, so only K - 2
+    rounds search.  The distances are ``np.linalg.norm``'s own expression,
+    so they and the order are the same bits.
     """
     B, K, _ = pred_means.shape
-    d = np.linalg.norm(pred_means[:, :, None, :] - targ_means[:, None, :, :],
-                       axis=-1)
+    diff = pred_means[:, :, None, :] - targ_means[:, None, :, :]
+    d = np.sqrt(np.add.reduce(diff * diff, axis=-1))
     pi, tj = np.divmod(np.argsort(d.reshape(B, K * K), axis=-1), K)
-    free = np.ones((B, K * K), dtype=bool)    # sorted pairs still open
     perm = np.empty((B, K), dtype=int)
     rows = np.arange(B)
-    for _ in range(K):
+    i, j = pi[:, 0], tj[:, 0]
+    perm[rows, i] = j
+    # sums of the indices each row has still to match
+    i_left, j_left = K * (K - 1) // 2 - i, K * (K - 1) // 2 - j
+    free = np.ones((B, K * K), dtype=bool)    # sorted pairs still open
+    for _ in range(K - 2):
+        free &= (pi != i[:, None]) & (tj != j[:, None])
         first = free.argmax(axis=1)
         i, j = pi[rows, first], tj[rows, first]
         perm[rows, i] = j
-        free &= (pi != i[:, None]) & (tj != j[:, None])
+        i_left -= i
+        j_left -= j
+    perm[rows, i_left] = j_left
     return perm
 
 

@@ -16,8 +16,11 @@ elementwise in place, so a step costs a handful of numpy operations
 whatever the depth.  ``NetConfig`` declares the network and optimiser
 settings every trainer shares; a trainer takes its seed on its own.
 
-Everything is deterministic: initialization is seeded, and gradients are
-fresh arrays.  Only ``fit_epochs`` writes, and only to its own copy.
+Everything is deterministic: initialization is seeded.  ``backprop``
+writes each layer's gradient into its slice of one new flat vector, and
+scales only the arrays it made itself, so its inputs are left as they
+are.  Of the caller's arrays, ``adam_step`` writes only the parameters
+and moments it is given, and ``fit_epochs`` only its own copy.
 """
 
 from __future__ import annotations
@@ -143,7 +146,8 @@ def forward_cache(net: Mlp, X: np.ndarray):
     pre, post = [], [np.asarray(X, dtype=float)]
     last = len(net.weights) - 1
     for j, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = post[-1] @ w + b
+        z = post[-1] @ w
+        z += b
         pre.append(z)
         post.append(act(z) if j < last else z)
     return post[-1], pre, post
@@ -152,18 +156,25 @@ def forward_cache(net: Mlp, X: np.ndarray):
 def backprop(net: Mlp, pre, post, d_out: np.ndarray) -> np.ndarray:
     """Reverse-mode accumulation from d(loss)/d(output) back to parameters.
 
-    Returns the gradient as one flat vector in ``net.params`` order.
+    Returns the gradient as one new flat vector in ``net.params`` order;
+    each layer's weight and bias gradient is written straight into its
+    slice of it.  The inputs are left as they are.
     """
     _, dact = _ACTIVATIONS[net.activation]
-    layers = len(net.weights)
-    d_weights, d_biases = [None] * layers, [None] * layers
+    grad = np.empty(net.params.size)
+    w_end, b_end = sum(w.size for w in net.weights), grad.size
     delta = d_out
-    for j in range(layers - 1, -1, -1):
-        d_weights[j] = (post[j].T @ delta).ravel()
-        d_biases[j] = delta.sum(axis=0)
+    for j in range(len(net.weights) - 1, -1, -1):
+        w, b = net.weights[j], net.biases[j]
+        np.matmul(post[j].T, delta,
+                  out=grad[w_end - w.size:w_end].reshape(w.shape))
+        np.add.reduce(delta, axis=0, out=grad[b_end - b.size:b_end])
+        w_end -= w.size
+        b_end -= b.size
         if j > 0:
-            delta = (delta @ net.weights[j].T) * dact(pre[j - 1])
-    return np.concatenate(d_weights + d_biases)
+            delta = delta @ w.T         # a fresh array, so scaled in place
+            delta *= dact(pre[j - 1])
+    return grad
 
 
 def mlp_forward(net: Mlp, x) -> np.ndarray:
@@ -179,11 +190,12 @@ def mlp_forward(net: Mlp, x) -> np.ndarray:
 def softmax(v) -> np.ndarray:
     """Numerically stabilized softmax; output sums to 1 within 1e-12."""
     v = np.asarray(v, dtype=float)
-    if v.size < 1 or not np.all(np.isfinite(v)):
+    if v.size < 1 or not np.isfinite(v).all():
         raise ValueError("softmax input must be non-empty and finite")
-    shifted = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = v - v.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def mean_nll(p: np.ndarray, Y: np.ndarray) -> float:
@@ -213,19 +225,37 @@ def cross_entropy_grad(net: Mlp, X, Y) -> np.ndarray:
 def adam_step(params: np.ndarray, m: np.ndarray, v: np.ndarray,
               grad: np.ndarray, t: int, learning_rate: float) -> None:
     """Bias-corrected Adam update number t of the flat vector params by the
-    flat gradient grad, written in place into params and its moments m, v."""
+    flat gradient grad, written in place into params and its moments m, v.
+
+    The step works in two scratch arrays and rounds exactly as the
+    textbook expression ``lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t))
+    + eps)`` does.  Once ``1 - b1**t`` has rounded to 1.0 (from t = 356 on),
+    it multiplies m by the learning rate without the division, which is
+    exact: ``x / 1.0 == x`` in IEEE arithmetic.
+    """
     if np.shape(grad) != params.shape:
         raise ValueError("gradient shape does not match the network")
     if m.shape != params.shape or v.shape != params.shape:
         raise ValueError("optimizer state does not match the network")
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    step = np.multiply(grad, 1 - b1)
     m *= b1
-    m += (1 - b1) * grad
+    m += step
+    denom = np.multiply(grad, 1 - b2)
+    denom *= grad
     v *= b2
-    v += (1 - b2) * grad * grad
-    mhat = m / (1 - b1 ** t)
-    vhat = v / (1 - b2 ** t)
-    params -= learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    v += denom
+    np.divide(v, 1 - b2 ** t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    correction = 1 - b1 ** t
+    if correction == 1.0:
+        np.multiply(m, learning_rate, out=step)
+    else:
+        np.divide(m, correction, out=step)
+        step *= learning_rate
+    step /= denom
+    params -= step
 
 
 def fit_epochs(net: Mlp, loss_grad, n: int, cfg: NetConfig, rng) -> Mlp:
@@ -234,7 +264,9 @@ def fit_epochs(net: Mlp, loss_grad, n: int, cfg: NetConfig, rng) -> Mlp:
     loss_grad(net, rows) returns the flat gradient for the index array rows.
     Adam steps a copy of the given network in place and returns that copy,
     so the network passed in is not written to.  Rows are reshuffled every
-    epoch only when a batch is smaller than n.
+    epoch only when a batch is smaller than n.  Parameters that end
+    non-finite raise RuntimeError; they are checked once, after the last
+    step, so a step pays nothing for it.
     """
     net = dataclasses.replace(net)
     m, v = np.zeros_like(net.params), np.zeros_like(net.params)
@@ -246,6 +278,9 @@ def fit_epochs(net: Mlp, loss_grad, n: int, cfg: NetConfig, rng) -> Mlp:
             grad = loss_grad(net, order[start:start + batch])
             t += 1
             adam_step(net.params, m, v, grad, t, cfg.learning_rate)
+    if not np.isfinite(net.params).all():
+        raise RuntimeError(f"training diverged: non-finite parameters after "
+                           f"{t} Adam steps")
     return net
 
 

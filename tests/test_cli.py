@@ -385,6 +385,19 @@ def test_prediction_failure_on_a_train_point_exits_3(tmp_path, capsys,
     assert "[eval:dnm] math domain error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("model", ["mean", "dgn"])
+def test_diverged_fit_is_a_training_failure(tmp_path, capsys, model):
+    """A regression fit whose parameters overflow fails at its training
+    stage, not later when its predictions are scored."""
+    assert main(["experiment", "--task", "heteroscedastic", "--size", "10",
+                 "--samples", "20", "--models", model, "--epochs", "2",
+                 "--lr", "1e300", "--report", str(tmp_path / "r.csv")]) == 3
+    assert (f"failed: [train:{model}] training diverged: non-finite "
+            f"parameters after" in capsys.readouterr().err)
+
+
 def test_exit_code_3_on_runtime_failure(tmp_path, capsys):
     report = tmp_path / "no_such_dir" / "report.csv"
     code = main(["experiment", "--task", "heteroscedastic", "--d", "1",

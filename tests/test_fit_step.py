@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from urcd.baselines import _greedy_match, _mdn_output_grad
-from urcd.neural import Mlp, NetConfig, adam_step, fit_epochs, softmax
+from urcd.neural import (ADAM_BETA1, Mlp, NetConfig, adam_step, fit_epochs,
+                         softmax)
 
 # ---------------------------------------------------------------------------
 # reference: per-layer Adam
@@ -38,6 +39,8 @@ def _adam_per_layer(params, grads, ms, vs, t, lr, b1=0.9, b2=0.999, eps=1e-8):
 def _net_and_grads(draw):
     dims = draw(st.lists(st.integers(1, 7), min_size=2, max_size=5))
     steps = draw(st.integers(1, 5))
+    # the first step number straddles t = 356, where 1 - b1**t rounds to 1.0
+    first = draw(st.sampled_from([1, *range(350, 361), 1000]))
     seed = draw(st.integers(0, 2**32 - 1))
     lr = draw(st.sampled_from([1e-3, 1e-2, 0.3]))
     rng = np.random.default_rng(seed)
@@ -52,7 +55,7 @@ def _net_and_grads(draw):
               *(rng.normal(size=b.shape) * 10.0 ** rng.integers(-8, 4)
                 for b in net.biases)]
              for _ in range(steps)]
-    return net, grads, lr
+    return net, grads, lr, first
 
 
 def _flat(arrays):
@@ -61,12 +64,12 @@ def _flat(arrays):
 
 @given(_net_and_grads())
 def test_flat_adam_matches_per_layer_update(case):
-    net, grads, lr = case
+    net, grads, lr, first = case
     m, v = np.zeros_like(net.params), np.zeros_like(net.params)
     params = [a.copy() for a in (*net.weights, *net.biases)]
     ms = [np.zeros_like(p) for p in params]
     vs = [np.zeros_like(p) for p in params]
-    for t, g in enumerate(grads, 1):
+    for t, g in enumerate(grads, first):
         adam_step(net.params, m, v, _flat(g), t, lr)
         params, ms, vs = _adam_per_layer(params, g, ms, vs, t, lr)
         assert len(net.weights) == len(net.biases) == len(net.layer_dims) - 1
@@ -76,6 +79,11 @@ def test_flat_adam_matches_per_layer_update(case):
         assert np.array_equal(net.params, _flat(params))
         assert np.array_equal(m, _flat(ms))
         assert np.array_equal(v, _flat(vs))
+
+
+def test_adam_bias_correction_first_rounds_to_one_at_step_356():
+    assert 1 - ADAM_BETA1 ** 355 != 1.0
+    assert 1 - ADAM_BETA1 ** 356 == 1.0
 
 
 @st.composite

@@ -184,8 +184,15 @@ def test_flat_backprop_matches_per_layer_bitwise(seed, n, dims, activation):
     X = rng.normal(scale=2.0, size=(n, dims[0]))
     out, pre, post = forward_cache(net, X)
     d_out = rng.normal(size=out.shape) * 10.0 ** rng.integers(-6, 3)
+    inputs = [d_out, *pre, *post]
+    before = [a.copy() for a in inputs]
     grad = backprop(net, pre, post, d_out)
     assert grad.shape == net.params.shape
+    # backprop scales only arrays of its own: its inputs keep their bits,
+    # and the gradient is a new array
+    assert all(np.array_equal(a.view(np.int64), b.view(np.int64))
+               for a, b in zip(inputs, before))
+    assert not any(np.shares_memory(grad, a) for a in (*inputs, net.params))
     ref = _per_layer_backprop(net, pre, post, d_out)
     assert np.array_equal(grad.view(np.int64), ref.view(np.int64))
 
