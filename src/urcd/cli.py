@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from urcd.datagen import GeneratorConfig, generate
+from urcd.datagen import TASKS, GeneratorConfig, generate
 from urcd.dnm import (
     RateParams,
     dnm_predict,
@@ -77,8 +77,10 @@ _D, _DIM_OUT, _SEED = (_row("--d", "d", int), _row("--dim-out", "D", int),
                        _row("--seed", "seed", int))
 # generator settings, read by gen and experiment
 _GEN = (
+    # each task by its name and, where that differs, with dashes for underscores
     _row("--task", "task", lambda t: t.replace("-", "_"),
-         choices=("heteroscedastic", "mc-dropout", "mc_dropout", "elm", "sde")),
+         choices=tuple(spelling for task in TASKS for spelling in
+                       dict.fromkeys((task.replace("_", "-"), task)))),
     _D, _DIM_OUT, _row("--size", "size", int), _row("--samples -S", "S", int),
     _SEED, _row("--base-depth", "base_depth", int),
     _row("--base-width", "base_width", int),
@@ -214,8 +216,7 @@ def _cmd_eval(args, cfg) -> int:
             f"{args.model} maps R^{dims[0]} to measures on R^{dims[1]}, but "
             f"{args.data} has inputs in R^{data.input_dim} and targets in "
             f"R^{data.output_dim}")
-    res = eval_model(lambda x: dnm_predict(model, x), data,
-                     [target for _, target in data.entries])
+    res = eval_model(lambda x: dnm_predict(model, x), data)
     print("split,points,W1,M")
     for split, w1s, ms in (("train", res.train_w1, res.train_m),
                            ("test", res.test_w1, res.test_m)):

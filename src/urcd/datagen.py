@@ -317,14 +317,14 @@ class ElmSampler:
         return out
 
 
-def _synthetic_return_series(rng, rows: int, n_series: int = 12,
-                             rho: float = 0.1, scale: float = 0.01) -> np.ndarray:
-    """Seeded AR(1) return panel standing in for market data."""
-    r = np.zeros((rows, n_series))
-    innov = rng.normal(0.0, scale, size=(rows, n_series))
+def _synthetic_return_series(rng, rows: int) -> np.ndarray:
+    """Seeded AR(1) return panel standing in for market data: 12 series,
+    coefficient 0.1, normal innovations of standard deviation 0.01."""
+    r = np.zeros((rows, 12))
+    innov = rng.normal(0.0, 0.01, size=(rows, 12))
     r[0] = innov[0]
     for t in range(1, rows):
-        r[t] = rho * r[t - 1] + innov[t]
+        r[t] = 0.1 * r[t - 1] + innov[t]
     return r
 
 

@@ -44,6 +44,7 @@ from urcd.neural import NetConfig
 from urcd.training import Dataset, build_dataset, train_dnm
 
 ZERO_FLOOR = 1e-20   # reported values below this print as 0
+TEST_RADIUS = 0.1    # a ball test point lies this close to a training input
 
 _STREAM_TEST = 104729    # distinct seed-stream tags
 _STREAM_REF = 224737
@@ -61,7 +62,6 @@ class HarnessConfig(NetConfig):
     n_centers: int = 10
     mdn_components: int = 3
     n_test: int = 100
-    test_radius: float = 0.1
     bootstrap_b: int = 1000
     timings: bool = False
 
@@ -69,8 +69,8 @@ class HarnessConfig(NetConfig):
         super().__post_init__()
         if self.n_centers < 1 or self.mdn_components < 1:
             raise ValueError("n_centers and mdn_components must be >= 1")
-        if self.n_test < 0 or self.test_radius < 0:
-            raise ValueError("n_test and test_radius must be >= 0")
+        if self.n_test < 0:
+            raise ValueError("n_test must be >= 0")
         if self.bootstrap_b < 100:
             raise ValueError("bootstrap_b must be at least 100")
 
@@ -98,12 +98,15 @@ class ExperimentReport:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Per-point distances for each split."""
+    """Per-point distances, and the seconds each prediction took, for each
+    split."""
 
     train_w1: tuple
     train_m: tuple
+    train_s: tuple
     test_w1: tuple
     test_m: tuple
+    test_s: tuple
 
     def _worst(self, train_vals, test_vals):
         train_avg = float(np.mean(train_vals)) if train_vals else 0.0
@@ -126,32 +129,34 @@ def _ref_seed(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(seed), _STREAM_REF, int(index)))
 
 
-def oracle_references(data: Dataset, sampler, n_samples: int, seed: int):
-    """Fresh oracle measures, one per dataset entry, shared across models."""
+def oracle_references(points, sampler, n_samples: int, seed: int):
+    """Fresh oracle measures, one per input point; point i draws under its
+    own reference seed, so the draws do not depend on the points after it."""
     return [mc_oracle(sampler, x, n_samples, _ref_seed(seed, i))
-            for i, (x, _) in enumerate(data.entries)]
+            for i, x in enumerate(points)]
 
 
-def eval_model(predict, data: Dataset, references) -> EvalResult:
-    """Score a predictor against reference measures on both splits.
+def eval_model(predict, data: Dataset) -> EvalResult:
+    """Score a predictor on both splits against the measure each point
+    carries, timing each prediction.
 
-    predict    : input point -> EmpiricalMeasure
-    references : one measure per dataset entry (``oracle_references``), so
-                 several models share the same oracle draws
+    predict : input point -> EmpiricalMeasure
+    data    : its targets are the references: fresh oracle draws in
+              ``run_experiment``, a dataset's stored targets in ``urcd eval``
     """
-    per_split = {"train": ([], []), "test": ([], [])}
+    fields = {}
     for split, idx_list in (("train", data.train_idx), ("test", data.test_idx)):
-        w1s, ms = per_split[split]
+        w1s, ms, secs = [], [], []
         for i in idx_list:
-            x, _ = data.entries[i]
+            x, ref = data.entries[i]
+            t0 = time.perf_counter()
             pred = predict(x)
-            ref = references[i]
+            secs.append(time.perf_counter() - t0)
             w1s.append(w1_cost(pred, ref))
             ms.append(float(np.linalg.norm(pred.mean() - ref.mean())))
-    return EvalResult(train_w1=tuple(per_split["train"][0]),
-                      train_m=tuple(per_split["train"][1]),
-                      test_w1=tuple(per_split["test"][0]),
-                      test_m=tuple(per_split["test"][1]))
+        fields.update({f"{split}_w1": tuple(w1s), f"{split}_m": tuple(ms),
+                       f"{split}_s": tuple(secs)})
+    return EvalResult(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -220,33 +225,23 @@ def _pred_seed(seed: int, x: np.ndarray) -> int:
             + zlib.crc32(np.ascontiguousarray(x, dtype=float).tobytes())) % 2 ** 32
 
 
-def _ball_test_inputs(data: Dataset, sampler, n_samples: int, n_test: int,
-                      radius: float, seed: int) -> Dataset:
-    """Extend a train-only dataset with test points drawn uniformly from
-    closed balls around randomly chosen training inputs.
-
-    Each test target is drawn under the reference seed of its index, so it
-    is the very measure ``oracle_references`` would draw for that point.
-    A sampler with a ``project`` method moves each point into its input
-    domain first."""
+def _ball_test_inputs(data: Dataset, sampler, n_test: int, seed: int) -> list:
+    """Test points drawn uniformly from closed balls of radius TEST_RADIUS
+    around randomly chosen training inputs.  A sampler with a ``project``
+    method moves each point into its input domain."""
     project = getattr(sampler, "project", None)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_TEST)))
     train_inputs = data.train_inputs()
     d = train_inputs.shape[1]
-    entries = list(data.entries)
-    test_idx = []
+    points = []
     for _ in range(n_test):
         center = train_inputs[rng.integers(train_inputs.shape[0])]
         direction = rng.standard_normal(d)
         direction /= max(np.linalg.norm(direction), 1e-300)
-        offset = radius * rng.random() ** (1.0 / d) * direction
+        offset = TEST_RADIUS * rng.random() ** (1.0 / d) * direction
         x = center + offset
-        if project is not None:
-            x = project(x)
-        test_idx.append(len(entries))
-        entries.append((x, mc_oracle(sampler, x, n_samples,
-                                     _ref_seed(seed, len(entries)))))
-    return build_dataset(entries, train_idx=data.train_idx, test_idx=test_idx)
+        points.append(x if project is None else project(x))
+    return points
 
 
 class _Model(NamedTuple):
@@ -314,11 +309,9 @@ class _Stride(NamedTuple):
     test_idx: tuple
 
 
-def _score(name: str, model, scored, references, h: HarnessConfig, seed: int,
-           n_samples: int):
+def _score(name: str, model, scored, seed: int, n_samples: int) -> EvalResult:
     """``eval_model`` of ``name``'s model on ``scored`` (a Dataset or a
-    ``_Stride`` of one), and the seconds its test predictions took when
-    ``h.timings`` is set; a failure raises RuntimeError tagged
+    ``_Stride`` of one); a failure raises RuntimeError tagged
     ``[eval:<name>]``."""
     spec = _MODELS[name]
 
@@ -326,13 +319,7 @@ def _score(name: str, model, scored, references, h: HarnessConfig, seed: int,
         return spec.predict(model, x, n_samples, _pred_seed(seed, x))
 
     try:
-        test_time = 0.0
-        if h.timings:
-            t0 = time.perf_counter()
-            for i in scored.test_idx:
-                predict(scored.entries[i][0])
-            test_time = time.perf_counter() - t0
-        return eval_model(predict, scored, references), test_time
+        return eval_model(predict, scored)
     except Exception as exc:
         raise RuntimeError(f"[eval:{name}] {exc}") from exc
 
@@ -426,19 +413,19 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
                   h: HarnessConfig, seed: int, n_samples: int,
                   draw: Callable) -> dict:
     """Fit ``names`` in ``n_fit`` processes and score them in ``n_score``,
-    this one included; name -> (EvalResult, parameter count, fit seconds,
-    test-prediction seconds).  A failed fit or score raises, as ``_forked``
-    orders it: this process's first failure, then the children's in fork
-    order.
+    this one included; name -> (EvalResult, parameter count, fit seconds).
+    A failed fit or score raises, as ``_forked`` orders it: this process's
+    first failure, then the children's in fork order.
 
     Phase 1 fits: every process takes the next model index from one pipe,
-    filled before the fork.  This process runs ``draw()`` for the (dataset,
-    references) pair before it takes any; while children fit, it scores
-    each model it fits at once, and a child only fits and returns its
-    models.  Phase 2 scores every other model in strides: process r scores
-    it on every ``n_score``-th point of each split from the r-th on, and
-    the shares are put back in point order, with their test-prediction
-    times summed.  A phase run in one process does not fork."""
+    filled before the fork.  This process runs ``draw()`` for the scored
+    points, each carrying its reference, before it takes any; while
+    children fit, it scores each model it fits at once, and a child only
+    fits and returns its models.  Phase 2 scores every other model in
+    strides: process r scores it on every ``n_score``-th point of each
+    split from the r-th on, and the shares, prediction times included, are
+    put back in point order.  Each point is scored, and its prediction
+    timed, once.  A phase run in one process does not fork."""
     jobs, jobs_w = os.pipe()
     os.write(jobs_w, bytes(range(len(names))))
     os.close(jobs_w)
@@ -446,7 +433,7 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
 
     def fits(r):
         if r == 0:
-            scored, references = draw()
+            scored = draw()
         done = {}
         for i in iter(lambda: os.read(jobs, 1), b""):
             name = names[i[0]]
@@ -454,10 +441,8 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
             if r or n_fit == 1:
                 done[name] = model, train_time
             else:
-                result, test_time = _score(name, model, scored, references,
-                                           h, seed, n_samples)
-                outcomes[name] = (result, model.parameter_count(),
-                                  train_time, test_time)
+                outcomes[name] = (_score(name, model, scored, seed, n_samples),
+                                  model.parameter_count(), train_time)
         return done
 
     try:
@@ -466,19 +451,18 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
     finally:
         os.close(jobs)
     if fitted:
-        scored, references = draw()
+        scored = draw()
 
         def scores(r):
             stride = _Stride(scored.entries, scored.train_idx[r::n_score],
                              scored.test_idx[r::n_score])
-            return [_score(name, model, stride, references, h, seed, n_samples)
+            return [_score(name, model, stride, seed, n_samples)
                     for name, (model, _) in fitted.items()]
 
         strides = _forked(n_score, scores)
         for k, (name, (model, train_time)) in enumerate(fitted.items()):
-            results, test_times = zip(*(share[k] for share in strides))
-            outcomes[name] = (_interleaved(results), model.parameter_count(),
-                              train_time, sum(test_times))
+            outcomes[name] = (_interleaved([share[k] for share in strides]),
+                              model.parameter_count(), train_time)
     return outcomes
 
 
@@ -496,16 +480,23 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
     the metrics table.  The oracle row is always present, with W1 = M = 0
     by definition (it is the reference the others are scored against).
 
+    The scored points are the training points and the task's test split,
+    or else ``n_test`` points in balls around training inputs; each
+    carries a fresh oracle draw, from one ``oracle_references`` call, that
+    every model is scored against once.
+
     On Linux, with more than one usable CPU, the work runs in forked
     processes, this one included (``_in_processes``).  The fits fork right
     after ``generate`` with two or more models besides the oracle, one of
     which trains ``_PARALLEL_MIN_ROWS`` rows or more (epochs times the
     training-set size); the scoring always runs in strides of the points,
     one per usable CPU.  Each fit and score is seeded on its own, so the
-    report has the same bytes either way; with ``timings``, ``Train_Time``
-    and the test predictions are timed in the process that ran them, a
-    strided model's test time being the sum of its strides'.  Bootstrap
-    and report stay in this process, in model order.
+    report has the same bytes either way.  With ``timings``,
+    ``Train_Time`` is the fit's seconds and ``Test_Time_Ratio`` the
+    model's test-prediction seconds, timed as it is scored and summed over
+    its strides, over the seconds of one oracle draw pass over the test
+    points; each is timed in the process that ran it.  Bootstrap and
+    report stay in this process, in model order.
 
     A run raises the first failure it meets.  In one process that is the
     first failing fit in model order, or else the first failing score;
@@ -532,15 +523,15 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
 
     @functools.cache
     def draw():
+        points, test_idx = [x for x, _ in data.entries], data.test_idx
         try:
-            references = oracle_references(data, sampler, gen_cfg.S, seed)
-            if data.test_idx:
-                return data, references
-            scored = _ball_test_inputs(data, sampler, gen_cfg.S, h.n_test,
-                                       h.test_radius, seed)
+            if not test_idx:
+                test_idx = range(len(points), len(points) + h.n_test)
+                points += _ball_test_inputs(data, sampler, h.n_test, seed)
+            references = oracle_references(points, sampler, gen_cfg.S, seed)
         except (ValueError, ArithmeticError) as exc:
             raise RuntimeError(f"[reference] {exc}") from exc
-        return scored, references + [target for _, target in scored.test_entries()]
+        return build_dataset(zip(points, references), data.train_idx, test_idx)
 
     names = [name for name in models if _MODELS[name] is not None]
     cpus = _usable_cpus()
@@ -550,7 +541,7 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
     outcomes = _in_processes(names, min(cpus, len(names)) if long_fits else 1,
                              min(cpus, n_points), data, h, seed, gen_cfg.S,
                              draw)
-    scored = draw()[0]
+    scored = draw()
 
     # oracle timing baseline: one prediction pass over the test split
     oracle_test_time = 1.0
@@ -569,7 +560,7 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
                 n_par=0, train_time=0.0,
                 test_time_ratio=1.0 if h.timings else 0.0)))
             continue
-        result, n_par, train_time, test_time = outcomes[name]
+        result, n_par, train_time = outcomes[name]
         w1_point, w1_samples = result.worst_w1()
         m_point, m_samples = result.worst_m()
         boot_seed = (seed, _STREAM_BOOT, models.index(name))
@@ -582,7 +573,8 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
             m=m_point, m_lo=min(m_lo, m_point), m_hi=max(m_hi, m_point),
             n_par=n_par,
             train_time=train_time if h.timings else 0.0,
-            test_time_ratio=(test_time / oracle_test_time) if h.timings else 0.0)))
+            test_time_ratio=(sum(result.test_s) / oracle_test_time
+                             if h.timings else 0.0))))
 
     snapshot = {
         "generator": dataclasses.asdict(gen_cfg),

@@ -109,16 +109,16 @@ class TransportPlan:
     bland: bool = False
 
 
-def check_simplex(weights, tol: float = CONSTRUCTION_TOL) -> np.ndarray:
+def check_simplex(weights) -> np.ndarray:
     """Validate a probability vector and return it as a float array."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size < 1:
         raise ValueError("weights must be a non-empty 1-D vector")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    if np.any(w < -tol) or np.any(w > 1.0 + tol):
+    if np.any(w < -CONSTRUCTION_TOL) or np.any(w > 1.0 + CONSTRUCTION_TOL):
         raise ValueError("weights must lie in [0, 1]")
-    if abs(w.sum() - 1.0) > tol:
+    if abs(w.sum() - 1.0) > CONSTRUCTION_TOL:
         raise ValueError(f"weights must sum to 1 (got {w.sum()!r})")
     return w
 

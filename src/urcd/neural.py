@@ -83,6 +83,10 @@ class Mlp:
         object.__setattr__(self, "biases", tuple(views[layers:]))
 
 
+class NonFiniteError(ValueError):
+    """A computation met a NaN or an infinity where it needs finite values."""
+
+
 def check_finite(config) -> None:
     """Refuse a config dataclass holding a NaN or infinite float field."""
     for name, value in vars(config).items():
@@ -113,15 +117,14 @@ class NetConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
-def init_mlp(layer_dims, activation: str = "relu",
-             rng: np.random.Generator | None = None) -> Mlp:
+def init_mlp(layer_dims, activation: str = "relu", *,
+             rng: np.random.Generator) -> Mlp:
     """Seeded uniform(+-sqrt(6/(fan_in+fan_out))) initialization, zero biases."""
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError("layer_dims needs at least input and output sizes >= 1")
     if activation not in _ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
-    rng = rng if rng is not None else np.random.default_rng()
     weights, biases = [], []
     for din, dout in zip(dims[:-1], dims[1:]):
         bound = np.sqrt(6.0 / (din + dout))
@@ -188,10 +191,12 @@ def mlp_forward(net: Mlp, x) -> np.ndarray:
 
 
 def softmax(v) -> np.ndarray:
-    """Numerically stabilized softmax; output sums to 1 within 1e-12."""
+    """Numerically stabilized softmax; output sums to 1 within 1e-12.  A
+    non-finite input raises NonFiniteError."""
     v = np.asarray(v, dtype=float)
     if v.size < 1 or not np.isfinite(v).all():
-        raise ValueError("softmax input must be non-empty and finite")
+        error = NonFiniteError if v.size else ValueError
+        raise error("softmax input must be non-empty and finite")
     e = v - v.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
@@ -264,20 +269,26 @@ def fit_epochs(net: Mlp, loss_grad, n: int, cfg: NetConfig, rng) -> Mlp:
     loss_grad(net, rows) returns the flat gradient for the index array rows.
     Adam steps a copy of the given network in place and returns that copy,
     so the network passed in is not written to.  Rows are reshuffled every
-    epoch only when a batch is smaller than n.  Parameters that end
-    non-finite raise RuntimeError; they are checked once, after the last
-    step, so a step pays nothing for it.
+    epoch only when a batch is smaller than n.  Training that diverges
+    fails as ``training diverged``: a NonFiniteError from a step (as from
+    a softmax of overflowed logits) is raised again with the step number,
+    and parameters that end non-finite raise RuntimeError.  Both are
+    checked outside the loop, so a step pays nothing for either.
     """
     net = dataclasses.replace(net)
     m, v = np.zeros_like(net.params), np.zeros_like(net.params)
     batch = min(cfg.batch_size or n, n)
     t = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n) if batch < n else np.arange(n)
-        for start in range(0, n, batch):
-            grad = loss_grad(net, order[start:start + batch])
-            t += 1
-            adam_step(net.params, m, v, grad, t, cfg.learning_rate)
+    try:
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n) if batch < n else np.arange(n)
+            for start in range(0, n, batch):
+                grad = loss_grad(net, order[start:start + batch])
+                t += 1
+                adam_step(net.params, m, v, grad, t, cfg.learning_rate)
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"training diverged: {exc} at Adam step "
+                             f"{t + 1}") from exc
     if not np.isfinite(net.params).all():
         raise RuntimeError(f"training diverged: non-finite parameters after "
                            f"{t} Adam steps")

@@ -70,9 +70,6 @@ class Dataset:
     def train_entries(self):
         return [self.entries[i] for i in self.train_idx]
 
-    def test_entries(self):
-        return [self.entries[i] for i in self.test_idx]
-
     def train_inputs(self) -> np.ndarray:
         return np.array([self.entries[i][0] for i in self.train_idx])
 

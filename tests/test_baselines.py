@@ -92,7 +92,7 @@ def test_mdn_constant_target_constant_params():
     cfg = NetConfig(hidden_dims=(16,), epochs=1500, learning_rate=5e-3)
     model = mdn_fit(data, 2, cfg, seed=0)
     param_sets = []
-    for x, _ in data.test_entries():
+    for x, _ in (data.entries[i] for i in data.test_idx):
         g = mdn_predict_params(model, x)
         param_sets.append(np.concatenate([g.weights, g.means.ravel(),
                                           g.log_stds.ravel()]))
@@ -162,7 +162,7 @@ def test_dgn_constant_mean_recovery():
     model = dgn_fit(data, NetConfig(hidden_dims=(16,), epochs=400,
                                     learning_rate=5e-3), seed=0)
     errs = [abs(_dgn_head(model, x)[0][0] - 1.5)
-            for x, _ in data.test_entries()]
+            for x, _ in (data.entries[i] for i in data.test_idx)]
     assert np.mean(errs) < 0.05
 
 
@@ -201,7 +201,7 @@ def test_mean_dnn_linear_noiseless():
     model = mean_dnn_fit(data, NetConfig(hidden_dims=(32,), epochs=600,
                                          learning_rate=5e-3), seed=0)
     errs = [abs(mean_dnn_predict(model, x)[0] - (2.0 * x[0] - x[1]))
-            for x, _ in data.test_entries()]
+            for x, _ in (data.entries[i] for i in data.test_idx)]
     assert np.mean(errs) < 0.05
     measure = mean_dnn_predict_measure(model, entries[0][0])
     assert measure.n_atoms == 1

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -9,7 +8,6 @@ import pytest
 
 from urcd import cli, harness
 from urcd.cli import main
-from urcd.harness import HarnessConfig
 from urcd.neural import NetConfig
 from urcd.training import load_dataset, train_dnm
 
@@ -167,9 +165,6 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
                        (["--task", "sde", "--drift-a1", "inf"], "drift_a1")):
         assert main(experiment + bad) == 2
         assert f"error: {field} must be finite" in capsys.readouterr().err
-    for bad in ({"test_radius": -0.1}, {"test_radius": math.nan}):
-        with pytest.raises(ValueError):
-            HarnessConfig(**bad)
     # centers have one rule: no flag or config key picks another
     train = ["train", "--data", str(out), "--n", "2",
              "--out", str(tmp_path / "m.json")]
@@ -385,17 +380,47 @@ def test_prediction_failure_on_a_train_point_exits_3(tmp_path, capsys,
     assert "[eval:dnm] math domain error" in capsys.readouterr().err
 
 
+# model: (its own flags, how its divergence shows)
+_DIVERGING = {
+    "mean": ([], "non-finite parameters after 2 Adam steps"),
+    "dgn": ([], "non-finite parameters after 2 Adam steps"),
+    # the logits overflow while the parameters are still finite
+    "dnm": (["--n-centers", "2"],
+            "softmax input must be non-empty and finite at Adam step 2"),
+    "mdn": (["--mdn-components", "2"],
+            "softmax input must be non-empty and finite at Adam step 2"),
+}
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("model", ["mean", "dgn"])
+@pytest.mark.parametrize("model", list(_DIVERGING))
 def test_diverged_fit_is_a_training_failure(tmp_path, capsys, model):
-    """A regression fit whose parameters overflow fails at its training
-    stage, not later when its predictions are scored."""
+    """A fit that overflows fails at its training stage, naming the
+    divergence, not later when its predictions are scored."""
+    flags, cause = _DIVERGING[model]
     assert main(["experiment", "--task", "heteroscedastic", "--size", "10",
-                 "--samples", "20", "--models", model, "--epochs", "2",
+                 "--samples", "20", "--models", model, *flags, "--epochs", "2",
                  "--lr", "1e300", "--report", str(tmp_path / "r.csv")]) == 3
-    assert (f"failed: [train:{model}] training diverged: non-finite "
-            f"parameters after" in capsys.readouterr().err)
+    assert (f"failed: [train:{model}] training diverged: {cause}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_eval_of_a_model_with_non_finite_weights_exits_2(tmp_path, capsys):
+    """Such a model is bad input, though its softmax raises the error that
+    a diverging fit reports as a training failure."""
+    data, model = tmp_path / "data.jsonl", tmp_path / "model.json"
+    data.write_text("".join(json.dumps(r) + "\n" for r in _RECORDS))
+    assert main(["train", "--data", str(data), "--n", "2", "--epochs", "2",
+                 "--hidden", "4", "--out", str(model)]) == 0
+    saved = json.loads(model.read_text())
+    saved["classifier"]["weights"][0][0][0] = float("inf")
+    model.write_text(json.dumps(saved))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--data", str(data)]) == 2
+    assert (capsys.readouterr().err
+            == "error: softmax input must be non-empty and finite\n")
 
 
 def test_exit_code_3_on_runtime_failure(tmp_path, capsys):

@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,42 @@ def test_forked_fits_report_their_train_times(tmp_path, monkeypatch):
     # child-fitted model's test time sums its strides'
     assert strided and strided < set(times), strided
     assert all(fit > 0 and test > 0 for fit, test in times.values()), times
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_timed_runs_predict_each_scored_point_once(tmp_path, monkeypatch,
+                                                   cpus):
+    """A prediction is timed as it is scored, so with timings each model
+    still predicts each scored point once, in whichever process scores it.
+    Each call appends a line to one file, so every process's calls add up
+    in it."""
+    log = tmp_path / "predictions"
+
+    def counting(predict, model_name):
+        def wrapper(model, x):
+            with open(log, "a") as fh:     # O_APPEND: one write per call
+                fh.write(f"{model_name(model)} {x.tobytes().hex()}\n")
+            return predict(model, x)
+        return wrapper
+
+    monkeypatch.setattr(harness, "dnm_predict", counting(
+        harness.dnm_predict,
+        lambda model: "const" if len(model.atoms) == 1 else "dnm"))
+    monkeypatch.setattr(harness, "mean_dnn_predict_measure", counting(
+        harness.mean_dnn_predict_measure, lambda model: "mean"))
+    forks = _counting_forks(monkeypatch)
+    if cpus == 2:
+        _in_a_child(monkeypatch, tmp_path)
+    else:
+        _cpus(monkeypatch, 1)
+    run_experiment(GEN, ["dnm", "const", "mean"], seed=11,
+                   harness=dataclasses.replace(LONG, timings=True))
+    # with two CPUs: one fork to fit, one to score in strides
+    assert len(forks) == (2 if cpus == 2 else 0)
+    calls = log.read_text().splitlines()
+    assert len(set(calls)) == len(calls), "a point was predicted twice"
+    assert Counter(call.split()[0] for call in calls) == {
+        name: SIZE + LONG.n_test for name in ("dnm", "const", "mean")}
 
 
 # runs whose fits are too short to fork: they fork only to score

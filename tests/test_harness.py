@@ -40,10 +40,13 @@ class _FixedPairSampler:
         return pts[:size]
 
 
-def _mini_dataset(rng, n=6):
-    entries = [(rng.uniform(0, 1, size=1),
-                make_empirical(rng.normal(size=(4, 1)))) for _ in range(n)]
-    return build_dataset(entries, train_idx=range(n - 2), test_idx=(n - 2, n - 1))
+def _mini_scored(rng, sampler, seed, n=6):
+    """n points whose targets are oracle draws of sampler, as
+    ``run_experiment`` scores them."""
+    points = [rng.uniform(0, 1, size=1) for _ in range(n)]
+    refs = oracle_references(points, sampler, 10, seed)
+    return build_dataset(zip(points, refs), train_idx=range(n - 2),
+                         test_idx=(n - 2, n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -52,12 +55,11 @@ def _mini_dataset(rng, n=6):
 
 def test_eval_model_perfect_predictor_scores_zero():
     rng = np.random.default_rng(0)
-    data = _mini_dataset(rng)
-    sampler = _FixedPairSampler()
-    refs = oracle_references(data, sampler, 10, seed=1)
-    keyed = {data.entries[i][0].tobytes(): refs[i]
-             for i in range(len(data.entries))}
-    result = eval_model(lambda x: keyed[np.asarray(x).tobytes()], data, refs)
+    data = _mini_scored(rng, _FixedPairSampler(), seed=1)
+    keyed = {x.tobytes(): ref for x, ref in data.entries}
+    result = eval_model(lambda x: keyed[np.asarray(x).tobytes()], data)
+    # one timed prediction per point
+    assert (len(result.train_s), len(result.test_s)) == (4, 2)
     assert max(result.train_w1) < 1e-12
     assert max(result.test_w1) < 1e-12
     assert max(result.train_m + result.test_m) < 1e-12
@@ -67,16 +69,16 @@ def test_eval_model_dirac_at_mean():
     # oracle spreads mass on {0, 2}; predicting its mean as a point mass
     # zeroes M but pays the transport cost of 1 to the spread
     rng = np.random.default_rng(1)
-    data = _mini_dataset(rng)
-    refs = oracle_references(data, _FixedPairSampler(), 10, seed=2)
-    result = eval_model(lambda x: make_empirical([(1.0,)]), data, refs)
+    data = _mini_scored(rng, _FixedPairSampler(), seed=2)
+    result = eval_model(lambda x: make_empirical([(1.0,)]), data)
     assert np.allclose(result.train_w1, 1.0)
     assert np.allclose(result.train_m, 0.0, atol=1e-12)
 
 
 def test_eval_worst_split_dominates_each_average():
     result = EvalResult(train_w1=(0.1, 0.3), train_m=(0.5, 0.5),
-                        test_w1=(0.4, 0.6), test_m=(0.1, 0.1))
+                        train_s=(0.0, 0.0), test_w1=(0.4, 0.6),
+                        test_m=(0.1, 0.1), test_s=(0.0, 0.0))
     w1, w1_samples = result.worst_w1()
     m, m_samples = result.worst_m()
     assert w1 >= np.mean(result.train_w1) and w1 >= np.mean(result.test_w1)
@@ -255,9 +257,9 @@ def test_1d_run_experiment_scores_each_pair_through_w1_1d(monkeypatch,
         append(b"w")
         return w1_1d(mu, nu)
 
-    def counting_eval_model(predict, data, references):
+    def counting_eval_model(predict, data):
         append(b"p" * (len(data.train_idx) + len(data.test_idx)))
-        return eval_model_(predict, data, references)
+        return eval_model_(predict, data)
 
     monkeypatch.setattr(urcd.measures, "w1_1d", counting_w1_1d)
     monkeypatch.setattr(urcd.harness, "eval_model", counting_eval_model)

@@ -11,12 +11,22 @@ helper left behind when its last caller goes.  An ``__all__`` listing
 calls nothing and does not count either: every export of ``urcd`` needs a
 real caller.
 
-Every module-level import in ``src/urcd`` is read by its module, too.
+Every module-level import in ``src/urcd`` is read by its module, too.  And
+every field of a config dataclass can be set from outside the program: a
+CLI setting fills it, or a ``perfbench/run.py`` workload sets it, so no
+field holds a value that only a default or a test ever gives it.
 """
 
 import ast
+import dataclasses
 import pathlib
 from collections import Counter
+
+from urcd.cli import _COMMANDS
+from urcd.datagen import GeneratorConfig
+from urcd.dnm import RateParams
+from urcd.harness import HarnessConfig
+from urcd.neural import NetConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "urcd"
@@ -103,3 +113,29 @@ def test_every_module_level_import_is_read():
                 if name not in read:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"imported but never read: {unused}"
+
+
+def _workload_settings() -> set:
+    """The keywords of the ``harness`` and ``generator`` dicts of
+    ``perfbench/run.py``'s WORKLOADS, read from its syntax tree, so that
+    perfbench is not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    workloads = next(node.value for node in tree.body
+                     if isinstance(node, ast.Assign) and any(
+                         isinstance(t, ast.Name) and t.id == "WORKLOADS"
+                         for t in node.targets))
+    return {keyword.arg for workload in workloads.values
+            for key, value in zip(workload.keys, workload.values)
+            if key.value in ("harness", "generator")
+            for keyword in value.keywords}
+
+
+def test_every_config_field_can_be_set_from_outside():
+    settable = {s.name for _, _, table in _COMMANDS.values() for s in table}
+    settable |= _workload_settings()
+    unset = [f"{config.__name__}.{field.name}"
+             for config in (NetConfig, HarnessConfig, GeneratorConfig,
+                            RateParams)
+             for field in dataclasses.fields(config)
+             if field.name not in settable]
+    assert not unset, f"no CLI setting or perfbench workload sets: {unset}"

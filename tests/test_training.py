@@ -149,7 +149,7 @@ def test_train_two_separated_clusters():
     assert log.final_accuracy == 1.0
     # test-split classification also perfect: argmax weight picks the atom
     # whose cluster the input belongs to
-    for x, target in data.test_entries():
+    for x, target in (data.entries[i] for i in data.test_idx):
         picked_atom = model.atoms[int(predict_weights(model, x).argmax())]
         assert picked_atom.mean()[0] == target.mean()[0]
         pred = dnm_predict(model, x)
