@@ -7,7 +7,11 @@ Monte-Carlo oracle consumes).
 
 Reproducibility contract: entry i of a dataset is drawn with
 ``entry_seed(master_seed, i)``, so re-driving ``sampler.draw(x_i, S,
-entry_seed(seed, i))`` reproduces the stored samples bit-for-bit.
+entry_seed(seed, i))`` reproduces the stored samples bit-for-bit.  Each
+target is drawn so in the process that first reads its atoms or weights
+(``LazyTarget``), not when the dataset is generated: a fit that reads only
+some targets draws only those, and the bits do not depend on where or
+when a target is drawn.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from urcd.measures import make_empirical
+from urcd.measures import EmpiricalMeasure, make_empirical
 from urcd.neural import Mlp, check_finite, mlp_forward
 from urcd.training import Dataset, build_dataset
 
@@ -128,10 +132,43 @@ def _split_columns(u: np.ndarray, widths) -> list:
     return np.split(u, np.cumsum(widths)[:-1], axis=1)
 
 
+class TargetDrawError(ValueError):
+    """A target drawn on first read could not be drawn."""
+
+
+class LazyTarget(EmpiricalMeasure):
+    """The empirical measure of ``sampler.draw(x, size, seed)``, drawn on
+    the first read of its atoms or weights and kept; its dimension is
+    known before.  A draw that fails raises TargetDrawError, with the
+    message of the error it raised."""
+
+    def __init__(self, sampler, x, size: int, seed, dim: int):
+        object.__setattr__(self, "_draw_args", (sampler, x, size, seed))
+        object.__setattr__(self, "_dim", dim)
+
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    def __getattr__(self, name):
+        # reached only while the atoms and weights are not yet drawn
+        if name not in ("atoms", "weights"):
+            raise AttributeError(name)
+        sampler, x, size, seed = self._draw_args
+        try:
+            drawn = make_empirical(sampler.draw(x, size, seed))
+        except (ValueError, ArithmeticError) as exc:
+            raise TargetDrawError(str(exc)) from exc
+        object.__setattr__(self, "atoms", drawn.atoms)
+        object.__setattr__(self, "weights", drawn.weights)
+        return getattr(drawn, name)
+
+
 def _build(cfg: GeneratorConfig, inputs, sampler, n_train=None) -> Dataset:
-    """Entry i draws under entry_seed(cfg.seed, i); the first n_train
-    entries (all by default) train and the rest test."""
-    entries = [(x, make_empirical(sampler.draw(x, cfg.S, entry_seed(cfg.seed, i))))
+    """Entry i's target draws under entry_seed(cfg.seed, i) when it is first
+    read; the first n_train entries (all by default) train and the rest
+    test."""
+    entries = [(x, LazyTarget(sampler, x, cfg.S, entry_seed(cfg.seed, i), cfg.D))
                for i, x in enumerate(inputs)]
     n_train = len(entries) if n_train is None else n_train
     return build_dataset(entries, train_idx=range(n_train),

@@ -37,7 +37,7 @@ from urcd.baselines import (
     mean_dnn_fit,
     mean_dnn_predict_measure,
 )
-from urcd.datagen import GeneratorConfig, generate
+from urcd.datagen import GeneratorConfig, TargetDrawError, generate
 from urcd.dnm import dnm_predict
 from urcd.measures import w1_cost
 from urcd.neural import NetConfig
@@ -291,14 +291,22 @@ def _trains(name: str, h: HarnessConfig) -> bool:
     return name != "const" and not (name == "dnm" and h.n_centers == 1)
 
 
+def _failure(stage: str, exc: Exception) -> RuntimeError:
+    """``exc`` as a RuntimeError tagged ``[<stage>]``, or ``[generate]``
+    when it is a target that failed to draw where it was first read."""
+    tag = "generate" if isinstance(exc, TargetDrawError) else stage
+    return RuntimeError(f"[{tag}] {exc}")
+
+
 def _fit(name: str, data: Dataset, h: HarnessConfig, seed: int):
     """``name`` fitted on ``data``'s training split, and the seconds that
-    took; a failed fit raises RuntimeError tagged ``[train:<name>]``."""
+    took, the draws of the targets it reads included; a failed fit raises
+    RuntimeError tagged ``[train:<name>]`` (``_failure``)."""
     t0 = time.perf_counter()
     try:
         model = _MODELS[name].fit(data, h, seed)
     except Exception as exc:
-        raise RuntimeError(f"[train:{name}] {exc}") from exc
+        raise _failure(f"train:{name}", exc) from exc
     return model, time.perf_counter() - t0
 
 
@@ -312,7 +320,7 @@ class _Stride(NamedTuple):
 def _score(name: str, model, scored, seed: int, n_samples: int) -> EvalResult:
     """``eval_model`` of ``name``'s model on ``scored`` (a Dataset or a
     ``_Stride`` of one); a failure raises RuntimeError tagged
-    ``[eval:<name>]``."""
+    ``[eval:<name>]`` (``_failure``)."""
     spec = _MODELS[name]
 
     def predict(x):
@@ -321,7 +329,7 @@ def _score(name: str, model, scored, seed: int, n_samples: int) -> EvalResult:
     try:
         return eval_model(predict, scored)
     except Exception as exc:
-        raise RuntimeError(f"[eval:{name}] {exc}") from exc
+        raise _failure(f"eval:{name}", exc) from exc
 
 
 def _interleaved(parts) -> EvalResult:
@@ -425,7 +433,12 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
     strides: process r scores it on every ``n_score``-th point of each
     split from the r-th on, and the shares, prediction times included, are
     put back in point order.  Each point is scored, and its prediction
-    timed, once.  A phase run in one process does not fork."""
+    timed, once.  A phase run in one process does not fork.
+
+    ``data``'s targets are drawn, by ``entry_seed``, in the process that
+    first reads them (``datagen.LazyTarget``): each fitting process draws
+    only the targets its fits read, a model fitted in a child comes back
+    with its atoms drawn, and the scoring draws no training target."""
     jobs, jobs_w = os.pipe()
     os.write(jobs_w, bytes(range(len(names))))
     os.close(jobs_w)
@@ -486,13 +499,16 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
     every model is scored against once.
 
     On Linux, with more than one usable CPU, the work runs in forked
-    processes, this one included (``_in_processes``).  The fits fork right
-    after ``generate`` with two or more models besides the oracle, one of
-    which trains ``_PARALLEL_MIN_ROWS`` rows or more (epochs times the
-    training-set size); the scoring always runs in strides of the points,
-    one per usable CPU.  Each fit and score is seeded on its own, so the
-    report has the same bytes either way.  With ``timings``,
-    ``Train_Time`` is the fit's seconds and ``Test_Time_Ratio`` the
+    processes, this one included (``_in_processes``).  ``generate`` draws
+    no target: each is drawn, by ``entry_seed``, in the process that first
+    reads it, so the fits fork right after it, and a fit draws only the
+    targets it reads.  They fork with two or more models besides the
+    oracle, one of which trains ``_PARALLEL_MIN_ROWS`` rows or more
+    (epochs times the training-set size); the scoring always runs in
+    strides of the points, one per usable CPU.  Each fit, score and target
+    is seeded on its own, so the report has the same bytes either way.
+    With ``timings``, ``Train_Time`` is the fit's seconds, the draws of
+    the targets it reads included, and ``Test_Time_Ratio`` the
     model's test-prediction seconds, timed as it is scored and summed over
     its strides, over the seconds of one oracle draw pass over the test
     points; each is timed in the process that ran it.  Bootstrap and
@@ -502,7 +518,9 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
     first failing fit in model order, or else the first failing score;
     with forks, this process's own failure comes first, then the
     children's in fork order, and a child that dies without a result
-    raises RuntimeError tagged ``[fork]``.
+    raises RuntimeError tagged ``[fork]``.  A target that fails to draw
+    raises RuntimeError tagged ``[generate]`` in whichever fit or score
+    reads it first, and a reference that fails, ``[reference]``.
     """
     h = harness or HarnessConfig()
     models = list(dict.fromkeys(models))    # keep order, drop duplicates

@@ -270,10 +270,10 @@ def fit_epochs(net: Mlp, loss_grad, n: int, cfg: NetConfig, rng) -> Mlp:
     Adam steps a copy of the given network in place and returns that copy,
     so the network passed in is not written to.  Rows are reshuffled every
     epoch only when a batch is smaller than n.  Training that diverges
-    fails as ``training diverged``: a NonFiniteError from a step (as from
-    a softmax of overflowed logits) is raised again with the step number,
-    and parameters that end non-finite raise RuntimeError.  Both are
-    checked outside the loop, so a step pays nothing for either.
+    raises RuntimeError ``training diverged``: a NonFiniteError from a
+    step (as from a softmax of overflowed logits) with the step number, or
+    parameters that end non-finite.  Both are checked outside the loop, so
+    a step pays nothing for either.
     """
     net = dataclasses.replace(net)
     m, v = np.zeros_like(net.params), np.zeros_like(net.params)
@@ -287,8 +287,8 @@ def fit_epochs(net: Mlp, loss_grad, n: int, cfg: NetConfig, rng) -> Mlp:
                 t += 1
                 adam_step(net.params, m, v, grad, t, cfg.learning_rate)
     except NonFiniteError as exc:
-        raise NonFiniteError(f"training diverged: {exc} at Adam step "
-                             f"{t + 1}") from exc
+        raise RuntimeError(f"training diverged: {exc} at Adam step "
+                           f"{t + 1}") from exc
     if not np.isfinite(net.params).all():
         raise RuntimeError(f"training diverged: non-finite parameters after "
                            f"{t} Adam steps")

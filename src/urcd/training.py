@@ -14,13 +14,15 @@ split.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from urcd.dnm import DnmModel
-from urcd.measures import make_empirical
+from urcd.measures import EmpiricalMeasure, make_empirical
 from urcd.neural import (
     NetConfig,
     cross_entropy_grad,
@@ -142,27 +144,33 @@ def train_dnm(data: Dataset, n_centers: int, cfg: NetConfig = NetConfig(),
     """Fit a mixture model of n_centers atoms: pick centers (``select_centers``
     refuses n_centers outside [1, training-set size)), freeze their target
     measures as the atoms, and train the classifier on nearest-center labels.
+    Non-finite training inputs raise ValueError before anything trains.
 
-    Fully deterministic for a fixed seed.  Returns (model, log); the log
-    holds the centers and the trained classifier's full-training-set loss
-    and label accuracy.
+    Only the center targets are read: a target drawn on first read
+    (``datagen.LazyTarget``) is drawn here, and the model keeps its arrays
+    as a plain measure.  Fully deterministic for a fixed seed.  Returns
+    (model, log); the log holds the centers and the trained classifier's
+    full-training-set loss and label accuracy.
     """
     inputs = data.train_inputs()
+    if not np.isfinite(inputs).all():
+        raise ValueError("training inputs must be finite")
     centers = select_centers(inputs, n_centers)
     rng = np.random.default_rng(seed)
     train = data.train_entries()
-    atoms = tuple(train[c][1] for c in centers)
+    atoms = tuple(EmpiricalMeasure(atoms=m.atoms, weights=m.weights)
+                  for m in (train[c][1] for c in centers))
     labels = assign_labels(inputs, centers)
 
     d = data.input_dim
     net = init_mlp([d, *cfg.hidden_dims, n_centers],
                    activation=cfg.activation, rng=rng)
 
-    if n_centers > 1 or not np.isfinite(inputs).all():
-        # With one center and finite inputs the softmax of the single logit
-        # is exactly 1.0, the label, so every gradient entry is +-0, Adam's
-        # moments stay +0 and each step subtracts +0: fit_epochs would
-        # return this network unchanged, so it is not called.
+    if n_centers > 1:
+        # With one center the softmax of the single logit is exactly 1.0,
+        # the label, so every gradient entry is +-0, Adam's moments stay +0
+        # and each step subtracts +0: fit_epochs would return this network
+        # unchanged, so it is not called.
         def loss_grad(net, rows):
             return cross_entropy_grad(net, inputs[rows], labels[rows])
 
@@ -183,13 +191,27 @@ def train_dnm(data: Dataset, n_centers: int, cfg: NetConfig = NetConfig(),
 # ---------------------------------------------------------------------------
 
 def save_dataset(data: Dataset, path) -> None:
-    """Write entries as JSON lines, and the split as a companion index file."""
-    with open(path, "w") as fh:
-        for x, measure in data.entries:
-            rec = {"x": x.tolist(), "samples": measure.atoms.tolist()}
-            fh.write(json.dumps(rec) + "\n")
-    with open(str(path) + ".split.json", "w") as fh:
-        json.dump({"train": list(data.train_idx), "test": list(data.test_idx)}, fh)
+    """Write entries as JSON lines, and the split as a companion index file.
+
+    Both go to temporary files beside their targets, which replace the
+    targets only once both are whole: a failure while writing (a target
+    whose draw fails, say) leaves the files as they were."""
+    paths = (str(path), str(path) + ".split.json")
+    temps = [f"{p}.{os.getpid()}.tmp" for p in paths]
+    try:
+        with open(temps[0], "w") as fh:
+            for x, measure in data.entries:
+                rec = {"x": x.tolist(), "samples": measure.atoms.tolist()}
+                fh.write(json.dumps(rec) + "\n")
+        with open(temps[1], "w") as fh:
+            json.dump({"train": list(data.train_idx),
+                       "test": list(data.test_idx)}, fh)
+        for temp, final in zip(temps, paths):
+            os.replace(temp, final)
+    finally:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 def load_dataset(path) -> Dataset:
@@ -201,8 +223,6 @@ def load_dataset(path) -> Dataset:
     records cannot fill: one the split file names, or the default one of a
     single record.
     """
-    import os
-
     entries = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):

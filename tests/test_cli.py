@@ -406,6 +406,49 @@ def test_diverged_fit_is_a_training_failure(tmp_path, capsys, model):
             in capsys.readouterr().err)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_diverged_train_command_exits_3(tmp_path, capsys):
+    """``urcd train`` reports a diverging fit as a runtime failure, as
+    ``urcd experiment`` does."""
+    data = tmp_path / "d.jsonl"
+    assert main(["gen", "--task", "heteroscedastic", "--size", "10",
+                 "--samples", "20", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--n", "2", "--epochs", "2",
+                 "--lr", "1e300", "--out", str(tmp_path / "m.json")]) == 3
+    assert capsys.readouterr().err == (
+        "failed: training diverged: softmax input must be non-empty and "
+        "finite at Adam step 2\n")
+    assert not (tmp_path / "m.json").exists()
+
+
+_OVERFLOWING_SDE = ["--task", "sde", "--drift-a1", "1e300", "--size", "10",
+                    "--samples", "20"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_gen_whose_draw_fails_writes_no_file(tmp_path, capsys):
+    """The dataset's targets are drawn as the file is written; a draw that
+    fails leaves neither the records nor the split behind."""
+    assert main(["gen", *_OVERFLOWING_SDE, "--out", str(tmp_path / "F")]) == 2
+    assert capsys.readouterr().err == "error: point coordinates must be finite\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_experiment_whose_draws_fail_fails_on_its_references(tmp_path,
+                                                             capsys):
+    """The references are the run's first draws, so they meet the overflow
+    before any fit reads a training target."""
+    assert main(["experiment", *_OVERFLOWING_SDE, "--models", "dnm,const",
+                 "--n-centers", "2", "--epochs", "2",
+                 "--report", str(tmp_path / "r.csv")]) == 3
+    assert (capsys.readouterr().err
+            == "failed: [reference] point coordinates must be finite\n")
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_eval_of_a_model_with_non_finite_weights_exits_2(tmp_path, capsys):
     """Such a model is bad input, though its softmax raises the error that

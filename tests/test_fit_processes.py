@@ -22,7 +22,12 @@ import pytest
 
 from urcd import harness
 from urcd.cli import main
-from urcd.datagen import GeneratorConfig
+from urcd.datagen import (
+    DropoutSampler,
+    GeneratorConfig,
+    HeteroscedasticSampler,
+    LazyTarget,
+)
 from urcd.harness import HarnessConfig, emit_report, run_experiment
 
 ALL_MODELS = ["dnm", "const", "mdn", "dgn", "mean"]
@@ -162,6 +167,125 @@ def test_timed_runs_predict_each_scored_point_once(tmp_path, monkeypatch,
     assert len(set(calls)) == len(calls), "a point was predicted twice"
     assert Counter(call.split()[0] for call in calls) == {
         name: SIZE + LONG.n_test for name in ("dnm", "const", "mean")}
+
+
+# the perfbench dropout-d10 workload: dnm's 20 centers of 100 training
+# inputs, with 100 ball test points
+DROPOUT_D10 = GeneratorConfig(task="mc_dropout", d=10, D=1, size=100, S=500,
+                              base_width=5, dropout_rate=0.1)
+DROPOUT_D10_H = HarnessConfig(n_centers=20, n_test=100)
+
+
+def _kind(seed) -> str:
+    """A draw's kind by its seed: a training target draws under
+    ``entry_seed`` (two entropy words), a reference under ``_ref_seed``."""
+    if len(seed.entropy) == 2:
+        return "target"
+    return "reference" if seed.entropy[1] == harness._STREAM_REF else "other"
+
+
+def _logging_draws(monkeypatch, log, sampler=DropoutSampler):
+    """Rebind ``sampler.draw`` to append one line per call, its process
+    and its kind, to ``log``: every process's calls add up there."""
+    draw = sampler.draw
+
+    def logging(self, x, size, seed):
+        with open(log, "a") as fh:     # O_APPEND: one write per call
+            fh.write(f"{os.getpid()} {_kind(seed)}\n")
+        return draw(self, x, size, seed)
+
+    monkeypatch.setattr(sampler, "draw", logging)
+
+
+def _logged(log) -> Counter:
+    return Counter(tuple(line.split()) for line in log.read_text().splitlines())
+
+
+def test_one_process_draws_only_the_center_targets(tmp_path, monkeypatch):
+    """dnm reads its 20 center targets; const's one center is the first of
+    them (the greedy medoid), already drawn."""
+    log = tmp_path / "draws"
+    _logging_draws(monkeypatch, log)
+    _cpus(monkeypatch, 1)
+    run_experiment(DROPOUT_D10, ["dnm", "const"], seed=7, harness=DROPOUT_D10_H)
+    here = str(os.getpid())
+    assert _logged(log) == {(here, "target"): 20, (here, "reference"): 200}
+
+
+def test_each_process_draws_the_targets_its_fit_reads(tmp_path, monkeypatch):
+    """The process that fits dnm draws its 20 centers and the one that fits
+    const its one; the models come back with their atoms, so the scoring
+    processes draw no target, and only this one draws the references."""
+    log, fits = tmp_path / "draws", tmp_path / "fits"
+    _logging_draws(monkeypatch, log)
+    fit = harness._fit
+
+    def logging_fit(name, *args):
+        with open(fits, "a") as fh:
+            fh.write(f"{name} {os.getpid()}\n")
+        return fit(name, *args)
+
+    monkeypatch.setattr(harness, "_fit", logging_fit)
+    forks = _counting_forks(monkeypatch)
+    _in_a_child(monkeypatch, tmp_path)
+    forked = run_experiment(DROPOUT_D10, ["dnm", "const"], seed=7,
+                            harness=DROPOUT_D10_H)
+    # one fork to fit, one to score the child's model in strides
+    assert len(forks) == 2
+    fitted_in = dict(line.split() for line in fits.read_text().splitlines())
+    here = str(os.getpid())
+    assert set(fitted_in.values()) == {here, str(forks[0])}
+    expected = Counter({(here, "reference"): 200})
+    expected[fitted_in["dnm"], "target"] += 20
+    expected[fitted_in["const"], "target"] += 1
+    assert _logged(log) == expected
+    _cpus(monkeypatch, 1)
+    assert run_experiment(DROPOUT_D10, ["dnm", "const"], seed=7,
+                          harness=DROPOUT_D10_H) == forked
+
+
+class _Unreadable:
+    """A sampler whose every draw fails."""
+
+    def draw(self, x, size, seed):
+        raise ValueError("math domain error")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_target_failing_to_draw_in_a_fit_is_a_generate_failure(
+        tmp_path, monkeypatch, capsys, cpus):
+    draw = HeteroscedasticSampler.draw
+
+    def failing(self, x, size, seed):
+        if _kind(seed) == "target":
+            raise ValueError("math domain error")
+        return draw(self, x, size, seed)
+
+    monkeypatch.setattr(HeteroscedasticSampler, "draw", failing)
+    _cpus(monkeypatch, cpus)
+    with _fds_unchanged():
+        assert _experiment(tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("failed: [generate] math domain error"), err
+
+
+def test_target_failing_to_draw_in_a_score_is_a_generate_failure(
+        tmp_path, monkeypatch, capsys):
+    """A model whose atoms are still to be drawn draws them as it is
+    scored."""
+    train = harness.train_dnm
+
+    def undrawn(data, *args):
+        model, log = train(data, *args)
+        atom = LazyTarget(_Unreadable(), data.entries[0][0], 2, 0,
+                          data.output_dim)
+        return dataclasses.replace(model, atoms=(atom,) * len(model.atoms)), log
+
+    monkeypatch.setattr(harness, "train_dnm", undrawn)
+    _cpus(monkeypatch, 1)
+    assert _experiment(tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("failed: [generate] math domain error"), err
 
 
 # runs whose fits are too short to fork: they fork only to score

@@ -69,6 +69,18 @@ def test_golden_draw_bytes():
         assert _draw_hashes(params) == golden[name]["sha256"], name
 
 
+def test_targets_drawn_on_first_read_have_the_golden_bits():
+    """``generate`` draws no target; each is drawn where its atoms are
+    first read, with the bits of the direct draw."""
+    golden = json.loads(GOLDEN.read_text())
+    for name, params in _CASES.items():
+        data, _ = generate(GeneratorConfig(**params))
+        targets = [target for _, target in data.entries]
+        assert not any("atoms" in vars(target) for target in targets), name
+        assert [hashlib.sha256(target.atoms.tobytes()).hexdigest()
+                for target in targets] == golden[name]["sha256"], name
+
+
 # ---------------------------------------------------------------------------
 # reference loops: one draw, one layer at a time
 # ---------------------------------------------------------------------------

@@ -183,8 +183,11 @@ def test_train_deterministic_per_seed():
 def _train_dnm_full_loop(data, n_centers, cfg, seed):
     """The classifier fit of train_dnm with no shortcut: every epoch of
     minibatch Adam, then one forward pass for the loss and the accuracy.
-    Kept as the reference for train_dnm's skipped one-center fit."""
+    Kept as the reference for train_dnm's skipped one-center fit; like
+    train_dnm, it refuses non-finite inputs before it trains."""
     inputs = data.train_inputs()
+    if not np.isfinite(inputs).all():
+        raise ValueError("training inputs must be finite")
     rng = np.random.default_rng(seed)
     centers = select_centers(inputs, n_centers)
     labels = assign_labels(inputs, centers)
@@ -241,11 +244,10 @@ def test_fit_logs_full_loop_losses(seed, n, d, n_centers, hidden, activation,
                              min(n_centers, n - 1), cfg, seed)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("batch_size", [None, 2])
 def test_one_center_fit_on_an_infinite_input_fails_as_the_full_loop(batch_size):
-    # a dataset file may hold Infinity; tanh keeps the logits finite, but the
-    # gradient inf * 0 is NaN, so the full loop fails on a non-finite logit
+    # tanh would keep the logits finite, but the gradient inf * 0 is NaN, so
+    # the full loop would diverge; both refuse the input before training
     data = _toy_dataset(np.random.default_rng(15), n=6, d=2)
     entries = list(data.entries)
     entries[3] = (np.array([np.inf, 0.5]), entries[3][1])
