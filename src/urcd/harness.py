@@ -349,21 +349,49 @@ _PR_SET_PDEATHSIG = 1     # <linux/prctl.h>
 
 
 def _forked(n_procs: int, work: Callable) -> list:
-    """Run ``work(r)`` in forked children r = 1 .. ``n_procs - 1`` and then
-    in this process (r = 0); every result in r order.
+    """Run ``work(r, poll)`` in forked children r = 1 .. ``n_procs - 1`` and
+    then in this process (r = 0); every result in r order.
 
     A child inherits what it needs through the fork and pickles back, once
     and on a pipe of its own, its result or the Exception ``work`` raised.
-    The first failure raises: this process's own, then the children's in r
-    order, as each is read.  A child that exits without sending either
-    raises RuntimeError tagged ``[fork]``, as does a pipe or fork that
-    fails.  Every child is reaped before this returns or raises; an error
-    or interrupt here kills the children still running first."""
+    ``poll()`` collects, without waiting, every child that has finished;
+    this process's ``work`` calls it between its steps (a child's ``poll``
+    does nothing).  The first failure seen raises: this process's own, or
+    a child's as soon as a poll or the final wait reads it, and the final
+    wait reads the children in r order.  A child that exits without
+    sending either raises RuntimeError tagged ``[fork]``, as does a pipe
+    or fork that fails.  Every child is reaped before this returns or
+    raises; an error or interrupt here kills the children still running
+    first."""
     import ctypes     # imported here: `import urcd.cli` does not load them
+    import select
     import signal
 
     parent = os.getpid()
-    running = {}     # pid -> the read end of its result pipe
+    running = {}     # pid -> (r, the read end of its result pipe)
+    results = {}
+
+    def collect(pid):
+        r, fh = running[pid]
+        with fh:
+            payload = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        del running[pid]
+        if code != 0:
+            raise RuntimeError(f"[fork] a forked process exited with "
+                               f"status {code} before returning its result")
+        result = pickle.loads(payload)
+        if isinstance(result, Exception):
+            raise result
+        results[r] = result
+
+    def poll():
+        # a child's pipe turns readable only once it sends or exits
+        ready = select.select([fh for _, fh in running.values()], [], [], 0)[0]
+        for pid, (_, fh) in list(running.items()):
+            if fh in ready:
+                collect(pid)
+
     try:
         for r in range(1, n_procs):
             try:
@@ -386,7 +414,7 @@ def _forked(n_procs: int, work: Callable) -> list:
                     ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
                     if os.getppid() == parent:
                         try:
-                            result = work(r)
+                            result = work(r, lambda: None)
                         except Exception as exc:
                             result = exc
                         with open(out_w, "wb") as fh:
@@ -395,26 +423,16 @@ def _forked(n_procs: int, work: Callable) -> list:
                 finally:
                     os._exit(status)
             os.close(out_w)
-            running[pid] = open(out, "rb")
-        results = [work(0)]
-        for pid, fh in list(running.items()):
-            with fh:
-                payload = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del running[pid]
-            if code != 0:
-                raise RuntimeError(f"[fork] a forked process exited with "
-                                   f"status {code} before returning its result")
-            result = pickle.loads(payload)
-            if isinstance(result, Exception):
-                raise result
-            results.append(result)
+            running[pid] = r, open(out, "rb")
+        results[0] = work(0, poll)
+        for pid in list(running):
+            collect(pid)
     finally:
-        for pid, fh in running.items():
+        for pid, (_, fh) in running.items():
             fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return results
+    return [results[r] for r in range(n_procs)]
 
 
 def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
@@ -422,8 +440,9 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
                   draw: Callable) -> dict:
     """Fit ``names`` in ``n_fit`` processes and score them in ``n_score``,
     this one included; name -> (EvalResult, parameter count, fit seconds).
-    A failed fit or score raises, as ``_forked`` orders it: this process's
-    first failure, then the children's in fork order.
+    A failed fit or score raises, as ``_forked`` orders it: the first
+    failure seen, this process's own or a child's, which this process
+    looks for after each of its own fits and scores.
 
     Phase 1 fits: every process takes the next model index from one pipe,
     filled before the fork.  This process runs ``draw()`` for the scored
@@ -444,18 +463,20 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
     os.close(jobs_w)
     outcomes = {}
 
-    def fits(r):
+    def fits(r, poll):
         if r == 0:
             scored = draw()
         done = {}
         for i in iter(lambda: os.read(jobs, 1), b""):
             name = names[i[0]]
             model, train_time = _fit(name, data, h, seed)
+            poll()
             if r or n_fit == 1:
                 done[name] = model, train_time
             else:
                 outcomes[name] = (_score(name, model, scored, seed, n_samples),
                                   model.parameter_count(), train_time)
+                poll()
         return done
 
     try:
@@ -466,11 +487,14 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
     if fitted:
         scored = draw()
 
-        def scores(r):
+        def scores(r, poll):
             stride = _Stride(scored.entries, scored.train_idx[r::n_score],
                              scored.test_idx[r::n_score])
-            return [_score(name, model, stride, seed, n_samples)
-                    for name, (model, _) in fitted.items()]
+            done = []
+            for name, (model, _) in fitted.items():
+                done.append(_score(name, model, stride, seed, n_samples))
+                poll()
+            return done
 
         strides = _forked(n_score, scores)
         for k, (name, (model, train_time)) in enumerate(fitted.items()):
@@ -514,10 +538,12 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
     points; each is timed in the process that ran it.  Bootstrap and
     report stay in this process, in model order.
 
-    A run raises the first failure it meets.  In one process that is the
-    first failing fit in model order, or else the first failing score;
-    with forks, this process's own failure comes first, then the
-    children's in fork order, and a child that dies without a result
+    A run raises the first failure it sees.  In one process that is the
+    first failing fit in model order, or else the first failing score.
+    With forks, this process looks at the children after each of its own
+    fits and scores, so a child's failure raises as soon as it is seen,
+    before this process's later work; once that work is done, the
+    children are read in fork order.  A child that dies without a result
     raises RuntimeError tagged ``[fork]``.  A target that fails to draw
     raises RuntimeError tagged ``[generate]`` in whichever fit or score
     reads it first, and a reference that fails, ``[reference]``.

@@ -21,21 +21,28 @@ assignment problem, which ``w1_exact`` hands to
 ``scipy.optimize.linear_sum_assignment`` instead.
 
 A 1-D W1 is a sweep over the merged sorted atoms of its two measures.
-Each measure sorts its atoms once, on first use (``line_view``).
-``mixture`` mixes a fixed family of measures (a model's atom measures)
-over their ``atom_pool``, which sorts the pooled atoms once; a 1-D mixture
-takes its sorted order from the pool, so scoring a prediction against a
-reference merges two sorted runs and sorts nothing.
+Each measure sorts its first coordinates once, on first use
+(``line_view``).  ``mixture`` mixes a fixed family of measures (a model's
+atom measures) over their ``atom_pool``, which sorts the pooled atoms
+once; a 1-D mixture takes its sorted order from the pool, so scoring a
+prediction against a reference merges two sorted runs and sorts nothing.
+
+Measures made without weights (every sampled measure) share one read-only
+1/k vector per atom count k, held while any measure holds it, and a
+uniform measure's sorted view reuses that vector as its sorted weights,
+since any permutation of equal weights is the vector itself.  Other
+weights are the measure's own, and its sorted view gathers them.
 
 All functions here are pure: they never mutate their inputs and are safe to
-call concurrently.  The only state is the sort cache of ``line_view``: it
-is derived from the measure's read-only arrays, and equality, ``asdict``
-and the JSON formats do not see it.
+call concurrently.  The only state is the sort cache of ``line_view`` and
+the shared uniform weights: both are read-only, and equality, ``asdict``
+and the JSON formats see neither.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,14 +83,22 @@ class EmpiricalMeasure:
         weights: a stable argsort, so tied atoms keep their index order.
 
         Sorted on first use and kept on the measure (``w1_1d`` reads it).
+        A uniform measure's weights here are its shared 1/k vector itself.
         ``mixture`` hands its mixtures this view ready-made."""
         return _sorted_view(self, np.argsort(self.atoms[:, 0], kind="stable"))
 
 
 def _sorted_view(measure: EmpiricalMeasure, order) -> tuple[np.ndarray, np.ndarray]:
-    xs, ws = measure.atoms[:, 0][order], measure.weights[order]
+    """The first coordinates and the weights of ``measure`` in ``order``,
+    read-only.  The shared uniform vector (``make_empirical`` without
+    weights) comes back as it is, since any permutation of it is itself;
+    any other weights, an equal copy of that vector included, are
+    gathered."""
+    xs, ws = measure.atoms[:, 0][order], measure.weights
     xs.flags.writeable = False
-    ws.flags.writeable = False
+    if ws is not _UNIFORM.get(ws.size):
+        ws = ws[order]
+        ws.flags.writeable = False
     return xs, ws
 
 
@@ -123,12 +138,28 @@ def check_simplex(weights) -> np.ndarray:
     return w
 
 
+# k -> the read-only 1/k vector every uniform k-atom measure alive shares
+_UNIFORM: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _uniform_weights(k: int) -> np.ndarray:
+    w = _UNIFORM.get(k)
+    if w is None:
+        w = np.full(k, 1.0 / k)
+        w.flags.writeable = False
+        _UNIFORM[k] = w
+    return w
+
+
 def make_empirical(points, weights=None, renormalize: bool = True) -> EmpiricalMeasure:
     """Build an empirical measure from support points and optional weights.
 
-    Weights default to uniform 1/k.  Duplicate points are kept as distinct
-    atoms.  Weights are rescaled to sum to exactly 1 so that downstream
-    transport solves never see an infeasible marginal; pass
+    Weights default to uniform 1/k: one read-only ``np.full(k, 1 / k)``
+    vector, shared by every measure of k atoms made without weights and
+    reused by its sorted view (``line_view``).  Given weights are the
+    measure's own.  Duplicate points are kept as distinct atoms.  Weights
+    are rescaled to sum to exactly 1 so that downstream transport solves
+    never see an infeasible marginal; pass
     ``renormalize=False`` to store validated weights verbatim (used by the
     serialization loaders, whose round trip must be bit-exact).
     """
@@ -141,7 +172,7 @@ def make_empirical(points, weights=None, renormalize: bool = True) -> EmpiricalM
         raise ValueError("point coordinates must be finite")
     k = atoms.shape[0]
     if weights is None:
-        w = np.full(k, 1.0 / k)
+        w = _uniform_weights(k)
     else:
         w = check_simplex(weights)
         if w.size != k:
@@ -480,6 +511,9 @@ class AtomPool:
     weights : (K,) each atom's weight within its own measure
     sizes   : (N,) the atom count of each measure
     order   : for D = 1, the stable argsort of the atoms; None otherwise
+
+    All four arrays are read-only, so ``order`` stays the order of
+    ``atoms``.
     """
 
     atoms: np.ndarray
@@ -496,10 +530,14 @@ def atom_pool(measures) -> AtomPool:
         raise ValueError("measures must share an ambient dimension")
     atoms = np.concatenate([m.atoms for m in measures], axis=0)
     order = np.argsort(atoms[:, 0], kind="stable") if dims == {1} else None
-    return AtomPool(atoms=atoms,
+    pool = AtomPool(atoms=atoms,
                     weights=np.concatenate([m.weights for m in measures]),
                     sizes=np.array([m.n_atoms for m in measures]),
                     order=order)
+    for array in (pool.atoms, pool.weights, pool.sizes, pool.order):
+        if array is not None:
+            array.flags.writeable = False
+    return pool
 
 
 def mixture(beta, pool: AtomPool) -> EmpiricalMeasure:

@@ -1,11 +1,12 @@
 """``run_experiment`` fits long models in forked processes and scores
 models in strides across the usable CPUs: the reports keep their bytes,
 and a fit or score that fails in any process raises its own tagged error.
-A failing run stops at once, the main process's failure first and then the
-children's in fork order; a child that dies without a result fails tagged
-``[fork]``.  No child outlives a run in either phase (``conftest`` checks
-that after every test), nor its parent, and no failing run leaves a file
-descriptor open (``_fds_unchanged``)."""
+A failing run stops at the first failure seen: the main process looks at
+the children after each of its own fits and scores, so a child's failure
+does not wait for the main process's later work; a child that dies
+without a result fails tagged ``[fork]``.  No child outlives a run in
+either phase (``conftest`` checks that after every test), nor its parent,
+and no failing run leaves a file descriptor open (``_fds_unchanged``)."""
 
 import contextlib
 import dataclasses
@@ -490,10 +491,10 @@ def _scoring_in_a_child(monkeypatch, tmp_path, child_predict):
     _in_a_child(monkeypatch, tmp_path)
 
 
-def _experiment(tmp_path):
+def _experiment(tmp_path, models="dnm,mean"):
     return main(["experiment", "--task", "heteroscedastic", "--d", "1",
                  "--size", str(SIZE), "--samples", "6", "--seed", "4",
-                 "--models", "dnm,mean", "--hidden", "4", "--n-centers", "2",
+                 "--models", models, "--hidden", "4", "--n-centers", "2",
                  "--batch", str(BATCH), "--epochs", str(LONG_EPOCHS),
                  "--n-test", "2", "--bootstrap", "100",
                  "--report", str(tmp_path / "r.csv")])
@@ -525,6 +526,35 @@ def test_failing_fit_here_stops_the_run_at_once(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert ("[train:dnm] math domain error" in err
             or "[train:mean] math domain error" in err), err
+
+
+def test_failing_fit_in_a_child_stops_the_run_before_fits_here(
+        tmp_path, monkeypatch, capsys):
+    """The child's fit fails at once.  This process looks at the children
+    after its first fit, 2 s in, and raises the child's failure there,
+    without its second fit (2 s more)."""
+    parent, started = os.getpid(), tmp_path / "child-started"
+
+    def wrap(fit):
+        def wrapper(*args, **kwargs):
+            if os.getpid() != parent:
+                started.touch()
+                raise ValueError("math domain error")
+            _wait_for(started)
+            time.sleep(2.0)
+            return fit(*args, **kwargs)
+        return wrapper
+
+    for name in ("train_dnm", "mean_dnn_fit", "dgn_fit"):
+        monkeypatch.setattr(harness, name, wrap(getattr(harness, name)))
+    _cpus(monkeypatch, 2)
+    t0 = time.monotonic()
+    with _fds_unchanged():
+        assert _experiment(tmp_path, "dnm,mean,dgn") == 3
+    assert time.monotonic() - t0 < 3.5
+    err = capsys.readouterr().err
+    assert any(f"failed: [train:{name}] math domain error" in err
+               for name in ("dnm", "mean", "dgn")), err
 
 
 def _assert_lost_process(err):

@@ -10,6 +10,7 @@ comparison with them is ``==`` (or equal bytes), never a tolerance.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,3 +191,14 @@ def test_underflowed_weights_drop_their_atoms_and_their_view():
     assert pred.atoms[:, 0].tolist() == [3.0, 1.0, 1.0]
     assert pred.line_view[0].tolist() == [1.0, 1.0, 3.0]
     assert pred.line_view[1].tolist() == [0.25, 0.5, 0.25]
+
+
+def test_pool_arrays_are_read_only():
+    """Writing into a pool would put its cached order out of step with its
+    atoms and change every later prediction."""
+    pool = atom_pool([make_empirical([(2.0,), (0.0,)]),
+                      make_empirical([(1.0,)], [1.0])])
+    for array in (pool.atoms, pool.weights, pool.sizes, pool.order):
+        with pytest.raises(ValueError):
+            array[0] = 5
+    assert _same_bits(pool.order, [1, 2, 0])
