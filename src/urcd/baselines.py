@@ -30,7 +30,6 @@ from urcd.neural import (
     forward_cache,
     init_mlp,
     mlp_forward,
-    n_params,
     softmax,
 )
 
@@ -209,7 +208,7 @@ class MdnModel:
     out_dim: int
 
     def parameter_count(self) -> int:
-        return n_params(self.net)
+        return self.net.params.size
 
 
 def mdn_predict_params(model: MdnModel, x) -> GaussianMixture:
@@ -364,7 +363,7 @@ class GaussianNetModel:
     out_dim: int
 
     def parameter_count(self) -> int:
-        return n_params(self.net)
+        return self.net.params.size
 
 
 def _dgn_head(model: GaussianNetModel, x):
@@ -407,7 +406,7 @@ class MeanDnnModel:
     out_dim: int
 
     def parameter_count(self) -> int:
-        return n_params(self.net)
+        return self.net.params.size
 
 
 def mean_dnn_fit(data, cfg: NetConfig = NetConfig(), seed: int = 0) -> MeanDnnModel:

@@ -40,6 +40,7 @@ from urcd.harness import (
     eval_model,
     metrics_csv_row,
     run_experiment,
+    worst_split,
 )
 from urcd.neural import NetConfig
 from urcd.training import load_dataset, save_dataset, train_dnm
@@ -216,14 +217,17 @@ def _cmd_eval(args, cfg) -> int:
             f"{args.model} maps R^{dims[0]} to measures on R^{dims[1]}, but "
             f"{args.data} has inputs in R^{data.input_dim} and targets in "
             f"R^{data.output_dim}")
-    res = eval_model(lambda x: dnm_predict(model, x), data)
+    n_train = len(data.train_idx)
+    w1s, ms, _ = eval_model(lambda x: dnm_predict(model, x), data.entries,
+                            (*data.train_idx, *data.test_idx))
     print("split,points,W1,M")
-    for split, w1s, ms in (("train", res.train_w1, res.train_m),
-                           ("test", res.test_w1, res.test_m)):
-        if w1s:
-            print(f"{split},{len(w1s)},{float(np.mean(w1s))!r},"
-                  f"{float(np.mean(ms))!r}")
-    print(f"worst,,{res.worst_w1()[0]!r},{res.worst_m()[0]!r}")
+    for split, w1, m in (("train", w1s[:n_train], ms[:n_train]),
+                         ("test", w1s[n_train:], ms[n_train:])):
+        if len(w1):
+            print(f"{split},{len(w1)},{float(np.mean(w1))!r},"
+                  f"{float(np.mean(m))!r}")
+    print(f"worst,,{worst_split(w1s, n_train)[0]!r},"
+          f"{worst_split(ms, n_train)[0]!r}")
     return 0
 
 

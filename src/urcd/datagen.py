@@ -82,6 +82,9 @@ class GeneratorConfig:
             raise ValueError("ridge penalty must be positive")
         if self.task == "elm" and (self.elm_width < 1 or self.elm_depth < 1):
             raise ValueError("elm_width and elm_depth must be positive")
+        if (self.task in ("heteroscedastic", "mc_dropout")
+                and (self.base_depth < 0 or self.base_width < 1)):
+            raise ValueError("base_depth must be >= 0 and base_width >= 1")
         if self.task == "heteroscedastic" and self.D != 1:
             raise ValueError("the heteroscedastic task is scalar-valued (D = 1)")
         if self.task == "elm" and (self.d != 11 or self.D != 1):

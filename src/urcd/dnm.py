@@ -34,7 +34,6 @@ from urcd.neural import (
     mlp_forward,
     mlp_from_dict,
     mlp_to_dict,
-    n_params,
     softmax,
 )
 
@@ -64,7 +63,7 @@ class DnmModel:
         return self.atoms[0].dim
 
     def parameter_count(self) -> int:
-        return n_params(self.classifier)
+        return self.classifier.params.size
 
     @cached_property
     def pool(self) -> AtomPool:

@@ -41,7 +41,7 @@ from urcd.datagen import GeneratorConfig, TargetDrawError, generate
 from urcd.dnm import dnm_predict
 from urcd.measures import w1_cost
 from urcd.neural import NetConfig
-from urcd.training import Dataset, build_dataset, train_dnm
+from urcd.training import Dataset, train_dnm
 
 ZERO_FLOOR = 1e-20   # reported values below this print as 0
 TEST_RADIUS = 0.1    # a ball test point lies this close to a training input
@@ -96,35 +96,6 @@ class ExperimentReport:
     seed: int
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """Per-point distances, and the seconds each prediction took, for each
-    split."""
-
-    train_w1: tuple
-    train_m: tuple
-    train_s: tuple
-    test_w1: tuple
-    test_m: tuple
-    test_s: tuple
-
-    def _worst(self, train_vals, test_vals):
-        train_avg = float(np.mean(train_vals)) if train_vals else 0.0
-        if not test_vals:
-            return train_avg, tuple(train_vals)
-        test_avg = float(np.mean(test_vals))
-        if test_avg >= train_avg:
-            return test_avg, tuple(test_vals)
-        return train_avg, tuple(train_vals)
-
-    def worst_w1(self):
-        """(worse split average, that split's per-point values)."""
-        return self._worst(self.train_w1, self.test_w1)
-
-    def worst_m(self):
-        return self._worst(self.train_m, self.test_m)
-
-
 def _ref_seed(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(seed), _STREAM_REF, int(index)))
 
@@ -136,27 +107,36 @@ def oracle_references(points, sampler, n_samples: int, seed: int):
             for i, x in enumerate(points)]
 
 
-def eval_model(predict, data: Dataset) -> EvalResult:
-    """Score a predictor on both splits against the measure each point
-    carries, timing each prediction.
+def eval_model(predict, entries, idx) -> np.ndarray:
+    """Score a predictor on the points ``idx`` against the measure each
+    carries, timing each prediction: a ``(3, len(idx))`` table whose rows
+    are the W1 distances, the gaps between the means and the seconds each
+    prediction took, one column per point in ``idx`` order.
 
     predict : input point -> EmpiricalMeasure
-    data    : its targets are the references: fresh oracle draws in
+    entries : (point, reference) pairs: fresh oracle draws in
               ``run_experiment``, a dataset's stored targets in ``urcd eval``
     """
-    fields = {}
-    for split, idx_list in (("train", data.train_idx), ("test", data.test_idx)):
-        w1s, ms, secs = [], [], []
-        for i in idx_list:
-            x, ref = data.entries[i]
-            t0 = time.perf_counter()
-            pred = predict(x)
-            secs.append(time.perf_counter() - t0)
-            w1s.append(w1_cost(pred, ref))
-            ms.append(float(np.linalg.norm(pred.mean() - ref.mean())))
-        fields.update({f"{split}_w1": tuple(w1s), f"{split}_m": tuple(ms),
-                       f"{split}_s": tuple(secs)})
-    return EvalResult(**fields)
+    table = np.empty((3, len(idx)))
+    for k, i in enumerate(idx):
+        x, ref = entries[i]
+        t0 = time.perf_counter()
+        pred = predict(x)
+        table[2, k] = time.perf_counter() - t0
+        table[0, k] = w1_cost(pred, ref)
+        table[1, k] = np.linalg.norm(pred.mean() - ref.mean())
+    return table
+
+
+def worst_split(values, n_train: int):
+    """(the worse of the train and test averages, that split's values) for
+    ``values`` of the train points and then the test points; the test
+    split wins a tie, and without one the train split is reported."""
+    train, test = values[:n_train], values[n_train:]
+    train_avg = float(np.mean(train))
+    if len(test) and (test_avg := float(np.mean(test))) >= train_avg:
+        return test_avg, test
+    return train_avg, train
 
 
 # ---------------------------------------------------------------------------
@@ -310,39 +290,20 @@ def _fit(name: str, data: Dataset, h: HarnessConfig, seed: int):
     return model, time.perf_counter() - t0
 
 
-class _Stride(NamedTuple):
-    """What ``eval_model`` reads of a Dataset, for a share of its points."""
-    entries: tuple
-    train_idx: tuple
-    test_idx: tuple
-
-
-def _score(name: str, model, scored, seed: int, n_samples: int) -> EvalResult:
-    """``eval_model`` of ``name``'s model on ``scored`` (a Dataset or a
-    ``_Stride`` of one); a failure raises RuntimeError tagged
-    ``[eval:<name>]`` (``_failure``)."""
+def _score(name: str, model, entries, idx, seed: int,
+           n_samples: int) -> np.ndarray:
+    """``eval_model`` of ``name``'s model on the points ``idx`` of
+    ``entries``; a failure raises RuntimeError tagged ``[eval:<name>]``
+    (``_failure``)."""
     spec = _MODELS[name]
 
     def predict(x):
         return spec.predict(model, x, n_samples, _pred_seed(seed, x))
 
     try:
-        return eval_model(predict, scored)
+        return eval_model(predict, entries, idx)
     except Exception as exc:
         raise _failure(f"eval:{name}", exc) from exc
-
-
-def _interleaved(parts) -> EvalResult:
-    """The EvalResult whose every split holds ``parts[r]``'s values at
-    positions r, r + n, r + 2n, ... (n = ``len(parts)``)."""
-    def weave(field):
-        shares = [getattr(part, field) for part in parts]
-        out = [None] * sum(map(len, shares))
-        for r, share in enumerate(shares):
-            out[r::len(parts)] = share
-        return tuple(out)
-    return EvalResult(**{f.name: weave(f.name)
-                         for f in dataclasses.fields(EvalResult)})
 
 
 _PR_SET_PDEATHSIG = 1     # <linux/prctl.h>
@@ -439,7 +400,9 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
                   h: HarnessConfig, seed: int, n_samples: int,
                   draw: Callable) -> dict:
     """Fit ``names`` in ``n_fit`` processes and score them in ``n_score``,
-    this one included; name -> (EvalResult, parameter count, fit seconds).
+    this one included; name -> (score table, parameter count, fit seconds),
+    the table being ``eval_model``'s over the points ``idx`` of
+    ``(entries, idx) = draw()``, the train points and then the test points.
     A failed fit or score raises, as ``_forked`` orders it: the first
     failure seen, this process's own or a child's, which this process
     looks for after each of its own fits and scores.
@@ -449,10 +412,10 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
     points, each carrying its reference, before it takes any; while
     children fit, it scores each model it fits at once, and a child only
     fits and returns its models.  Phase 2 scores every other model in
-    strides: process r scores it on every ``n_score``-th point of each
-    split from the r-th on, and the shares, prediction times included, are
-    put back in point order.  Each point is scored, and its prediction
-    timed, once.  A phase run in one process does not fork.
+    strides: process r scores it on ``idx[r::n_score]``, and the shares,
+    prediction times included, go back into the table's columns
+    ``r::n_score``.  Each point is scored, and its prediction timed, once.
+    A phase run in one process does not fork.
 
     ``data``'s targets are drawn, by ``entry_seed``, in the process that
     first reads them (``datagen.LazyTarget``): each fitting process draws
@@ -465,7 +428,7 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
 
     def fits(r, poll):
         if r == 0:
-            scored = draw()
+            entries, idx = draw()
         done = {}
         for i in iter(lambda: os.read(jobs, 1), b""):
             name = names[i[0]]
@@ -474,7 +437,8 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
             if r or n_fit == 1:
                 done[name] = model, train_time
             else:
-                outcomes[name] = (_score(name, model, scored, seed, n_samples),
+                outcomes[name] = (_score(name, model, entries, idx, seed,
+                                         n_samples),
                                   model.parameter_count(), train_time)
                 poll()
         return done
@@ -485,21 +449,22 @@ def _in_processes(names, n_fit: int, n_score: int, data: Dataset,
     finally:
         os.close(jobs)
     if fitted:
-        scored = draw()
+        entries, idx = draw()
 
         def scores(r, poll):
-            stride = _Stride(scored.entries, scored.train_idx[r::n_score],
-                             scored.test_idx[r::n_score])
             done = []
             for name, (model, _) in fitted.items():
-                done.append(_score(name, model, stride, seed, n_samples))
+                done.append(_score(name, model, entries, idx[r::n_score], seed,
+                                   n_samples))
                 poll()
             return done
 
         strides = _forked(n_score, scores)
         for k, (name, (model, train_time)) in enumerate(fitted.items()):
-            outcomes[name] = (_interleaved([share[k] for share in strides]),
-                              model.parameter_count(), train_time)
+            table = np.empty((3, len(idx)))
+            for r, share in enumerate(strides):
+                table[:, r::n_score] = share[k]
+            outcomes[name] = table, model.parameter_count(), train_time
     return outcomes
 
 
@@ -507,7 +472,7 @@ def _split_interval(samples, h: HarnessConfig, seed):
     """BCa 95 % interval for a split's mean; a one-point split (``n_test`` = 1)
     has nothing to resample, so its interval is the point itself."""
     if len(samples) == 1:
-        return samples[0], samples[0]
+        return float(samples[0]), float(samples[0])
     return bca_interval(samples, 0.95, h.bootstrap_b, seed)
 
 
@@ -517,10 +482,11 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
     the metrics table.  The oracle row is always present, with W1 = M = 0
     by definition (it is the reference the others are scored against).
 
-    The scored points are the training points and the task's test split,
-    or else ``n_test`` points in balls around training inputs; each
+    The scored points are the training points and then the task's test
+    split, or else ``n_test`` points in balls around training inputs; each
     carries a fresh oracle draw, from one ``oracle_references`` call, that
-    every model is scored against once.
+    every model is scored against once, into one ``eval_model`` table of
+    per-point values whose ``worst_split`` is reported.
 
     On Linux, with more than one usable CPU, the work runs in forked
     processes, this one included (``_in_processes``).  ``generate`` draws
@@ -529,13 +495,13 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
     targets it reads.  They fork with two or more models besides the
     oracle, one of which trains ``_PARALLEL_MIN_ROWS`` rows or more
     (epochs times the training-set size); the scoring always runs in
-    strides of the points, one per usable CPU.  Each fit, score and target
+    strides over those points, one per usable CPU.  Each fit, score and target
     is seeded on its own, so the report has the same bytes either way.
     With ``timings``, ``Train_Time`` is the fit's seconds, the draws of
     the targets it reads included, and ``Test_Time_Ratio`` the
-    model's test-prediction seconds, timed as it is scored and summed over
-    its strides, over the seconds of one oracle draw pass over the test
-    points; each is timed in the process that ran it.  Bootstrap and
+    sum of the model's test-prediction seconds, each timed as its point is
+    scored, over the seconds of one oracle draw pass over the test points;
+    each is timed in the process that ran it.  Bootstrap and
     report stay in this process, in model order.
 
     A run raises the first failure it sees.  In one process that is the
@@ -561,9 +527,10 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
         data, sampler = generate(gen_cfg)
     except Exception as exc:
         raise RuntimeError(f"[generate] {exc}") from exc
-    if "dnm" in models and h.n_centers >= len(data.train_idx):
+    n_train = len(data.train_idx)
+    if "dnm" in models and h.n_centers >= n_train:
         raise ValueError(f"n_centers ({h.n_centers}) must be smaller than the "
-                         f"training set ({len(data.train_idx)})")
+                         f"training set ({n_train})")
 
     @functools.cache
     def draw():
@@ -575,24 +542,24 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
             references = oracle_references(points, sampler, gen_cfg.S, seed)
         except (ValueError, ArithmeticError) as exc:
             raise RuntimeError(f"[reference] {exc}") from exc
-        return build_dataset(zip(points, references), data.train_idx, test_idx)
+        return list(zip(points, references)), (*data.train_idx, *test_idx)
 
     names = [name for name in models if _MODELS[name] is not None]
     cpus = _usable_cpus()
     long_fits = (any(_trains(name, h) for name in names)
-                 and h.epochs * len(data.train_idx) >= _PARALLEL_MIN_ROWS)
-    n_points = len(data.train_idx) + (len(data.test_idx) or h.n_test)
+                 and h.epochs * n_train >= _PARALLEL_MIN_ROWS)
+    n_points = n_train + (len(data.test_idx) or h.n_test)
     outcomes = _in_processes(names, min(cpus, len(names)) if long_fits else 1,
                              min(cpus, n_points), data, h, seed, gen_cfg.S,
                              draw)
-    scored = draw()
+    entries, idx = draw()
 
     # oracle timing baseline: one prediction pass over the test split
     oracle_test_time = 1.0
     if h.timings:
         t0 = time.perf_counter()
-        for i in scored.test_idx:
-            mc_oracle(sampler, scored.entries[i][0], gen_cfg.S,
+        for i in idx[n_train:]:
+            mc_oracle(sampler, entries[i][0], gen_cfg.S,
                       np.random.SeedSequence((seed, _STREAM_PRED, i)))
         oracle_test_time = max(time.perf_counter() - t0, 1e-12)
 
@@ -604,9 +571,9 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
                 n_par=0, train_time=0.0,
                 test_time_ratio=1.0 if h.timings else 0.0)))
             continue
-        result, n_par, train_time = outcomes[name]
-        w1_point, w1_samples = result.worst_w1()
-        m_point, m_samples = result.worst_m()
+        table, n_par, train_time = outcomes[name]
+        w1_point, w1_samples = worst_split(table[0], n_train)
+        m_point, m_samples = worst_split(table[1], n_train)
         boot_seed = (seed, _STREAM_BOOT, models.index(name))
         w1_lo, w1_hi = _split_interval(
             w1_samples, h, np.random.SeedSequence(boot_seed).generate_state(1)[0])
@@ -617,7 +584,7 @@ def run_experiment(gen_cfg: GeneratorConfig, models, seed: int,
             m=m_point, m_lo=min(m_lo, m_point), m_hi=max(m_hi, m_point),
             n_par=n_par,
             train_time=train_time if h.timings else 0.0,
-            test_time_ratio=(sum(result.test_s) / oracle_test_time
+            test_time_ratio=(table[2, n_train:].sum() / oracle_test_time
                              if h.timings else 0.0))))
 
     snapshot = {

@@ -134,11 +134,6 @@ def init_mlp(layer_dims, activation: str = "relu", *,
                activation=activation)
 
 
-def n_params(net: Mlp) -> int:
-    """Exact trainable-parameter count: sum_j (d_j * d_{j+1} + d_{j+1})."""
-    return net.params.size
-
-
 def forward_cache(net: Mlp, X: np.ndarray):
     """Batched forward pass keeping pre-activations for backprop.
 

@@ -18,7 +18,7 @@ from urcd.baselines import (
     sample_gmm,
 )
 from urcd.measures import make_empirical, w1_1d
-from urcd.neural import NetConfig, init_mlp, n_params
+from urcd.neural import NetConfig, init_mlp
 from urcd.training import build_dataset
 
 from diagnostics import gmm_log_likelihood
@@ -120,7 +120,7 @@ def test_mdn_parameter_count():
     trunk = (d * 7 + 7) + (7 * 5 + 5)
     head = 5 * (K + 2 * K * D) + (K + 2 * K * D)
     assert model.parameter_count() == trunk + head
-    assert n_params(model.net) == trunk + head
+    assert model.net.params.size == trunk + head
     assert model.net.layer_dims == (d, 7, 5, K + 2 * K * D)
 
 

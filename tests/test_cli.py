@@ -153,7 +153,9 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     for bad in (["--task", "elm", "--d", "5"], ["--task", "elm", "--dim-out", "2"],
                 ["--task", "sde", "--d", "1", "--dim-out", "2"],
                 ["--task", "sde", "--sde-drift", "foo"],
-                ["--task", "sde", "--sde-diffusion", "foo"]):
+                ["--task", "sde", "--sde-diffusion", "foo"],
+                ["--task", "mc-dropout", "--base-width", "-1"],
+                ["--task", "heteroscedastic", "--base-depth", "-1"]):
         assert main(experiment + bad) == 2
         assert main(["gen", "--size", "8", "--samples", "5",
                      "--out", str(out)] + bad) == 2

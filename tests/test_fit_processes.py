@@ -84,15 +84,17 @@ def _report_bytes(tmp_path, tag, harness_cfg=LONG, gen=GEN, models=ALL_MODELS):
     return report, out
 
 
-def _assert_forked_as_serial(tmp_path, monkeypatch, harness_cfg=LONG, gen=GEN):
+def _assert_forked_as_serial(tmp_path, monkeypatch, harness_cfg=LONG, gen=GEN,
+                             cpus=2):
     forks = _counting_forks(monkeypatch)
     _in_a_child(monkeypatch, tmp_path)
+    _cpus(monkeypatch, cpus)
     _, parallel = _report_bytes(tmp_path, "parallel", harness_cfg, gen)
-    # one fork to fit, one to score the child's models in strides
-    assert len(forks) == 2
+    # cpus - 1 forks to fit, as many to score the children's models in strides
+    assert len(forks) == 2 * (cpus - 1)
     _cpus(monkeypatch, 1)
     _, serial = _report_bytes(tmp_path, "serial", harness_cfg, gen)
-    assert len(forks) == 2
+    assert len(forks) == 2 * (cpus - 1)
     assert parallel == serial
 
 
@@ -100,15 +102,19 @@ def test_forked_fits_give_the_serial_bytes(tmp_path, monkeypatch):
     _assert_forked_as_serial(tmp_path, monkeypatch)
 
 
-@pytest.mark.parametrize("size, n_test", [
-    (SIZE + 1, 4),     # 25 points, and strides of unequal length per split
-    (SIZE, 1),         # the child's stride of the test split is empty
+@pytest.mark.parametrize("size, n_test, cpus", [
+    # 25 points, in strides of 13 and 12
+    pytest.param(SIZE + 1, 4, 2, id="21-4"),
+    # 21 points: the one test point is the last of the first stride
+    pytest.param(SIZE, 1, 2, id="20-1"),
+    # 25 points, in strides of 9, 8 and 8: three shares put back
+    pytest.param(SIZE + 1, 4, 3, id="21-4-3cpus"),
 ])
 def test_strided_scores_give_the_serial_bytes(tmp_path, monkeypatch, size,
-                                              n_test):
+                                              n_test, cpus):
     _assert_forked_as_serial(tmp_path, monkeypatch,
                              dataclasses.replace(LONG, n_test=n_test),
-                             dataclasses.replace(GEN, size=size))
+                             dataclasses.replace(GEN, size=size), cpus)
 
 
 def test_forked_fits_report_their_train_times(tmp_path, monkeypatch):
@@ -117,10 +123,11 @@ def test_forked_fits_report_their_train_times(tmp_path, monkeypatch):
     parent, strided = os.getpid(), set()
     score = harness._score
 
-    def recording(name, model, scored, *args):
-        if os.getpid() == parent and isinstance(scored, harness._Stride):
+    def recording(name, model, entries, idx, *args):
+        # a stride scores fewer than the 24 points of a whole scoring
+        if os.getpid() == parent and len(idx) < SIZE + LONG.n_test:
             strided.add(name)
-        return score(name, model, scored, *args)
+        return score(name, model, entries, idx, *args)
 
     monkeypatch.setattr(harness, "_score", recording)
     report = run_experiment(GEN, ALL_MODELS, seed=11,
@@ -364,10 +371,10 @@ def test_short_fits_with_long_scoring_fork_once_to_score(tmp_path,
         fitted_in.append(os.getpid())
         return train(*args, **kwargs)
 
-    def scoring(name, model, scored, *args):
+    def scoring(name, model, *args):
         if os.getpid() != parent:
             (tmp_path / f"strided-{name}").touch()
-        return score(name, model, scored, *args)
+        return score(name, model, *args)
 
     monkeypatch.setattr(harness, "train_dnm", fitting)
     monkeypatch.setattr(harness, "_score", scoring)
@@ -663,15 +670,16 @@ def test_interrupt_while_scoring_in_strides_reaps_the_children(
 
     # the child would sleep far longer than the test may take
     _scoring_in_a_child(monkeypatch, tmp_path, sleep)
-    stride = harness._Stride
+    score = harness._score
 
-    def interrupted(*args):
-        if os.getpid() == parent:
+    def interrupted(name, model, entries, idx, *args):
+        # a stride scores fewer than the 24 points of a whole scoring
+        if os.getpid() == parent and len(idx) < SIZE + LONG.n_test:
             _wait_for(scoring)
             raise KeyboardInterrupt
-        return stride(*args)
+        return score(name, model, entries, idx, *args)
 
-    monkeypatch.setattr(harness, "_Stride", interrupted)
+    monkeypatch.setattr(harness, "_score", interrupted)
     t0 = time.monotonic()
     with _fds_unchanged(), pytest.raises(KeyboardInterrupt):
         run_experiment(GEN, ["dnm", "mean"], seed=3, harness=LONG)

@@ -13,7 +13,6 @@ from urcd.datagen import GeneratorConfig
 from urcd.harness import (
     CSV_HEADER,
     _bootstrap_means,
-    EvalResult,
     ExperimentReport,
     HarnessConfig,
     Metrics,
@@ -22,9 +21,9 @@ from urcd.harness import (
     eval_model,
     oracle_references,
     run_experiment,
+    worst_split,
 )
 from urcd.measures import make_empirical
-from urcd.training import build_dataset
 
 from diagnostics import parse_report_csv
 
@@ -41,12 +40,9 @@ class _FixedPairSampler:
 
 
 def _mini_scored(rng, sampler, seed, n=6):
-    """n points whose targets are oracle draws of sampler, as
-    ``run_experiment`` scores them."""
+    """n (point, oracle draw) entries, as ``run_experiment`` scores them."""
     points = [rng.uniform(0, 1, size=1) for _ in range(n)]
-    refs = oracle_references(points, sampler, 10, seed)
-    return build_dataset(zip(points, refs), train_idx=range(n - 2),
-                         test_idx=(n - 2, n - 1))
+    return list(zip(points, oracle_references(points, sampler, 10, seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -55,36 +51,52 @@ def _mini_scored(rng, sampler, seed, n=6):
 
 def test_eval_model_perfect_predictor_scores_zero():
     rng = np.random.default_rng(0)
-    data = _mini_scored(rng, _FixedPairSampler(), seed=1)
-    keyed = {x.tobytes(): ref for x, ref in data.entries}
-    result = eval_model(lambda x: keyed[np.asarray(x).tobytes()], data)
-    # one timed prediction per point
-    assert (len(result.train_s), len(result.test_s)) == (4, 2)
-    assert max(result.train_w1) < 1e-12
-    assert max(result.test_w1) < 1e-12
-    assert max(result.train_m + result.test_m) < 1e-12
+    entries = _mini_scored(rng, _FixedPairSampler(), seed=1)
+    keyed = {x.tobytes(): ref for x, ref in entries}
+    table = eval_model(lambda x: keyed[np.asarray(x).tobytes()], entries,
+                       range(6))
+    # W1, M and one timed prediction per point
+    assert table.shape == (3, 6)
+    assert (table[2] >= 0).all()
+    assert table[:2].max() < 1e-12
 
 
 def test_eval_model_dirac_at_mean():
     # oracle spreads mass on {0, 2}; predicting its mean as a point mass
     # zeroes M but pays the transport cost of 1 to the spread
     rng = np.random.default_rng(1)
-    data = _mini_scored(rng, _FixedPairSampler(), seed=2)
-    result = eval_model(lambda x: make_empirical([(1.0,)]), data)
-    assert np.allclose(result.train_w1, 1.0)
-    assert np.allclose(result.train_m, 0.0, atol=1e-12)
+    entries = _mini_scored(rng, _FixedPairSampler(), seed=2)
+    table = eval_model(lambda x: make_empirical([(1.0,)]), entries, range(6))
+    assert np.allclose(table[0], 1.0)
+    assert np.allclose(table[1], 0.0, atol=1e-12)
+
+
+def test_eval_model_columns_follow_idx():
+    # a point mass at x in (0, 1) moves the mass on {0, 2} by 1 on average,
+    # and its mean lies 1 - x from the oracle's
+    rng = np.random.default_rng(2)
+    entries = _mini_scored(rng, _FixedPairSampler(), seed=3)
+    idx = (5, 0, 3)
+    table = eval_model(lambda x: make_empirical([tuple(x)]), entries, idx)
+    assert np.allclose(table[0], 1.0)
+    assert np.allclose(table[1], [1.0 - entries[i][0][0] for i in idx])
 
 
 def test_eval_worst_split_dominates_each_average():
-    result = EvalResult(train_w1=(0.1, 0.3), train_m=(0.5, 0.5),
-                        train_s=(0.0, 0.0), test_w1=(0.4, 0.6),
-                        test_m=(0.1, 0.1), test_s=(0.0, 0.0))
-    w1, w1_samples = result.worst_w1()
-    m, m_samples = result.worst_m()
-    assert w1 >= np.mean(result.train_w1) and w1 >= np.mean(result.test_w1)
-    assert m >= np.mean(result.train_m) and m >= np.mean(result.test_m)
-    assert w1_samples == result.test_w1
-    assert m_samples == result.train_m
+    # two train points, then two test points
+    w1s, ms = np.array([0.1, 0.3, 0.4, 0.6]), np.array([0.5, 0.5, 0.1, 0.1])
+    w1, w1_samples = worst_split(w1s, 2)
+    m, m_samples = worst_split(ms, 2)
+    assert w1 >= np.mean(w1s[:2]) and w1 >= np.mean(w1s[2:])
+    assert m >= np.mean(ms[:2]) and m >= np.mean(ms[2:])
+    assert list(w1_samples) == [0.4, 0.6]
+    assert list(m_samples) == [0.5, 0.5]
+    # the test split wins a tie
+    avg, samples = worst_split(np.array([0.25, 0.75, 0.5, 0.5]), 2)
+    assert avg == 0.5 and list(samples) == [0.5, 0.5]
+    # without a test split, the train values are reported
+    avg, samples = worst_split(np.array([0.1, 0.3]), 2)
+    assert avg == np.mean([0.1, 0.3]) and list(samples) == [0.1, 0.3]
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +269,9 @@ def test_1d_run_experiment_scores_each_pair_through_w1_1d(monkeypatch,
         append(b"w")
         return w1_1d(mu, nu)
 
-    def counting_eval_model(predict, data):
-        append(b"p" * (len(data.train_idx) + len(data.test_idx)))
-        return eval_model_(predict, data)
+    def counting_eval_model(predict, entries, idx):
+        append(b"p" * len(idx))
+        return eval_model_(predict, entries, idx)
 
     monkeypatch.setattr(urcd.measures, "w1_1d", counting_w1_1d)
     monkeypatch.setattr(urcd.harness, "eval_model", counting_eval_model)
@@ -331,10 +343,10 @@ def _report_csv(tmp_path, gen, models, h):
 
 def _assert_golden(monkeypatch, golden, report_bytes):
     """``report_bytes()`` gives the bytes of ``tests/data/<golden>`` with
-    one usable CPU, where nothing forks, and with two, where the scoring
-    runs in strides across forked processes."""
+    one usable CPU, where nothing forks, and with two and three, where the
+    scoring runs in strides across forked processes."""
     expected = (pathlib.Path(__file__).parent / "data" / golden).read_bytes()
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         monkeypatch.setattr(urcd.harness, "_usable_cpus", lambda: cpus)
         assert report_bytes() == expected, f"{cpus} usable CPU(s)"
 

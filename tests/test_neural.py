@@ -18,7 +18,6 @@ from urcd.neural import (
     mlp_forward,
     mlp_from_dict,
     mlp_to_dict,
-    n_params,
     softmax,
 )
 
@@ -352,7 +351,7 @@ def test_loss_decreases_on_separable_problem():
 def test_param_count():
     net = init_mlp([3, 5, 7, 2], rng=np.random.default_rng(11))
     expected = (3 * 5 + 5) + (5 * 7 + 7) + (7 * 2 + 2)
-    assert n_params(net) == expected
+    assert net.params.size == expected
 
 
 def test_serialization_bit_identical():
